@@ -1,0 +1,61 @@
+"""Append-only JSON-lines files that survive an interrupted append.
+
+The embedding cache and verify's progress file grow one line at a time,
+and a line counts once its newline is written. A process killed in the
+middle of an append leaves an unterminated fragment at the end of the
+file: reading drops it with a warning, so its record is redone, and the
+next append first cuts the file back to the last newline, so the new
+line is not glued to the fragment. A bad line anywhere else is
+corruption and raises ValidationError.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import os
+from collections.abc import Iterable, Iterator
+
+from .errors import ValidationError
+
+log = logging.getLogger(__name__)
+
+
+class AppendLog:
+    def __init__(self, path: str):
+        self.path = path
+        self._torn_at: int | None = None  # byte offset of a torn final line
+
+    def read(self) -> Iterator[tuple[int, object]]:
+        """(line number, parsed JSON) of each complete, non-blank line."""
+        self._torn_at = None
+        if not os.path.isfile(self.path):
+            return
+        offset = 0
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):
+                    log.warning(
+                        "%s: line %d: dropping a torn final line (%d bytes)",
+                        self.path, lineno, len(raw),
+                    )
+                    self._torn_at = offset
+                    return
+                offset += len(raw)
+                if not raw.strip():
+                    continue
+                try:
+                    yield lineno, json.loads(raw)
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{self.path}: line {lineno}: not valid JSON: {exc}"
+                    ) from exc
+
+    def append(self, lines: Iterable[str]) -> None:
+        """Append lines, each given without its newline."""
+        if self._torn_at is not None:
+            os.truncate(self.path, self._torn_at)
+            self._torn_at = None
+        with open(self.path, "a", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")

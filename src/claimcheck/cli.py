@@ -17,6 +17,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from .appendlog import AppendLog
 from .config import AppConfig, load_app_config
 from .corpus import Claim, load_dataset, load_knowledge_store
 from .dense import EmbeddingCache
@@ -141,19 +142,23 @@ def cmd_retrieve(args, cfg: AppConfig) -> int:
     return 0
 
 
-def _load_progress(path: str) -> dict[int, dict]:
-    """Last status per claim wins; errored claims are retried on rerun."""
-    state: dict[int, dict] = {}
-    if not os.path.isfile(path):
-        return state
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            state[entry["claim_id"]] = entry
-    return state
+def _load_progress(progress: AppendLog) -> dict[int, dict]:
+    """Finished prediction records by claim id.
+
+    The last status per claim wins; errored claims are retried on rerun.
+    """
+    done: dict[int, dict] = {}
+    for lineno, entry in progress.read():
+        try:
+            if entry.get("status") == "ok":
+                done[entry["claim_id"]] = entry["record"]
+            else:
+                done.pop(entry["claim_id"], None)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"{progress.path}: line {lineno}: bad progress entry: {exc!r}"
+            ) from exc
+    return done
 
 
 def cmd_verify(args, cfg: AppConfig) -> int:
@@ -173,18 +178,15 @@ def cmd_verify(args, cfg: AppConfig) -> int:
     ens_cfg = EnsembleConfig(weight_external=cfg.ensemble.weight_external)
 
     provider = make_chat_provider(cfg.generator)
-    progress_path = os.path.join(cfg.paths.output_dir, "verify_progress.jsonl")
-    progress = _load_progress(progress_path)
-    done = {cid: e["record"] for cid, e in progress.items() if e.get("status") == "ok"}
+    progress = AppendLog(os.path.join(cfg.paths.output_dir, "verify_progress.jsonl"))
+    done = _load_progress(progress)
 
     pending = [c for c in claims if c.id not in done]
     write_lock = threading.Lock()
 
     def record_progress(entry: dict) -> None:
         with write_lock:
-            with open(progress_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                fh.flush()
+            progress.append([json.dumps(entry, sort_keys=True)])
 
     def work(claim: Claim) -> dict:
         store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProviderError, ValidationError
+from .appendlog import AppendLog
+from .errors import ConfigError, ProviderError, ValidationError, is_retryable_status
 from .lexical import DEFAULT_TOKENIZER, tokenize
 
 log = logging.getLogger(__name__)
@@ -73,6 +74,40 @@ def cosine_sim(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
+class _TokenCodes(dict):
+    """token -> bucket, plus MOCK_DIM when the sign is negative.
+
+    A token is hashed on its first lookup only: the bucket is the first
+    four blake2b digest bytes mod MOCK_DIM, the sign the fifth byte's
+    parity.
+    """
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        code = int.from_bytes(digest[:4], "little") % MOCK_DIM + MOCK_DIM * (digest[4] & 1)
+        self[token] = code
+        return code
+
+
+def _hashed_vector(text: str, codes: _TokenCodes) -> np.ndarray:
+    """mock_embed with a caller-owned token memo.
+
+    Bucket sums are integer counts, exact in any order, so the result
+    is bit-identical to adding +-1.0 token by token.
+    """
+    tokens = tokenize(text, DEFAULT_TOKENIZER)
+    counts = np.bincount(
+        np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens)),
+        minlength=2 * MOCK_DIM,
+    )
+    vec = (counts[:MOCK_DIM] - counts[MOCK_DIM:]).astype(np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
 def mock_embed(text: str) -> np.ndarray:
     """Deterministic feature-hash embedding, unit L2 norm, dimension 64.
 
@@ -80,17 +115,7 @@ def mock_embed(text: str) -> np.ndarray:
     a bucket and the fifth byte's parity picks the sign. Texts with no
     tokens map to the first basis vector so the result is never zero.
     """
-    vec = np.zeros(MOCK_DIM, dtype=np.float64)
-    for token in tokenize(text, DEFAULT_TOKENIZER):
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        bucket = int.from_bytes(digest[:4], "little") % MOCK_DIM
-        sign = 1.0 if digest[4] % 2 == 0 else -1.0
-        vec[bucket] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        vec[0] = 1.0
-        return vec
-    return vec / norm
+    return _hashed_vector(text, _TokenCodes())
 
 
 class MockEmbeddingProvider:
@@ -100,7 +125,10 @@ class MockEmbeddingProvider:
         self.cfg = cfg
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        return [mock_embed(t) for t in texts]
+        # chunks of one claim share most of their vocabulary: hash each
+        # distinct token once per call
+        codes = _TokenCodes()
+        return [_hashed_vector(t, codes) for t in texts]
 
 
 class HttpEmbeddingProvider:
@@ -140,9 +168,11 @@ class HttpEmbeddingProvider:
                 if resp.status_code == 200:
                     return self._parse_response(resp.json(), len(batch))
                 last_err = f"HTTP {resp.status_code}: {resp.text[:200]}"
+                if not is_retryable_status(resp.status_code):
+                    break
             if attempt < self.cfg.retries:
                 time.sleep(min(2.0**attempt, 8.0))
-        raise ProviderError(f"embeddings request failed after retries: {last_err}")
+        raise ProviderError(f"embeddings request failed: {last_err}")
 
     @staticmethod
     def _parse_response(payload: dict, expected: int) -> list[np.ndarray]:
@@ -190,28 +220,25 @@ class EmbeddingCache:
     """JSON-lines vector cache keyed by claim, model, and text hash.
 
     Real embedding runs are the expensive part of retrieval, so vectors
-    are persisted and reruns only embed what is missing.
+    are persisted and reruns only embed what is missing. A torn final
+    line left by an interrupted append is dropped (see appendlog), so its
+    vector is embedded again.
     """
 
     def __init__(self, path: str):
         self.path = path
+        self._log = AppendLog(path)
         self._entries: dict[str, np.ndarray] = {}
-        if os.path.isfile(path):
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        values = np.asarray(obj["values"], dtype=np.float64)
-                        if int(obj["dim"]) != values.shape[0]:
-                            raise ValueError("dim field disagrees with values length")
-                        self._entries[obj["key"]] = values
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ValidationError(
-                            f"{path}: line {lineno}: bad cache entry: {exc}"
-                        ) from exc
+        for lineno, obj in self._log.read():
+            try:
+                values = np.asarray(obj["values"], dtype=np.float64)
+                if int(obj["dim"]) != values.shape[0]:
+                    raise ValueError("dim field disagrees with values length")
+                self._entries[obj["key"]] = values
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValidationError(
+                    f"{path}: line {lineno}: bad cache entry: {exc}"
+                ) from exc
 
     @staticmethod
     def key_for(claim_id: int, model_name: str, text: str) -> str:
@@ -229,15 +256,11 @@ class EmbeddingCache:
         if not fresh:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for key, vec in fresh:
-                self._entries[key] = vec
-                fh.write(
-                    json.dumps(
-                        {"key": key, "dim": int(vec.shape[0]), "values": vec.tolist()}
-                    )
-                    + "\n"
-                )
+        self._log.append(
+            json.dumps({"key": key, "dim": int(vec.shape[0]), "values": vec.tolist()})
+            for key, vec in fresh
+        )
+        self._entries.update(fresh)
 
 
 def embed_cached(

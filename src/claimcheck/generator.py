@@ -20,7 +20,13 @@ import time
 from dataclasses import dataclass, replace
 
 from .corpus import AnswerType, Claim, VeracityLabel
-from .errors import ConfigError, GenerationParseError, ProviderError, ValidationError
+from .errors import (
+    ConfigError,
+    GenerationParseError,
+    ProviderError,
+    ValidationError,
+    is_retryable_status,
+)
 from .lexical import DEFAULT_TOKENIZER, Bm25Params, bm25_top, build_index, tokenize
 from .retriever import RetrievedSource
 
@@ -135,10 +141,10 @@ def select_fewshot(claim: Claim, train_set: list[Claim], count: int) -> list[Cla
     tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in candidates]
     if all(not t for t in tokenized):
         return []
-    index = build_index(tokenized, Bm25Params())
     query = tokenize(claim.text, DEFAULT_TOKENIZER)
     if not query:
         return []
+    index = build_index(tokenized, Bm25Params(), terms=query)
     ranked = bm25_top(index, query, count)
     return [candidates[ordinal] for ordinal, _score in ranked]
 
@@ -259,8 +265,11 @@ class MockChatProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "MockChatProvider":
-        with open(path, encoding="utf-8") as fh:
-            script = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                script = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"{path}: cannot read mock script: {exc}") from exc
         if not isinstance(script, dict):
             raise ValidationError(f"{path}: mock script must be a JSON object")
         for key, value in script.items():
@@ -331,9 +340,11 @@ class HttpChatProvider:
                             f"chat response missing message content: {exc}"
                         ) from exc
                 last_err = f"HTTP {resp.status_code}: {resp.text[:200]}"
+                if not is_retryable_status(resp.status_code):
+                    break
             if attempt < self.cfg.transport_retries:
                 time.sleep(min(2.0**attempt, 8.0))
-        raise ProviderError(f"chat request failed after retries: {last_err}")
+        raise ProviderError(f"chat request failed: {last_err}")
 
 
 def make_chat_provider(cfg: GeneratorConfig):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -60,15 +61,32 @@ class Bm25Params:
 
 @dataclass(frozen=True)
 class Bm25Index:
+    """Postings plus corpus statistics.
+
+    indexed_terms is None for a full index; otherwise postings cover only
+    those terms, while the length statistics still come from the whole
+    documents, so scores for those terms equal the full index's.
+    """
+
     postings: dict[str, list[tuple[int, int]]]
     doc_lengths: tuple[int, ...]
     avg_doc_length: float
     doc_count: int
     params: Bm25Params = field(default=Bm25Params())
+    indexed_terms: frozenset[str] | None = None
 
 
-def build_index(docs: list[list[str]], params: Bm25Params = Bm25Params()) -> Bm25Index:
-    """Build an inverted index over tokenized documents."""
+def build_index(
+    docs: list[list[str]],
+    params: Bm25Params = Bm25Params(),
+    terms: list[str] | None = None,
+) -> Bm25Index:
+    """Build an inverted index over tokenized documents.
+
+    With terms given, only their postings are kept: ranking one query
+    reads nothing else, and most of a full index's cost is postings for
+    terms no query asks about.
+    """
     if not docs:
         raise ValidationError("cannot build a BM25 index over zero documents")
     doc_lengths = tuple(len(d) for d in docs)
@@ -76,13 +94,12 @@ def build_index(docs: list[list[str]], params: Bm25Params = Bm25Params()) -> Bm2
     if total == 0:
         raise ValidationError("all documents are empty of tokens")
 
+    wanted = None if terms is None else tuple(dict.fromkeys(terms))
     postings: dict[str, list[tuple[int, int]]] = {}
     for ordinal, doc in enumerate(docs):
-        counts: dict[str, int] = {}
-        for token in doc:
-            counts[token] = counts.get(token, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((ordinal, tf))
+        counts = Counter(doc)
+        for term in counts if wanted is None else [t for t in wanted if t in counts]:
+            postings.setdefault(term, []).append((ordinal, counts[term]))
 
     return Bm25Index(
         postings=postings,
@@ -90,6 +107,7 @@ def build_index(docs: list[list[str]], params: Bm25Params = Bm25Params()) -> Bm2
         avg_doc_length=total / len(docs),
         doc_count=len(docs),
         params=params,
+        indexed_terms=None if wanted is None else frozenset(wanted),
     )
 
 
@@ -119,6 +137,8 @@ def bm25_top(
     """
     if omega < 1:
         raise ValidationError(f"omega must be >= 1, got {omega}")
+    if index.indexed_terms is not None and not index.indexed_terms.issuperset(query_tokens):
+        raise ValidationError("query has terms the BM25 index was not built for")
     scores: dict[int, float] = {}
     for token in query_tokens:
         plist = index.postings.get(token)

@@ -100,7 +100,7 @@ def retrieve(
     if not query_tokens or all(not t for t in tokenized):
         return _empty_result(claim)
 
-    index = build_index(tokenized, Bm25Params())
+    index = build_index(tokenized, Bm25Params(), terms=query_tokens)
     pruned = bm25_top(index, query_tokens, cfg.omega)
     if not pruned:
         return _empty_result(claim)

@@ -196,6 +196,8 @@ def test_criterion_04_bm25_oracle():
         got = bm25_top(build_index(docs, params), query, omega)
         want = _bm25_scan(docs, query, params, omega)
         assert got == want, f"trial {trial}"
+        restricted = bm25_top(build_index(docs, params, terms=query), query, omega)
+        assert restricted == want, f"trial {trial}, query-restricted index"
 
 
 def test_criterion_05_likert_softmax():

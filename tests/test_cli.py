@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import claimcheck.dense as dense
 from claimcheck.corpus import VeracityLabel
 
 from conftest import build_echo_script, run_cli
@@ -307,6 +308,85 @@ class TestVerify:
         )
         assert code == 2
         assert "script_path" in capsys.readouterr().err
+
+
+    def test_torn_progress_line_redoes_that_claim(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, caplog,
+    ):
+        out_dir = tmp_path / "out"
+        argv = _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                            echo_script_path, out_dir)
+        assert run_cli(argv + ["--claims", "0,1,2"]) == 0
+        progress = out_dir / "verify_progress.jsonl"
+        progress.write_bytes(progress.read_bytes()[:-30])  # tear claim 2's record
+
+        assert run_cli(argv) == 0
+        assert "torn final line" in caplog.text
+        # the next append started on a fresh line: every line parses
+        entries = [json.loads(line) for line in progress.read_text().splitlines()]
+        assert [e["claim_id"] for e in entries] == list(range(10))
+        records = json.loads((out_dir / "predictions.json").read_text())
+        assert [r["claim_id"] for r in records] == list(range(10))
+
+    def test_corrupt_progress_line_exits_2(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, capsys,
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        later = json.dumps({"claim_id": 4, "status": "error", "error": "x"}) + "\n"
+        for bad in ('{"claim_id": 3, "sta', '{"claim_id": 3, "status": "ok"}'):
+            (out_dir / "verify_progress.jsonl").write_text(bad + "\n" + later)
+            assert run_cli(
+                _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                             echo_script_path, out_dir)
+            ) == 2
+            assert "verify_progress.jsonl: line 1" in capsys.readouterr().err
+
+    def test_torn_cache_line_reembeds_only_lost_vector(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, monkeypatch,
+    ):
+        cache_dir = tmp_path / "cache"
+
+        def argv(out_dir):
+            return _verify_argv(
+                dataset_path, knowledge_store_path, train_set_path,
+                echo_script_path, tmp_path / out_dir,
+            ) + ["--cache-dir", str(cache_dir)]
+
+        assert run_cli(argv("first")) == 0
+        cache = cache_dir / "emb_0.jsonl"
+        intact = cache.read_bytes()
+        cache.write_bytes(intact[:-40])
+
+        embedded = []
+        real_embed_batch = dense.embed_batch
+
+        def counting_embed_batch(texts, cfg):
+            embedded.append(len(texts))
+            return real_embed_batch(texts, cfg)
+
+        monkeypatch.setattr(dense, "embed_batch", counting_embed_batch)
+        assert run_cli(argv("second")) == 0
+        assert embedded == [1]
+        assert cache.read_bytes() == intact
+        assert (tmp_path / "first" / "predictions.json").read_bytes() == (
+            tmp_path / "second" / "predictions.json"
+        ).read_bytes()
+
+    def test_invalid_mock_script_exits_2(
+        self, dataset_path, knowledge_store_path, train_set_path, tmp_path, capsys,
+    ):
+        script = tmp_path / "script.json"
+        script.write_text("{not json")
+        code = run_cli(
+            _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                         script, tmp_path / "out")
+        )
+        assert code == 2
+        assert str(script) in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -41,15 +41,32 @@ class TestMockEmbed:
         assert np.array_equal(a, b)
 
     def test_matches_hash_oracle(self):
-        # independent recomputation of the bucket/sign scheme
-        text = "Quorvel sold forty thousand vans"
-        expected = np.zeros(MOCK_DIM)
-        for token in text.lower().split():
-            digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
-            bucket = int.from_bytes(digest[:4], "little") % MOCK_DIM
-            expected[bucket] += 1.0 if digest[4] % 2 == 0 else -1.0
-        expected = expected / np.linalg.norm(expected)
-        assert np.allclose(mock_embed(text), expected, atol=0, rtol=0)
+        # independent recomputation of the bucket/sign scheme, one token at
+        # a time; "w14 w22" share a bucket with opposite signs and cancel
+        def oracle(text):
+            expected = np.zeros(MOCK_DIM)
+            for token in text.lower().split():
+                digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+                bucket = int.from_bytes(digest[:4], "little") % MOCK_DIM
+                expected[bucket] += 1.0 if digest[4] % 2 == 0 else -1.0
+            norm = np.linalg.norm(expected)
+            if norm == 0.0:
+                expected[0] = 1.0
+                return expected
+            return expected / norm
+
+        rng = random.Random(4417)
+        vocab = [f"w{i}" for i in range(40)]
+        texts = ["Quorvel sold forty thousand vans", "w14 w22", "w22 w14 w14 w22"] + [
+            " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 60)))
+            for _ in range(200)
+        ]
+        assert np.array_equal(mock_embed("w14 w22"), np.eye(MOCK_DIM)[0])
+        batched = MockEmbeddingProvider(EmbeddingProviderConfig()).embed(texts)
+        for text, vec in zip(texts, batched):
+            expected = oracle(text)
+            assert np.array_equal(mock_embed(text), expected), text
+            assert np.array_equal(vec, expected), text
 
     def test_no_tokens_maps_to_basis(self):
         v = mock_embed("?!...")
@@ -156,6 +173,38 @@ class TestHttpEmbeddingProvider:
         assert len(attempts) == 2
         assert vectors[0][0] == 1.0
 
+    def test_client_error_not_retried(self, stub_server, monkeypatch):
+        server, base_url = stub_server
+        monkeypatch.setattr(dense.time, "sleep", lambda s: None)
+        attempts = []
+
+        def app(path, body, headers):
+            attempts.append(1)
+            return 401, {"error": "bad key"}
+
+        server.app = app
+        provider = HttpEmbeddingProvider(self._cfg(base_url, retries=3))
+        with pytest.raises(ProviderError) as exc:
+            provider.embed(["x"])
+        assert len(attempts) == 1
+        assert "401" in str(exc.value)
+
+    def test_rate_limit_retried(self, stub_server, monkeypatch):
+        server, base_url = stub_server
+        monkeypatch.setattr(dense.time, "sleep", lambda s: None)
+        attempts = []
+
+        def app(path, body, headers):
+            attempts.append(1)
+            if len(attempts) == 1:
+                return 429, {"error": "slow down"}
+            return 200, _embedding_payload(body["input"])
+
+        server.app = app
+        provider = HttpEmbeddingProvider(self._cfg(base_url, retries=2))
+        assert provider.embed(["only"])[0][0] == 1.0
+        assert len(attempts) == 2
+
     def test_exhausted_retries_raise(self, stub_server, monkeypatch):
         server, base_url = stub_server
         monkeypatch.setattr(dense.time, "sleep", lambda s: None)
@@ -256,6 +305,28 @@ class TestEmbeddingCache:
         path.write_text('{"key": "k", "dim": 3, "values": [1.0]}\n')
         with pytest.raises(ValidationError):
             EmbeddingCache(str(path))
+
+    def test_torn_final_line_dropped_then_cut_before_append(self, tmp_path, caplog):
+        path = tmp_path / "emb_0.jsonl"
+        cache = EmbeddingCache(str(path))
+        cache.put_many([("k1", np.array([1.0])), ("k2", np.array([2.0]))])
+        intact = path.read_bytes()
+        path.write_bytes(intact[:-5])
+        with caplog.at_level("WARNING"):
+            torn = EmbeddingCache(str(path))
+        assert "torn final line" in caplog.text
+        assert len(torn) == 1 and torn.get("k2") is None
+        torn.put_many([("k2", np.array([2.0]))])
+        assert path.read_bytes() == intact
+        assert len(EmbeddingCache(str(path))) == 2
+
+    def test_bad_line_before_others_rejected(self, tmp_path):
+        path = tmp_path / "emb_0.jsonl"
+        good = '{"key": "k", "dim": 1, "values": [1.0]}\n'
+        path.write_text('{"key": "j", "dim": 1, "val\n' + good)
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingCache(str(path))
+        assert "line 1" in str(exc.value)
 
 
 class TestEmbedCached:

@@ -547,6 +547,40 @@ class TestHttpChatProvider:
         assert provider.complete("s", "u", 0) == "ok"
         assert len(attempts) == 3
 
+    def test_client_error_not_retried(self, stub_server, monkeypatch):
+        server, base_url = stub_server
+        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+        monkeypatch.setattr(generator.time, "sleep", lambda s: None)
+        attempts = []
+
+        def app(path, body, headers):
+            attempts.append(1)
+            return 401, {"error": "denied"}
+
+        server.app = app
+        provider = HttpChatProvider(self._cfg(base_url, transport_retries=3))
+        with pytest.raises(ProviderError) as exc:
+            provider.complete("s", "u", 0)
+        assert len(attempts) == 1
+        assert "401" in str(exc.value)
+
+    def test_rate_limit_retried(self, stub_server, monkeypatch):
+        server, base_url = stub_server
+        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+        monkeypatch.setattr(generator.time, "sleep", lambda s: None)
+        attempts = []
+
+        def app(path, body, headers):
+            attempts.append(1)
+            if len(attempts) == 1:
+                return 429, {"error": "slow down"}
+            return 200, {"choices": [{"message": {"content": "ok"}}]}
+
+        server.app = app
+        provider = HttpChatProvider(self._cfg(base_url, transport_retries=3))
+        assert provider.complete("s", "u", 0) == "ok"
+        assert len(attempts) == 2
+
     def test_failure_does_not_leak_key(self, stub_server, monkeypatch):
         server, base_url = stub_server
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-chat-secret")

@@ -94,6 +94,15 @@ class TestBm25:
             got = bm25_top(index, query, omega=n_docs)
             want = _naive_bm25(docs, query)
             assert got == want  # exact float equality, same accumulation order
+            restricted = build_index(docs, terms=query)
+            assert bm25_top(restricted, query, omega=n_docs) == want
+
+    def test_restricted_index_rejects_other_query_terms(self):
+        index = build_index([["apple", "pear"], ["plum"]], terms=["apple"])
+        assert set(index.postings) == {"apple"}
+        assert index.doc_lengths == (2, 1)
+        with pytest.raises(ValidationError):
+            bm25_top(index, ["apple", "plum"], omega=10)
 
     def test_omega_truncates(self):
         docs = [["x", f"u{i}"] for i in range(20)]
