@@ -31,6 +31,7 @@ from .errors import (
 )
 from .generator import (
     EvidenceQA,
+    FewshotPool,
     GeneratorConfig,
     GeneratorOutput,
     build_prompt,

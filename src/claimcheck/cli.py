@@ -22,7 +22,12 @@ from .config import AppConfig, load_app_config
 from .corpus import Claim, load_dataset, load_knowledge_store
 from .dense import EmbeddingCache
 from .errors import ClaimCheckError, ConfigError, ValidationError
-from .generator import make_chat_provider, prediction_record, run_generation
+from .generator import (
+    FewshotPool,
+    make_chat_provider,
+    prediction_record,
+    run_generation,
+)
 from .retriever import retrieve
 from .scoring import averitec_score, load_predictions
 from .verdict import EnsembleConfig, ensemble, final_label, likert_softmax, load_external_probs
@@ -46,9 +51,12 @@ _FLAG_TO_KEY = {
 
 
 def _write_atomic(path: str, data: str) -> None:
+    """Replace path with data; a crash leaves the old or the new content."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -167,10 +175,11 @@ def cmd_verify(args, cfg: AppConfig) -> int:
     all_claims = load_dataset(cfg.paths.dataset)
     claims = _select_claims(all_claims, args.claims)
 
-    train_set: list[Claim] = []
+    # indexed by the first claim that asks for few-shot examples
+    fewshot_pool = FewshotPool()
     if cfg.paths.train_set and not cfg.generator.simplified:
         cfg.require_paths("train_set")
-        train_set = load_dataset(cfg.paths.train_set)
+        fewshot_pool = FewshotPool(load_dataset(cfg.paths.train_set))
 
     ext_probs = {}
     if cfg.ensemble.probs_path:
@@ -198,7 +207,7 @@ def cmd_verify(args, cfg: AppConfig) -> int:
             _claim_cache(cfg, claim.id),
         )
         output = run_generation(
-            claim, list(result.sources), train_set, cfg.generator, provider
+            claim, list(result.sources), fewshot_pool, cfg.generator, provider
         )
         dist = likert_softmax(output.ratings)
         if claim.id in ext_probs:

@@ -9,10 +9,13 @@ chunks that carry their neighbours' text as context.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import os
 import re
+import threading
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -179,53 +182,143 @@ def _claim_from_json(item: dict, position: int) -> Claim:
 
 
 def _store_file_for_claim(path: str, claim_id: int) -> str | None:
-    if os.path.isdir(path):
-        for name in (f"{claim_id}.json", f"{claim_id}.jsonl"):
-            candidate = os.path.join(path, name)
-            if os.path.isfile(candidate):
-                return candidate
-        return None
-    return path
+    for name in (f"{claim_id}.json", f"{claim_id}.jsonl"):
+        candidate = os.path.join(path, name)
+        if os.path.isfile(candidate):
+            return candidate
+    return None
 
 
 def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
     """Load the documents for one claim from a knowledge store.
 
-    `path` may be a single JSON-lines file holding many claims (lines are
-    filtered by claim_id) or a directory of per-claim files named
-    {claim_id}.json. Lines with an empty sentence list are dropped and
-    counted rather than erroring: scraped stores routinely contain them.
+    `path` may be a single JSON-lines file holding many claims or a
+    directory of per-claim files named {claim_id}.json(l). A line without
+    a claim_id belongs to every claim. A combined file is offset-indexed
+    by claim on its first load in the process (see _combined_store_lines),
+    so each later load parses only that claim's lines; a per-claim file
+    is read once, in full. Lines end at LF or CRLF. Lines with an empty
+    sentence list are dropped and counted rather than erroring: scraped
+    stores routinely contain them.
     """
-    target = _store_file_for_claim(path, claim_id)
-    if target is None:
-        log.warning("no knowledge store file for claim %d under %s", claim_id, path)
-        return StoreLoadResult(documents=(), dropped_empty=0)
+    if os.path.isdir(path):
+        target = _store_file_for_claim(path, claim_id)
+        if target is None:
+            log.warning("no knowledge store file for claim %d under %s", claim_id, path)
+            return StoreLoadResult(documents=(), dropped_empty=0)
+        lines = _store_lines(target)
+    else:
+        lines = _combined_store_lines(path, claim_id)
 
     documents = []
     dropped = 0
-    with open(target, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{target}: line {lineno}: not valid JSON: {exc}"
-                ) from exc
-            if obj.get("claim_id", claim_id) != claim_id:
-                continue
-            sentences = tuple(
-                s for s in obj.get("url2text", []) if isinstance(s, str) and s.strip()
-            )
-            if not sentences:
-                dropped += 1
-                continue
-            documents.append(Document(url=obj.get("url", ""), sentences=sentences))
+    for obj in lines:
+        if obj.get("claim_id", claim_id) != claim_id:
+            continue
+        sentences = tuple(
+            s for s in obj.get("url2text", []) if isinstance(s, str) and s.strip()
+        )
+        if not sentences:
+            dropped += 1
+            continue
+        documents.append(Document(url=obj.get("url", ""), sentences=sentences))
     if dropped:
         log.info("claim %d: dropped %d empty documents", claim_id, dropped)
     return StoreLoadResult(documents=tuple(documents), dropped_empty=dropped)
+
+
+def _parse_store_line(path: str, where: str, raw: bytes) -> dict | None:
+    """One store line as a JSON object; None for a blank line."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {where}: not valid UTF-8: {exc}") from exc
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: {where}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: {where}: not a JSON object")
+    return obj
+
+
+def _parsed_lines(path: str, fh):
+    """(byte offset, object) for each non-blank line of an open store file."""
+    offset = 0
+    for lineno, raw in enumerate(fh, start=1):
+        obj = _parse_store_line(path, f"line {lineno}", raw)
+        if obj is not None:
+            yield offset, obj
+        offset += len(raw)
+
+
+def _store_lines(path: str):
+    """Every non-blank line of a store file, parsed, in file order."""
+    with open(path, "rb") as fh:
+        for _offset, obj in _parsed_lines(path, fh):
+            yield obj
+
+
+@dataclass(frozen=True)
+class _StoreIndex:
+    """Byte offsets of a combined store's lines, by claim.
+
+    file_key identifies the file state the offsets were taken from.
+    Offsets ascend, so merging a claim's own and the shared lines keeps
+    file order. Offsets, not documents, so memory does not grow with the
+    parsed store.
+    """
+
+    file_key: tuple[int, int, int, int]
+    by_claim: dict[object, array]
+    shared: array
+
+
+# Combined-store offset indexes by resolved path. An entry is reused only
+# while the file's device, inode, size and mtime match, so a rewritten
+# store is indexed again; one built from a file with a bad line is never
+# stored.
+_store_indexes: dict[str, _StoreIndex] = {}
+_store_index_lock = threading.Lock()
+
+
+def _index_store(path: str, fh, file_key: tuple[int, int, int, int]) -> _StoreIndex:
+    by_claim: dict[object, array] = {}
+    shared = array("q")
+    for offset, obj in _parsed_lines(path, fh):
+        if "claim_id" not in obj:
+            shared.append(offset)
+            continue
+        try:
+            by_claim.setdefault(obj["claim_id"], array("q")).append(offset)
+        except TypeError:
+            pass  # an unhashable claim_id equals no claim's id
+    return _StoreIndex(file_key=file_key, by_claim=by_claim, shared=shared)
+
+
+def _combined_store_lines(path: str, claim_id: int):
+    """The lines of claim_id plus the shared lines of a combined store.
+
+    The first load of a file state parses the whole file to build its
+    offset index, under a lock, so concurrent loads build it once; each
+    load then seeks to its claim's lines and parses only those.
+    """
+    resolved = os.path.realpath(path)
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        file_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        with _store_index_lock:
+            index = _store_indexes.get(resolved)
+            if index is None or index.file_key != file_key:
+                index = _index_store(path, fh, file_key)
+                _store_indexes[resolved] = index
+        for offset in heapq.merge(index.by_claim.get(claim_id, ()), index.shared):
+            fh.seek(offset)
+            obj = _parse_store_line(path, f"byte {offset}", fh.readline())
+            if obj is not None:
+                yield obj
 
 
 # Words that end with a period without ending a sentence.

@@ -44,6 +44,8 @@ class EmbeddingProviderConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.timeout_s <= 0:
             raise ConfigError("timeout_s must be positive")
+        if self.retries < 0:
+            raise ConfigError("retries must be >= 0")
         if self.kind == "http" and not (self.base_url and self.model_name):
             raise ConfigError("http embedding provider requires base_url and model_name")
 

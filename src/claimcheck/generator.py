@@ -27,7 +27,14 @@ from .errors import (
     ValidationError,
     is_retryable_status,
 )
-from .lexical import DEFAULT_TOKENIZER, Bm25Params, bm25_top, build_index, tokenize
+from .lexical import (
+    DEFAULT_TOKENIZER,
+    Bm25Index,
+    Bm25Params,
+    bm25_top,
+    build_index,
+    tokenize,
+)
 from .retriever import RetrievedSource
 
 log = logging.getLogger(__name__)
@@ -53,6 +60,8 @@ class GeneratorConfig:
             raise ConfigError("l must be >= 1")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        if self.transport_retries < 0:
+            raise ConfigError("transport_retries must be >= 0")
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"unknown chat provider kind: {self.kind!r}")
         if self.temperature is not None and self.temperature < 0:
@@ -123,7 +132,32 @@ def _coerce_answer_type(value, warnings: list[str]) -> AnswerType:
     return AnswerType.ABSTRACTIVE
 
 
-def select_fewshot(claim: Claim, train_set: list[Claim], count: int) -> list[Claim]:
+class FewshotPool:
+    """Training claims for few-shot selection, BM25-indexed once.
+
+    The claims are tokenized and fully indexed on the first selection,
+    under a lock, so every worker of a run shares one index. A full index
+    scores a query's terms exactly as an index restricted to them would
+    (see Bm25Index).
+    """
+
+    def __init__(self, claims=()):
+        self.claims: tuple[Claim, ...] = tuple(claims)
+        self._lock = threading.Lock()
+        self._built = False
+        self._index: Bm25Index | None = None
+
+    def index(self) -> Bm25Index | None:
+        """The full index over the claims; None if no claim has a token."""
+        with self._lock:
+            if not self._built:
+                tokens = [tokenize(c.text, DEFAULT_TOKENIZER) for c in self.claims]
+                self._index = build_index(tokens, Bm25Params()) if any(tokens) else None
+                self._built = True
+            return self._index
+
+
+def select_fewshot(claim: Claim, pool: FewshotPool, count: int) -> list[Claim]:
     """Most similar training claims by BM25 over claim text.
 
     The claim under test is excluded from its own candidate pool
@@ -131,20 +165,22 @@ def select_fewshot(claim: Claim, train_set: list[Claim], count: int) -> list[Cla
     share an id across files still qualifies). Candidates scoring zero
     are dropped, so fewer than count may come back.
     """
-    if count < 1 or not train_set:
-        return []
-    candidates = [
-        c for c in train_set if not (c.id == claim.id and c.text == claim.text)
-    ]
-    if not candidates:
-        return []
-    tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in candidates]
-    if all(not t for t in tokenized):
+    if count < 1 or not pool.claims:
         return []
     query = tokenize(claim.text, DEFAULT_TOKENIZER)
     if not query:
         return []
-    index = build_index(tokenized, Bm25Params(), terms=query)
+    candidates = tuple(
+        c for c in pool.claims if not (c.id == claim.id and c.text == claim.text)
+    )
+    if len(candidates) == len(pool.claims):
+        index = pool.index()
+    else:
+        # Excluding a claim changes N, avgdl and df: index the rest anew.
+        tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in candidates]
+        index = build_index(tokenized, Bm25Params(), terms=query) if any(tokenized) else None
+    if index is None:
+        return []
     ranked = bm25_top(index, query, count)
     return [candidates[ordinal] for ordinal, _score in ranked]
 
@@ -522,7 +558,7 @@ def empty_retrieval_output() -> GeneratorOutput:
 def run_generation(
     claim: Claim,
     sources: list[RetrievedSource],
-    train_set: list[Claim],
+    fewshot_pool: FewshotPool,
     cfg: GeneratorConfig,
     provider=None,
 ) -> GeneratorOutput:
@@ -534,7 +570,7 @@ def run_generation(
 
     fewshot = []
     if not cfg.simplified:
-        fewshot = select_fewshot(claim, train_set, cfg.fewshot_count)
+        fewshot = select_fewshot(claim, fewshot_pool, cfg.fewshot_count)
     system_prompt, user_prompt = build_prompt(claim, sources, fewshot, cfg)
 
     last_error: GenerationParseError | None = None

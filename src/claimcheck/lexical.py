@@ -2,8 +2,9 @@
 
 BM25 is used in two places: pruning a claim's chunk set down to the
 omega best-matching chunks before embedding, and picking the most
-similar training claims for few-shot prompting. Indexes are cheap to
-build and rebuilt per claim rather than persisted.
+similar training claims for few-shot prompting. Indexes live in memory
+only: the chunk index is rebuilt per claim, the few-shot index once per
+run (generator.FewshotPool).
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 import json
+import os
 import re
 
 import pytest
 
 import claimcheck.dense as dense
+from claimcheck.cli import _write_atomic
 from claimcheck.corpus import VeracityLabel
 
 from conftest import build_echo_script, run_cli
@@ -12,8 +14,6 @@ from conftest import build_echo_script, run_cli
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     """Keep ambient CLAIMCHECK_* variables from leaking into CLI runs."""
-    import os
-
     for key in [k for k in os.environ if k.startswith("CLAIMCHECK_")]:
         monkeypatch.delenv(key)
 
@@ -158,6 +158,15 @@ class TestRetrieve:
         )
         assert code == 2
         assert "--set expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["embedding.retries", "generator.transport_retries"])
+    def test_negative_retries_exit_2(self, key, dataset_path, knowledge_store_path, tmp_path, capsys):
+        code = run_cli(
+            ["retrieve", "--set", f"{key}=-1"]
+            + _common(dataset_path, knowledge_store_path, tmp_path)
+        )
+        assert code == 2
+        assert "retries must be >= 0" in capsys.readouterr().err
 
     def test_inconsistent_retrieval_params_exit_2(
         self, dataset_path, knowledge_store_path, tmp_path, capsys
@@ -541,3 +550,39 @@ class TestEnvPrecedence:
             ["retrieve", "--omega", "6000"]
             + _common(dataset_path, knowledge_store_path, tmp_path / "b")
         ) == 0
+
+
+class TestWriteAtomic:
+    def test_new_content_is_durable_before_rename(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        new = "new content\n" * 10  # small enough to sit in the write buffer
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            real_fsync(fd)
+            events.append(("fsync", (tmp_path / "out.json.tmp").read_text(), target.read_text()))
+
+        def replace(src, dst):
+            events.append(("replace", target.read_text()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        _write_atomic(str(target), new)
+        assert events == [("fsync", new, "old\n"), ("replace", "old\n")]
+        assert target.read_text() == new
+        assert not (tmp_path / "out.json.tmp").exists()
+
+    def test_failure_before_rename_keeps_old_content(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+
+        def fsync(fd):
+            raise OSError("device lost")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError):
+            _write_atomic(str(target), "new\n")
+        assert target.read_text() == "old\n"

@@ -154,6 +154,15 @@ class TestOverrideLayer:
         with pytest.raises(ConfigError):
             _load(overrides={"retrieval.bogus": "1"})
 
+    @pytest.mark.parametrize(
+        "key", ["embedding.retries", "generator.transport_retries", "generator.max_retries"]
+    )
+    def test_negative_retry_count_rejected(self, key):
+        with pytest.raises(ConfigError) as exc:
+            _load(overrides={key: "-1"})
+        assert f"{key.split('.')[1]} must be >= 0" in str(exc.value)
+        _load(overrides={key: "0"})
+
     def test_override_without_dot_rejected(self):
         with pytest.raises(ConfigError) as exc:
             _load(overrides={"omega": "1"})

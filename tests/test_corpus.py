@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import sys
+import threading
 
 import pytest
 
+import claimcheck.corpus as corpus
 from claimcheck.corpus import (
     AnswerType,
     VeracityLabel,
@@ -121,6 +125,168 @@ class TestLoadKnowledgeStore:
         path.write_text('{"claim_id": 1, "url":\n')
         with pytest.raises(ValidationError):
             load_knowledge_store(path, claim_id=1)
+
+
+def _reference_load(path, claim_id):
+    """The store loader before offset indexing: scan the whole file per claim."""
+    documents, dropped = [], 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            if obj.get("claim_id", claim_id) != claim_id:
+                continue
+            sentences = tuple(
+                s for s in obj.get("url2text", []) if isinstance(s, str) and s.strip()
+            )
+            if not sentences:
+                dropped += 1
+                continue
+            documents.append(Document(url=obj.get("url", ""), sentences=sentences))
+    return tuple(documents), dropped
+
+
+def _write_store(path, lines):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+
+
+def _random_store_lines(rng, claim_ids, n_lines):
+    lines = []
+    for n in range(n_lines):
+        obj = {"url": f"u{n}", "url2text": [f"Sentence {n}."] if rng.random() > 0.1 else []}
+        if rng.random() > 0.15:  # the rest have no claim_id: shared by every claim
+            obj["claim_id"] = rng.choice(claim_ids)
+        lines.append(obj)
+    return lines
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(corpus, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, name, counted)
+    return calls
+
+
+class TestCombinedStoreIndex:
+    def test_matches_full_scan_and_parses_file_once(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        path = tmp_path / "store.jsonl"
+        lines = _random_store_lines(rng, list(range(12)), 300)
+        _write_store(path, lines)
+        parses = _count_calls(monkeypatch, "_parse_store_line")
+        builds = _count_calls(monkeypatch, "_index_store")
+        expected_parses = len(lines)
+        for claim_id in list(range(12)) + [99]:
+            result = load_knowledge_store(path, claim_id)
+            assert (result.documents, result.dropped_empty) == _reference_load(path, claim_id)
+            expected_parses += sum(1 for o in lines if o.get("claim_id", claim_id) == claim_id)
+        assert len(builds) == 1
+        assert len(parses) == expected_parses
+
+    def test_shared_lines_interleave_in_file_order(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        _write_store(path, [
+            {"claim_id": 1, "url": "a1", "url2text": ["x"]},
+            {"url": "s1", "url2text": ["x"]},
+            {"claim_id": 2, "url": "b1", "url2text": ["x"]},
+            {"claim_id": 1, "url": "a2", "url2text": ["x"]},
+            {"url": "s2", "url2text": ["x"]},
+            {"claim_id": 2, "url": "b2", "url2text": ["x"]},
+        ])
+        urls = lambda cid: [d.url for d in load_knowledge_store(path, cid).documents]
+        assert urls(1) == ["a1", "s1", "a2", "s2"]
+        assert urls(2) == ["s1", "b1", "s2", "b2"]
+        assert urls(7) == ["s1", "s2"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b'{"claim_id": 1, "url":', b"[1, 2]", b'{"claim_id": 1, "url": "\xff"}'],
+        ids=["truncated_json", "not_an_object", "not_utf8"],
+    )
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_bad_line_fails_every_claim_until_fixed(self, tmp_path, monkeypatch, bad, position):
+        path = tmp_path / "store.jsonl"
+        good = [
+            json.dumps({"claim_id": i % 3, "url": f"u{i}", "url2text": ["x"]}).encode()
+            for i in range(6)
+        ]
+        lines = good[:position] + [bad] + good[position:]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        builds = _count_calls(monkeypatch, "_index_store")
+        for claim_id in (0, 1, 2, 0):
+            with pytest.raises(ValidationError) as exc:
+                load_knowledge_store(path, claim_id)
+            assert str(path) in str(exc.value)
+            assert f"line {position + 1}:" in str(exc.value)
+        assert len(builds) == 4
+        path.write_bytes(b"\n".join(good) + b"\n")
+        assert [d.url for d in load_knowledge_store(path, 1).documents] == ["u1", "u4"]
+
+    def test_rewritten_store_is_indexed_again(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        one = {"claim_id": 1, "url": "one", "url2text": ["x"]}
+        two = {"claim_id": 2, "url": "two", "url2text": ["x"]}
+        _write_store(path, [{"claim_id": 1, "url": "old", "url2text": ["x"]}])
+        assert [d.url for d in load_knowledge_store(path, 1).documents] == ["old"]
+        _write_store(path, [two, one])  # in place, lines moved
+        assert [d.url for d in load_knowledge_store(path, 1).documents] == ["one"]
+        staged = tmp_path / "staged.jsonl"
+        _write_store(staged, [one, two])  # same size, replaced by rename
+        os.replace(staged, path)
+        assert [d.url for d in load_knowledge_store(path, 2).documents] == ["two"]
+
+    def test_concurrent_loads_build_one_index(self, tmp_path, monkeypatch):
+        rng = random.Random(11)
+        path = tmp_path / "store.jsonl"
+        _write_store(path, _random_store_lines(rng, list(range(8)), 400))
+        expected = {cid: _reference_load(path, cid) for cid in range(8)}
+        builds = _count_calls(monkeypatch, "_index_store")
+        barrier = threading.Barrier(8)
+        results, errors = {}, []
+
+        def load(cid):
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(5):
+                    r = load_knowledge_store(path, cid)
+                    results.setdefault(cid, set()).add((r.documents, r.dropped_empty))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(cid,)) for cid in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(builds) == 1
+        assert results == {cid: {expected[cid]} for cid in range(8)}
+
+    def test_directory_layout_reads_each_file_without_index(self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        rng = random.Random(3)
+        for cid in range(3):
+            _write_store(store_dir / f"{cid}.jsonl", _random_store_lines(rng, [cid, 9], 40))
+        builds = _count_calls(monkeypatch, "_index_store")
+        for cid in range(3):
+            result = load_knowledge_store(store_dir, cid)
+            expected = _reference_load(store_dir / f"{cid}.jsonl", cid)
+            assert (result.documents, result.dropped_empty) == expected
+        assert builds == []
 
 
 SPLIT_CASES = [

@@ -102,6 +102,12 @@ class TestProviderConfig:
         with pytest.raises(ConfigError):
             EmbeddingProviderConfig(kind="grpc")
 
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            EmbeddingProviderConfig(kind="http", base_url="http://x", model_name="m1", retries=-1)
+        assert "retries must be >= 0" in str(exc.value)
+        EmbeddingProviderConfig(retries=0)
+
     def test_effective_model_name(self):
         assert EmbeddingProviderConfig(kind="mock").effective_model_name == "mock-64"
         cfg = EmbeddingProviderConfig(kind="http", base_url="http://x", model_name="m1")

@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 import threading
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from claimcheck.generator import (
     coerce_label,
     empty_retrieval_output,
     EvidenceQA,
+    FewshotPool,
     GeneratorConfig,
     GeneratorOutput,
     HttpChatProvider,
@@ -29,6 +32,7 @@ from claimcheck.generator import (
     serialize_output,
     validate_ratings,
 )
+from claimcheck.lexical import DEFAULT_TOKENIZER, Bm25Params, bm25_top, build_index, tokenize
 from claimcheck.retriever import RetrievedSource
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -193,31 +197,132 @@ class TestSelectFewshot:
 
     def test_verbatim_match_ranks_first(self):
         claim = Claim(id=50, text="The Halvern Bridge was completed in 1977 and spans the Ruden River.")
-        picked = select_fewshot(claim, self._train(), 3)
+        picked = select_fewshot(claim, FewshotPool(self._train()), 3)
         assert picked[0].id == 0
 
     def test_same_id_same_text_excluded(self):
         train = self._train()
-        picked = select_fewshot(train[0], train, 3)
+        picked = select_fewshot(train[0], FewshotPool(train), 3)
         assert all(c.id != 0 for c in picked)
 
     def test_same_id_different_text_kept(self):
         claim = Claim(id=0, text="bridge completed 1977")
-        picked = select_fewshot(claim, self._train(), 3)
+        picked = select_fewshot(claim, FewshotPool(self._train()), 3)
         assert any(c.id == 0 for c in picked)
 
     def test_zero_score_candidates_dropped(self):
         claim = Claim(id=9, text="zyxxyq")
-        assert select_fewshot(claim, self._train(), 3) == []
+        assert select_fewshot(claim, FewshotPool(self._train()), 3) == []
 
     def test_count_zero_or_empty_train(self):
         claim = Claim(id=9, text="bridge")
-        assert select_fewshot(claim, [], 5) == []
-        assert select_fewshot(claim, self._train(), 0) == []
+        assert select_fewshot(claim, FewshotPool(), 5) == []
+        assert select_fewshot(claim, FewshotPool(self._train()), 0) == []
 
     def test_count_caps_results(self):
         claim = Claim(id=9, text="The bridge spans the river near households")
-        assert len(select_fewshot(claim, self._train(), 1)) == 1
+        assert len(select_fewshot(claim, FewshotPool(self._train()), 1)) == 1
+
+
+def _reference_select_fewshot(claim, train_set, count):
+    """Few-shot selection as done per claim before the shared index."""
+    if count < 1 or not train_set:
+        return []
+    candidates = [
+        c for c in train_set if not (c.id == claim.id and c.text == claim.text)
+    ]
+    if not candidates:
+        return []
+    tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in candidates]
+    if all(not t for t in tokenized):
+        return []
+    query = tokenize(claim.text, DEFAULT_TOKENIZER)
+    if not query:
+        return []
+    index = build_index(tokenized, Bm25Params(), terms=query)
+    ranked = bm25_top(index, query, count)
+    return [candidates[ordinal] for ordinal, _score in ranked]
+
+
+def _random_text(rng, vocab):
+    if rng.random() < 0.1:
+        return rng.choice(["?!", "--", "..."])  # no tokens
+    return " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))).capitalize() + "."
+
+
+class TestFewshotPoolOracle:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_shared_index_matches_per_claim_reference(self, seed):
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(rng.randint(2, 30))]
+        train = [
+            Claim(id=rng.randint(0, 12), text=_random_text(rng, vocab))
+            for _ in range(rng.randint(1, 40))
+        ]
+        if rng.random() < 0.3:
+            train += train[: rng.randint(1, 3)]  # duplicated entries
+        queries = rng.sample(train, min(5, len(train)))  # claims in their own train set
+        queries += [Claim(id=c.id, text=_random_text(rng, vocab)) for c in queries]
+        queries += [Claim(id=100 + i, text=_random_text(rng, vocab)) for i in range(5)]
+        pool = FewshotPool(train)
+        for claim in queries:
+            for count in (1, 3, len(train) + 5):
+                got = select_fewshot(claim, pool, count)
+                want = _reference_select_fewshot(claim, train, count)
+                assert [id(c) for c in got] == [id(c) for c in want]
+
+    def test_edge_pools_match_reference(self):
+        lone = Claim(id=1, text="bridge river")
+        blank = [Claim(id=i, text="?!") for i in range(3)]
+        cases = [
+            ([lone], lone),  # the only candidate is the claim itself
+            ([lone, Claim(id=1, text="?!")], lone),  # the rest has no tokens
+            (blank, Claim(id=9, text="bridge")),
+            ([lone], Claim(id=9, text="?!")),  # query without tokens
+            ([lone], Claim(id=1, text="river bridge")),  # same id, other text
+        ]
+        for train, claim in cases:
+            got = select_fewshot(claim, FewshotPool(train), 10)
+            assert got == _reference_select_fewshot(claim, train, 10)
+
+    def test_workers_share_one_index(self, monkeypatch):
+        rng = random.Random(7)
+        vocab = [f"w{i}" for i in range(40)]
+        train = [Claim(id=i, text=_random_text(rng, vocab)) for i in range(200)]
+        queries = [Claim(id=500 + i, text=_random_text(rng, vocab)) for i in range(16)]
+        expected = [_reference_select_fewshot(q, train, 5) for q in queries]
+        builds = []
+        real_build = generator.build_index
+        monkeypatch.setattr(
+            generator, "build_index", lambda *a, **k: builds.append(1) or real_build(*a, **k)
+        )
+        pool = FewshotPool(train)
+        barrier = threading.Barrier(8)
+        results = [None] * len(queries)
+        errors = []
+
+        def work(worker):
+            try:
+                barrier.wait(timeout=10)
+                for n in range(worker, len(queries), 8):
+                    results[n] = select_fewshot(queries[n], pool, 5)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(builds) == 1
+        assert results == expected
 
 
 class TestCoerceLabel:
@@ -608,7 +713,7 @@ class TestRunGeneration:
         return Claim(id=4, text="Some checkable statement about a festival.")
 
     def test_empty_retrieval_short_circuits(self):
-        out = run_generation(self._claim(), [], [], CFG, provider=None)
+        out = run_generation(self._claim(), [], FewshotPool(), CFG, provider=None)
         assert out.verdict is VeracityLabel.NOT_ENOUGH_EVIDENCE
         assert out.ratings[VeracityLabel.NOT_ENOUGH_EVIDENCE] == 5
         assert all(
@@ -622,7 +727,7 @@ class TestRunGeneration:
         provider = MockChatProvider(
             {"4": ["complete garbage", _reply(questions=[GOOD_QUESTION])]}
         )
-        out = run_generation(self._claim(), [_source(1)], [], CFG, provider=provider)
+        out = run_generation(self._claim(), [_source(1)], FewshotPool(), CFG, provider=provider)
         assert out.verdict is VeracityLabel.REFUTED
         assert "retry_count 1" in out.parse_warnings
 
@@ -630,12 +735,12 @@ class TestRunGeneration:
         cfg = GeneratorConfig(max_retries=2)
         provider = MockChatProvider({"4": ["bad one", "bad two", "bad three"]})
         with pytest.raises(GenerationParseError) as exc:
-            run_generation(self._claim(), [_source(1)], [], cfg, provider=provider)
+            run_generation(self._claim(), [_source(1)], FewshotPool(), cfg, provider=provider)
         assert exc.value.raw_text == "bad three"
 
     def test_no_retry_budget_consumed_on_success(self):
         provider = MockChatProvider({"4": [_reply(questions=[GOOD_QUESTION])]})
-        out = run_generation(self._claim(), [_source(1)], [], CFG, provider=provider)
+        out = run_generation(self._claim(), [_source(1)], FewshotPool(), CFG, provider=provider)
         assert not any(w.startswith("retry_count") for w in out.parse_warnings)
 
 
