@@ -15,7 +15,6 @@ from .corpus import (
 from .dense import (
     EmbeddingCache,
     EmbeddingProviderConfig,
-    MmrConfig,
     VectorIndex,
     cosine_sim,
     embed_batch,

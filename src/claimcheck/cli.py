@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from .appendlog import AppendLog
@@ -28,9 +27,9 @@ from .generator import (
     prediction_record,
     run_generation,
 )
-from .retriever import retrieve
+from .retriever import RetrievalResult, retrieve
 from .scoring import averitec_score, load_predictions
-from .verdict import EnsembleConfig, ensemble, final_label, likert_softmax, load_external_probs
+from .verdict import ensemble, final_label, likert_softmax, load_external_probs
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +45,6 @@ _FLAG_TO_KEY = {
     "probs": "ensemble.probs_path",
     "weight_external": "ensemble.weight_external",
     "thresholds": "scoring.thresholds",
-    "mode": "scoring.mode",
 }
 
 
@@ -80,11 +78,31 @@ def _select_claims(claims: list[Claim], spec: str | None) -> list[Claim]:
     return [by_id[i] for i in wanted]
 
 
-def _claim_cache(cfg: AppConfig, claim_id: int) -> EmbeddingCache | None:
-    if not cfg.paths.cache_dir:
-        return None
-    os.makedirs(cfg.paths.cache_dir, exist_ok=True)
-    return EmbeddingCache(os.path.join(cfg.paths.cache_dir, f"emb_{claim_id}.jsonl"))
+def _retrieve_claim(cfg: AppConfig, claim: Claim) -> RetrievalResult:
+    """Retrieve from the claim's documents, through its embedding cache if any."""
+    store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)
+    cache = None
+    if cfg.paths.cache_dir:
+        os.makedirs(cfg.paths.cache_dir, exist_ok=True)
+        cache = EmbeddingCache(os.path.join(cfg.paths.cache_dir, f"emb_{claim.id}.jsonl"))
+    return retrieve(claim, list(store.documents), cfg.retrieval, cfg.embedding, cache)
+
+
+def _run_claims(claims: list[Claim], jobs: int, work):
+    """Run work(claim) for every claim on jobs threads.
+
+    Yields (claim, result, error) in claim order, each as soon as that
+    claim and the ones before it are done; error is the ClaimCheckError
+    work raised (result None), else None. Leaving the loop early still
+    waits for the claims already submitted.
+    """
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [(claim, pool.submit(work, claim)) for claim in claims]
+        for claim, future in futures:
+            try:
+                yield claim, future.result(), None
+            except ClaimCheckError as exc:
+                yield claim, None, exc
 
 
 def cmd_ingest(args, cfg: AppConfig) -> int:
@@ -113,30 +131,18 @@ def cmd_retrieve(args, cfg: AppConfig) -> int:
     claims = _select_claims(load_dataset(cfg.paths.dataset), args.claims)
 
     def work(claim: Claim) -> dict:
-        store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)
-        result = retrieve(
-            claim,
-            list(store.documents),
-            cfg.retrieval,
-            cfg.embedding,
-            _claim_cache(cfg, claim.id),
-        )
-        return result.trace
+        return _retrieve_claim(cfg, claim).trace
 
     failures: list[tuple[int, str]] = []
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(work, claim): claim for claim in claims}
-        for future, claim in futures.items():
-            try:
-                trace = future.result()
-            except ClaimCheckError as exc:
-                if not args.keep_going:
-                    print(f"claim {claim.id} failed: {exc}", file=sys.stderr)
-                    return 1
-                failures.append((claim.id, str(exc)))
-                continue
-            path = os.path.join(cfg.paths.output_dir, f"trace_{claim.id}.json")
-            _write_atomic(path, _dump_json(trace))
+    for claim, trace, error in _run_claims(claims, args.jobs, work):
+        if error is not None:
+            if not args.keep_going:
+                print(f"claim {claim.id} failed: {error}", file=sys.stderr)
+                return 1
+            failures.append((claim.id, str(error)))
+            continue
+        path = os.path.join(cfg.paths.output_dir, f"trace_{claim.id}.json")
+        _write_atomic(path, _dump_json(trace))
 
     if failures:
         errors_path = os.path.join(cfg.paths.output_dir, "retrieve_errors.jsonl")
@@ -184,51 +190,34 @@ def cmd_verify(args, cfg: AppConfig) -> int:
     ext_probs = {}
     if cfg.ensemble.probs_path:
         ext_probs = load_external_probs(cfg.ensemble.probs_path)
-    ens_cfg = EnsembleConfig(weight_external=cfg.ensemble.weight_external)
 
     provider = make_chat_provider(cfg.generator)
     progress = AppendLog(os.path.join(cfg.paths.output_dir, "verify_progress.jsonl"))
     done = _load_progress(progress)
 
     pending = [c for c in claims if c.id not in done]
-    write_lock = threading.Lock()
-
-    def record_progress(entry: dict) -> None:
-        with write_lock:
-            progress.append([json.dumps(entry, sort_keys=True)])
 
     def work(claim: Claim) -> dict:
-        store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)
-        result = retrieve(
-            claim,
-            list(store.documents),
-            cfg.retrieval,
-            cfg.embedding,
-            _claim_cache(cfg, claim.id),
-        )
+        result = _retrieve_claim(cfg, claim)
         output = run_generation(
             claim, list(result.sources), fewshot_pool, cfg.generator, provider
         )
         dist = likert_softmax(output.ratings)
         if claim.id in ext_probs:
-            dist = ensemble(dist, ext_probs[claim.id], ens_cfg)
+            dist = ensemble(dist, ext_probs[claim.id], cfg.ensemble)
         final = final_label(dist, output.verdict)
         return prediction_record(claim, list(result.sources), output, final)
 
+    # progress is appended from this thread only, as each claim completes
     failures: list[tuple[int, str]] = []
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(work, claim): claim for claim in pending}
-        for future, claim in futures.items():
-            try:
-                record = future.result()
-            except ClaimCheckError as exc:
-                failures.append((claim.id, str(exc)))
-                record_progress(
-                    {"claim_id": claim.id, "status": "error", "error": str(exc)}
-                )
-                continue
+    for claim, record, error in _run_claims(pending, args.jobs, work):
+        if error is not None:
+            failures.append((claim.id, str(error)))
+            entry = {"claim_id": claim.id, "status": "error", "error": str(error)}
+        else:
             done[claim.id] = record
-            record_progress({"claim_id": claim.id, "status": "ok", "record": record})
+            entry = {"claim_id": claim.id, "status": "ok", "record": record}
+        progress.append([json.dumps(entry, sort_keys=True)])
 
     ordered = [done[c.id] for c in claims if c.id in done]
     out_path = os.path.join(cfg.paths.output_dir, "predictions.json")
@@ -294,6 +283,12 @@ def cmd_cache(args, cfg: AppConfig) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file")
@@ -315,19 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--probs", help="external classifier probabilities file")
     common.add_argument("--weight-external", help="ensemble weight for external probs")
     common.add_argument("--thresholds", help="comma-separated evaluation thresholds")
-    common.add_argument("--mode", help="evidence matching mode: Q_only or QA")
     common.add_argument(
         "--simplified",
         action="store_true",
         help="disable few-shot, answer types, and Likert ratings",
     )
     common.add_argument("--claims", help="comma-separated claim ids to process")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    common.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="record per-claim failures instead of aborting",
-    )
     common.add_argument("--verbose", action="store_true", help="debug logging")
 
     parser = argparse.ArgumentParser(
@@ -339,8 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", parents=[common], help="validate and summarize input data")
     p.set_defaults(func=cmd_ingest)
     p = sub.add_parser("retrieve", parents=[common], help="write per-claim retrieval traces")
+    p.add_argument("--jobs", type=_worker_count, default=1, help="parallel workers")
+    p.add_argument(
+        "--keep-going",
+        action="store_true",
+        help="record per-claim failures instead of aborting",
+    )
     p.set_defaults(func=cmd_retrieve)
     p = sub.add_parser("verify", parents=[common], help="run the full pipeline, write predictions")
+    p.add_argument("--jobs", type=_worker_count, default=1, help="parallel workers")
     p.set_defaults(func=cmd_verify)
     p = sub.add_parser("evaluate", parents=[common], help="score a prediction file")
     p.add_argument("--predictions", help="prediction file (default: output_dir/predictions.json)")

@@ -1,17 +1,21 @@
 """Layered configuration: defaults, YAML file, environment, CLI flags.
 
-Each layer overrides the previous one field by field. Environment
-variables follow CLAIMCHECK_{SECTION}_{FIELD}, for example
-CLAIMCHECK_RETRIEVAL_OMEGA=2000. Only recognized section/field pairs
-are read from the environment; unknown names in a config file or a
---set override are errors.
+Each layer overrides the previous one field by field. The sections are
+the dataclasses AppConfig's fields name, and their fields' defaults and
+annotations are the only declaration of each setting. A field's key is
+its name without a trailing "_" (RetrievalConfig.lambda_ is
+retrieval.lambda). Environment variables follow
+CLAIMCHECK_{SECTION}_{FIELD}, for example CLAIMCHECK_RETRIEVAL_OMEGA=2000.
+Only recognized section/field pairs are read from the environment;
+unknown names in a config file or a --set override are errors.
 """
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -20,81 +24,10 @@ from .errors import ConfigError
 from .generator import GeneratorConfig
 from .retriever import RetrievalConfig
 from .scoring import ScoringConfig
-
-DEFAULTS: dict[str, dict] = {
-    "retrieval": {
-        "max_chars": 2048,
-        "omega": 6000,
-        "pool_size": 40,
-        "k": 10,
-        "lambda": 0.75,
-    },
-    "embedding": {
-        "kind": "mock",
-        "base_url": None,
-        "model_name": None,
-        "batch_size": 64,
-        "timeout_s": 30.0,
-        "retries": 3,
-        "api_key_env": "CLAIMCHECK_API_KEY",
-    },
-    "generator": {
-        "l": 10,
-        "fewshot_count": 10,
-        "max_retries": 3,
-        "kind": "mock",
-        "model_name": "",
-        "base_url": "",
-        "temperature": None,
-        "script_path": None,
-        "api_key_env": "CLAIMCHECK_API_KEY",
-        "simplified": False,
-        "timeout_s": 120.0,
-        "transport_retries": 3,
-    },
-    "ensemble": {
-        "weight_external": 0.5,
-        "probs_path": None,
-    },
-    "scoring": {
-        "thresholds": [0.25],
-        "mode": "QA",
-    },
-    "paths": {
-        "dataset": None,
-        "knowledge_store": None,
-        "train_set": None,
-        "cache_dir": None,
-        "output_dir": "out",
-    },
-}
-
-# Fields whose default is None still need a declared type for coercion.
-_NONE_FIELD_TYPES = {
-    ("embedding", "base_url"): str,
-    ("embedding", "model_name"): str,
-    ("generator", "temperature"): float,
-    ("generator", "script_path"): str,
-    ("ensemble", "probs_path"): str,
-    ("paths", "dataset"): str,
-    ("paths", "knowledge_store"): str,
-    ("paths", "train_set"): str,
-    ("paths", "cache_dir"): str,
-    ("paths", "output_dir"): str,
-}
+from .verdict import EnsembleConfig
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
-
-
-@dataclass(frozen=True)
-class EnsembleSection:
-    weight_external: float = 0.5
-    probs_path: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.weight_external <= 1.0:
-            raise ConfigError("weight_external must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -111,7 +44,7 @@ class AppConfig:
     retrieval: RetrievalConfig
     generator: GeneratorConfig
     embedding: EmbeddingProviderConfig
-    ensemble: EnsembleSection
+    ensemble: EnsembleConfig
     scoring: ScoringConfig
     paths: PathsConfig
 
@@ -128,45 +61,75 @@ class AppConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _field_type(section: str, field_name: str, default) -> type | str:
-    if field_name == "thresholds":
-        return "float_list"
-    if default is None:
-        return _NONE_FIELD_TYPES[(section, field_name)]
-    if isinstance(default, bool):
-        return bool
-    return type(default)
+def _keyed_fields(cls) -> dict[str, tuple[str, object]]:
+    """key -> (dataclass field name, annotated type) for one section."""
+    hints = typing.get_type_hints(cls)
+    return {f.name.rstrip("_"): (f.name, hints[f.name]) for f in fields(cls)}
 
 
-def _coerce_string(section: str, field_name: str, raw: str):
-    kind = _field_type(section, field_name, DEFAULTS[section][field_name])
-    try:
-        if kind == "float_list":
-            return [float(part) for part in raw.split(",") if part.strip()]
+_SECTIONS: dict[str, type] = typing.get_type_hints(AppConfig)
+_FIELDS = {section: _keyed_fields(cls) for section, cls in _SECTIONS.items()}
+DEFAULTS: dict[str, dict] = {
+    section: {f.name.rstrip("_"): f.default for f in fields(cls)}
+    for section, cls in _SECTIONS.items()
+}
+
+
+def _convert(kind, value):
+    """value as the annotated type kind.
+
+    Strings (environment, flags, quoted YAML) are parsed: a tuple from
+    comma-separated items, a bool from _TRUE_WORDS/_FALSE_WORDS. Other
+    YAML values must have the type already, except that an int serves
+    as a float and null sets an optional field to None.
+    """
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if typing.get_origin(kind) is tuple:
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(_convert(typing.get_args(kind)[0], item) for item in value)
+    if isinstance(value, str):
         if kind is bool:
-            word = raw.strip().lower()
+            word = value.strip().lower()
             if word in _TRUE_WORDS:
                 return True
             if word in _FALSE_WORDS:
                 return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{field_name}: {exc}") from exc
+            raise ValueError(f"not a boolean: {value!r}")
+        return kind(value)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
 
 
-def _check_known(section: str, field_name: str | None = None) -> None:
-    if section not in DEFAULTS:
+def _check_known(section: str, key: str | None = None) -> None:
+    if section not in _FIELDS:
         raise ConfigError(
-            f"unknown config section {section!r}; known: {sorted(DEFAULTS)}"
+            f"unknown config section {section!r}; known: {sorted(_FIELDS)}"
         )
-    if field_name is not None and field_name not in DEFAULTS[section]:
+    if key is not None and key not in _FIELDS[section]:
         raise ConfigError(
-            f"unknown field {section}.{field_name}; known: {sorted(DEFAULTS[section])}"
+            f"unknown field {section}.{key}; known: {sorted(_FIELDS[section])}"
         )
 
 
-def _merge_file(merged: dict, path: str) -> None:
+def _set(values: dict, section: str, key: str, value) -> None:
+    """Store value for section.key as that field's type."""
+    _check_known(section, key)
+    try:
+        values[section][key] = _convert(_FIELDS[section][key][1], value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
+
+
+def _merge_file(values: dict, path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
@@ -176,34 +139,20 @@ def _merge_file(merged: dict, path: str) -> None:
         return
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    for section, fields in data.items():
+    for section, entries in data.items():
         _check_known(section)
-        if not isinstance(fields, dict):
+        if not isinstance(entries, dict):
             raise ConfigError(f"{path}: section {section!r} must be a mapping")
-        for field_name, value in fields.items():
-            _check_known(section, field_name)
-            if isinstance(value, str):
-                value = _coerce_string(section, field_name, value)
-            merged[section][field_name] = value
+        for key, value in entries.items():
+            _set(values, section, key, value)
 
 
-def _merge_env(merged: dict, env) -> None:
-    for section, fields in DEFAULTS.items():
-        for field_name in fields:
-            key = f"CLAIMCHECK_{section.upper()}_{field_name.upper()}"
-            if key in env:
-                merged[section][field_name] = _coerce_string(
-                    section, field_name, env[key]
-                )
-
-
-def _merge_overrides(merged: dict, overrides: dict[str, str]) -> None:
-    for dotted, raw in overrides.items():
-        if "." not in dotted:
-            raise ConfigError(f"override key must be section.field, got {dotted!r}")
-        section, field_name = dotted.split(".", 1)
-        _check_known(section, field_name)
-        merged[section][field_name] = _coerce_string(section, field_name, raw)
+def _merge_env(values: dict, env) -> None:
+    for section, keys in _FIELDS.items():
+        for key in keys:
+            name = f"CLAIMCHECK_{section.upper()}_{key.upper()}"
+            if name in env:
+                _set(values, section, key, env[name])
 
 
 def load_app_config(
@@ -212,68 +161,20 @@ def load_app_config(
     overrides: dict[str, str] | None = None,
 ) -> AppConfig:
     """Resolve the app config: flags > environment > file > defaults."""
-    merged = copy.deepcopy(DEFAULTS)
+    values: dict[str, dict] = {section: {} for section in _FIELDS}
     if config_path:
         if not os.path.isfile(config_path):
             raise ConfigError(f"config file not found: {config_path}")
-        _merge_file(merged, config_path)
-    _merge_env(merged, os.environ if env is None else env)
-    if overrides:
-        _merge_overrides(merged, overrides)
-
-    r = merged["retrieval"]
-    g = merged["generator"]
-    e = merged["embedding"]
-    retrieval = RetrievalConfig(
-        max_chars=int(r["max_chars"]),
-        omega=int(r["omega"]),
-        pool_size=int(r["pool_size"]),
-        k=int(r["k"]),
-        lambda_=float(r["lambda"]),
-    )
-    generator = GeneratorConfig(
-        l=int(g["l"]),
-        fewshot_count=int(g["fewshot_count"]),
-        max_retries=int(g["max_retries"]),
-        kind=str(g["kind"]),
-        model_name=str(g["model_name"]),
-        base_url=str(g["base_url"]),
-        temperature=None if g["temperature"] is None else float(g["temperature"]),
-        script_path=g["script_path"],
-        api_key_env=str(g["api_key_env"]),
-        simplified=bool(g["simplified"]),
-        timeout_s=float(g["timeout_s"]),
-        transport_retries=int(g["transport_retries"]),
-    )
-    embedding = EmbeddingProviderConfig(
-        kind=str(e["kind"]),
-        base_url=e["base_url"],
-        model_name=e["model_name"],
-        batch_size=int(e["batch_size"]),
-        timeout_s=float(e["timeout_s"]),
-        retries=int(e["retries"]),
-        api_key_env=str(e["api_key_env"]),
-    )
-    ensemble = EnsembleSection(
-        weight_external=float(merged["ensemble"]["weight_external"]),
-        probs_path=merged["ensemble"]["probs_path"],
-    )
-    scoring = ScoringConfig(
-        thresholds=tuple(float(t) for t in merged["scoring"]["thresholds"]),
-        mode=str(merged["scoring"]["mode"]),
-    )
-    paths = PathsConfig(
-        dataset=merged["paths"]["dataset"],
-        knowledge_store=merged["paths"]["knowledge_store"],
-        train_set=merged["paths"]["train_set"],
-        cache_dir=merged["paths"]["cache_dir"],
-        output_dir=merged["paths"]["output_dir"],
-    )
+        _merge_file(values, config_path)
+    _merge_env(values, os.environ if env is None else env)
+    for dotted, raw in (overrides or {}).items():
+        if "." not in dotted:
+            raise ConfigError(f"override key must be section.field, got {dotted!r}")
+        section, key = dotted.split(".", 1)
+        _set(values, section, key, raw)
     return AppConfig(
-        retrieval=retrieval,
-        generator=generator,
-        embedding=embedding,
-        ensemble=ensemble,
-        scoring=scoring,
-        paths=paths,
+        **{
+            section: cls(**{_FIELDS[section][k][0]: v for k, v in values[section].items()})
+            for section, cls in _SECTIONS.items()
+        }
     )

@@ -13,14 +13,18 @@ import hashlib
 import json
 import logging
 import os
-import time
+import time  # noqa: F401 -- errors.post_json's backoff sleeps through this module
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .appendlog import AppendLog
-from .errors import ConfigError, ProviderError, ValidationError, is_retryable_status
+from .errors import ConfigError, ProviderError, ValidationError, post_json
 from .lexical import DEFAULT_TOKENIZER, tokenize
+
+if TYPE_CHECKING:
+    from .retriever import RetrievalConfig
 
 log = logging.getLogger(__name__)
 
@@ -154,31 +158,16 @@ class HttpEmbeddingProvider:
         return headers
 
     def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
-        import requests
-
         url = self.cfg.base_url.rstrip("/") + "/embeddings"
         body = {"model": self.cfg.model_name, "input": batch}
-        last_err = "no attempt made"
-        for attempt in range(self.cfg.retries + 1):
-            try:
-                resp = requests.post(
-                    url, json=body, headers=self._headers(), timeout=self.cfg.timeout_s
-                )
-            except requests.RequestException as exc:
-                last_err = f"transport error: {exc}"
-            else:
-                if resp.status_code == 200:
-                    return self._parse_response(resp.json(), len(batch))
-                last_err = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if not is_retryable_status(resp.status_code):
-                    break
-            if attempt < self.cfg.retries:
-                time.sleep(min(2.0**attempt, 8.0))
-        raise ProviderError(f"embeddings request failed: {last_err}")
+        payload = post_json(
+            url, body, self._headers(), self.cfg.timeout_s, self.cfg.retries, "embeddings"
+        )
+        return self._parse_response(payload, len(batch))
 
     @staticmethod
-    def _parse_response(payload: dict, expected: int) -> list[np.ndarray]:
-        items = payload.get("data")
+    def _parse_response(payload, expected: int) -> list[np.ndarray]:
+        items = payload.get("data") if isinstance(payload, dict) else None
         if not isinstance(items, list) or len(items) != expected:
             raise ProviderError(
                 f"embeddings response has {len(items) if isinstance(items, list) else 'no'}"
@@ -186,6 +175,10 @@ class HttpEmbeddingProvider:
             )
         out: list[np.ndarray | None] = [None] * expected
         for item in items:
+            if not isinstance(item, dict):
+                raise ProviderError(
+                    f"embeddings response item is a {type(item).__name__}, not an object"
+                )
             idx = item.get("index")
             if not isinstance(idx, int) or not 0 <= idx < expected:
                 raise ProviderError(f"embeddings response has bad index {idx!r}")
@@ -341,21 +334,8 @@ def knn(index: VectorIndex, query, p: int) -> list[tuple[object, float]]:
     return [(index.payload_ids[i], float(sims[i])) for i in order]
 
 
-@dataclass(frozen=True)
-class MmrConfig:
-    lambda_: float = 0.75
-    pool_size: int = 40
-    select_size: int = 10
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_ <= 1.0:
-            raise ConfigError("lambda must be in [0, 1]")
-        if self.select_size > self.pool_size:
-            raise ConfigError("select_size must not exceed pool_size")
-
-
-def mmr_select(candidates: list[tuple[object, np.ndarray, float]], cfg: MmrConfig) -> list:
-    """Greedy maximal-marginal-relevance selection.
+def mmr_select(candidates: list[tuple[object, np.ndarray, float]], cfg: RetrievalConfig) -> list:
+    """Greedy maximal-marginal-relevance selection of cfg.k candidates.
 
     Each step picks the candidate maximizing
     lambda*sim_to_query - (1-lambda)*max(sim to already selected),
@@ -375,7 +355,7 @@ def mmr_select(candidates: list[tuple[object, np.ndarray, float]], cfg: MmrConfi
     unit = mat / norms[:, None]
 
     n = len(candidates)
-    take = min(cfg.select_size, n)
+    take = min(cfg.k, n)
     selected: list[int] = []
     remaining = list(range(n))
     redundancy: np.ndarray | None = None

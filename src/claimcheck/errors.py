@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline, and which failures to retry."""
+"""Exception types shared across the pipeline, which failures to retry,
+and the HTTP retry loop of the embedding and chat clients."""
+
+import time
 
 
 class ClaimCheckError(Exception):
@@ -36,3 +39,34 @@ def is_retryable_status(status: int) -> bool:
     the same way on every attempt.
     """
     return status in (408, 429) or 500 <= status <= 599
+
+
+def post_json(url: str, body: dict, headers: dict, timeout_s: float, retries: int, what: str):
+    """POST body as JSON and return the parsed JSON reply to a 200.
+
+    Transport errors and retryable statuses are tried again up to
+    retries times, sleeping min(2**attempt, 8) seconds before each new
+    attempt; any other status fails at once. Raises ProviderError
+    "{what} request failed: ..." when no attempt succeeds, and
+    "{what} response is not JSON: ..." for a 200 reply that does not parse.
+    """
+    import requests
+
+    last_err = "no attempt made"
+    for attempt in range(retries + 1):
+        try:
+            resp = requests.post(url, json=body, headers=headers, timeout=timeout_s)
+        except requests.RequestException as exc:
+            last_err = f"transport error: {exc}"
+        else:
+            if resp.status_code == 200:
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise ProviderError(f"{what} response is not JSON: {exc}") from exc
+            last_err = f"HTTP {resp.status_code}: {resp.text[:200]}"
+            if not is_retryable_status(resp.status_code):
+                break
+        if attempt < retries:
+            time.sleep(min(2.0**attempt, 8.0))
+    raise ProviderError(f"{what} request failed: {last_err}")

@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import threading
-import time
+import time  # noqa: F401 -- errors.post_json's backoff sleeps through this module
 from dataclasses import dataclass, replace
 
 from .corpus import AnswerType, Claim, VeracityLabel
@@ -25,7 +25,7 @@ from .errors import (
     GenerationParseError,
     ProviderError,
     ValidationError,
-    is_retryable_status,
+    post_json,
 )
 from .lexical import (
     DEFAULT_TOKENIZER,
@@ -46,8 +46,8 @@ class GeneratorConfig:
     fewshot_count: int = 10
     max_retries: int = 3
     kind: str = "mock"
-    model_name: str = ""
-    base_url: str = ""
+    model_name: str | None = None
+    base_url: str | None = None
     temperature: float | None = None
     script_path: str | None = None
     api_key_env: str = "CLAIMCHECK_API_KEY"
@@ -343,8 +343,6 @@ class HttpChatProvider:
         self._key = key
 
     def complete(self, system_prompt: str, user_prompt: str, claim_id: int) -> str:
-        import requests
-
         url = self.cfg.base_url.rstrip("/") + "/chat/completions"
         body = {
             "model": self.cfg.model_name,
@@ -359,28 +357,13 @@ class HttpChatProvider:
             "Content-Type": "application/json",
             "Authorization": f"Bearer {self._key}",
         }
-        last_err = "no attempt made"
-        for attempt in range(self.cfg.transport_retries + 1):
-            try:
-                resp = requests.post(
-                    url, json=body, headers=headers, timeout=self.cfg.timeout_s
-                )
-            except requests.RequestException as exc:
-                last_err = f"transport error: {exc}"
-            else:
-                if resp.status_code == 200:
-                    try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, TypeError, ValueError) as exc:
-                        raise ProviderError(
-                            f"chat response missing message content: {exc}"
-                        ) from exc
-                last_err = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if not is_retryable_status(resp.status_code):
-                    break
-            if attempt < self.cfg.transport_retries:
-                time.sleep(min(2.0**attempt, 8.0))
-        raise ProviderError(f"chat request failed: {last_err}")
+        payload = post_json(
+            url, body, headers, self.cfg.timeout_s, self.cfg.transport_retries, "chat"
+        )
+        try:
+            return payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProviderError(f"chat response missing message content: {exc}") from exc
 
 
 def make_chat_provider(cfg: GeneratorConfig):

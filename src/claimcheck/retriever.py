@@ -15,7 +15,6 @@ from .corpus import Chunk, Claim, Document, chunk_document
 from .dense import (
     EmbeddingCache,
     EmbeddingProviderConfig,
-    MmrConfig,
     VectorIndex,
     embed_cached,
     knn,
@@ -125,10 +124,7 @@ def retrieve(
 
     vec_by_ordinal = dict(zip(survivors, chunk_vecs))
     candidates = [(ordinal, vec_by_ordinal[ordinal], sim) for ordinal, sim in pool]
-    mmr_cfg = MmrConfig(
-        lambda_=cfg.lambda_, pool_size=cfg.pool_size, select_size=cfg.k
-    )
-    selected = mmr_select(candidates, mmr_cfg)
+    selected = mmr_select(candidates, cfg)
 
     sim_by_ordinal = dict(pool)
     sources = tuple(

@@ -48,7 +48,6 @@ class MeteorParams:
 @dataclass(frozen=True)
 class ScoringConfig:
     thresholds: tuple[float, ...] = (0.25,)
-    mode: str = "QA"
 
     def __post_init__(self):
         if not self.thresholds:
@@ -56,8 +55,6 @@ class ScoringConfig:
         for t in self.thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValidationError(f"threshold {t} outside (0, 1]")
-        if self.mode not in ("Q_only", "QA"):
-            raise ValidationError(f"mode must be Q_only or QA, got {self.mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,15 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """weight_external presets used in practice: 0.5, 0.3, 0.1."""
+    """Blend of the LLM's distribution with an external classifier's.
+
+    weight_external presets used in practice: 0.5, 0.3, 0.1. probs_path
+    names the file of per-claim external probabilities (see
+    load_external_probs); without one, nothing is blended.
+    """
 
     weight_external: float = 0.5
+    probs_path: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.weight_external <= 1.0:

@@ -24,7 +24,7 @@ from claimcheck.corpus import (
     chunk_document,
     split_sentences,
 )
-from claimcheck.dense import MmrConfig, VectorIndex, knn, mmr_select
+from claimcheck.dense import VectorIndex, knn, mmr_select
 from claimcheck.lexical import Bm25Params, bm25_top, build_index
 from claimcheck.scoring import (
     align_tokens,
@@ -36,6 +36,7 @@ from claimcheck.scoring import (
     ScoringConfig,
 )
 from claimcheck.porter import stem
+from claimcheck.retriever import RetrievalConfig
 from claimcheck.verdict import likert_softmax
 
 from conftest import run_cli
@@ -144,14 +145,14 @@ def test_criterion_03_mmr_oracle():
 
         take = int(rng.integers(1, n + 1))
         lam = float(rng.random())
-        got = mmr_select(candidates, MmrConfig(lambda_=lam, pool_size=n, select_size=take))
+        got = mmr_select(candidates, RetrievalConfig(lambda_=lam, pool_size=n, k=take))
         want = _mmr_greedy(
             [index.matrix[i] for i in range(n)], [sims[i] for i in range(n)], lam, take
         )
         assert got == want, f"trial {trial}: lambda={lam} take={take}"
 
         knn_order = mmr_select(
-            candidates, MmrConfig(lambda_=1.0, pool_size=n, select_size=n)
+            candidates, RetrievalConfig(lambda_=1.0, pool_size=n, k=n)
         )
         assert knn_order == [pid for pid, _ in ranked], f"trial {trial}: lambda=1"
 

@@ -168,6 +168,39 @@ class TestRetrieve:
         assert code == 2
         assert "retries must be >= 0" in capsys.readouterr().err
 
+    def test_wrong_config_value_type_exits_2(
+        self, dataset_path, knowledge_store_path, tmp_path, capsys
+    ):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("retrieval:\n  k: 7.9\n")
+        code = run_cli(
+            ["retrieve", "--config", str(config)]
+            + _common(dataset_path, knowledge_store_path, tmp_path / "out")
+        )
+        assert code == 2
+        assert "retrieval.k: expected int, got 7.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["retrieve", "verify"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(
+        self, command, jobs, dataset_path, knowledge_store_path, tmp_path, capsys
+    ):
+        code = run_cli(
+            [command, "--jobs", jobs]
+            + _common(dataset_path, knowledge_store_path, tmp_path / "out")
+        )
+        assert code == 2
+        assert "--jobs: must be a whole number >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ingest", "--jobs", "2"], ["evaluate", "--keep-going"], ["cache", "inspect", "--jobs", "2"]],
+    )
+    def test_flags_only_where_read(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_inconsistent_retrieval_params_exit_2(
         self, dataset_path, knowledge_store_path, tmp_path, capsys
     ):
@@ -294,6 +327,38 @@ class TestVerify:
         ) == 0
         records = json.loads((out_dir / "predictions.json").read_text())
         assert [r["claim_id"] for r in records] == list(range(10))
+
+    @pytest.mark.parametrize("weight, external_wins", [("1.0", True), ("0.0", False)])
+    def test_external_probs_ensemble(
+        self, weight, external_wins, dataset_path, knowledge_store_path,
+        train_set_path, echo_script_path, claims, tmp_path,
+    ):
+        # external probabilities peak on a label other than the scripted verdict
+        other = {
+            c.id: next(label for label in VeracityLabel if label != c.gold_label)
+            for c in claims
+        }
+        probs_path = tmp_path / "probs.json"
+        probs_path.write_text(json.dumps([
+            {
+                "claim_id": c.id,
+                "probs": {
+                    label.value: 0.97 if label == other[c.id] else 0.01
+                    for label in VeracityLabel
+                },
+            }
+            for c in claims
+        ]))
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                         echo_script_path, out_dir)
+            + ["--probs", str(probs_path), "--weight-external", weight]
+        )
+        assert code == 0
+        records = json.loads((out_dir / "predictions.json").read_text())
+        want = [(other[c.id] if external_wins else c.gold_label).value for c in claims]
+        assert [r["verdict"] for r in records] == want
 
     def test_simplified_skips_train_set(
         self, dataset_path, knowledge_store_path, echo_script_path, tmp_path,

@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.errors import ConfigError
+from claimcheck.generator import make_chat_provider
+from claimcheck.retriever import RetrievalConfig
 
 
 def _load(config_path=None, env=None, overrides=None):
@@ -29,6 +34,12 @@ class TestDefaults:
         before = DEFAULTS["retrieval"]["omega"]
         _load(overrides={"retrieval.omega": "123"})
         assert DEFAULTS["retrieval"]["omega"] == before
+
+    def test_defaults_come_from_the_dataclasses(self):
+        # keys drop a trailing underscore: RetrievalConfig.lambda_ is "lambda"
+        assert DEFAULTS["retrieval"]["lambda"] == RetrievalConfig().lambda_
+        assert "lambda_" not in DEFAULTS["retrieval"]
+        assert sum(len(fields) for fields in DEFAULTS.values()) == 32
 
 
 class TestFileLayer:
@@ -90,6 +101,63 @@ class TestFileLayer:
         path = tmp_path / "cfg.yaml"
         path.write_text("")
         assert _load(str(path)).retrieval.omega == 6000
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("retrieval:\n  omega: [1, 2]\n", "retrieval.omega"),
+            ("scoring:\n  thresholds: 0.5\n", "scoring.thresholds"),
+            ("scoring:\n  thresholds: [0.5, true]\n", "scoring.thresholds"),
+            ("retrieval:\n  k: 7.9\n", "retrieval.k"),
+            ("retrieval:\n  k: null\n", "retrieval.k"),
+            ("generator:\n  simplified: 1\n", "generator.simplified"),
+            ("generator:\n  model_name: 4\n", "generator.model_name"),
+        ],
+    )
+    def test_wrong_value_type_names_field(self, tmp_path, text, field):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            _load(str(path))
+        assert str(exc.value).startswith(f"{field}: ")
+
+    def test_int_serves_as_float(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("retrieval:\n  lambda: 1\n")
+        lam = _load(str(path)).retrieval.lambda_
+        assert lam == 1.0 and isinstance(lam, float)
+
+    def test_null_leaves_optional_field_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "generator:\n  kind: http\n  base_url: null\n  model_name: m\n"
+            "  api_key_env: TEST_CHAT_KEY\n"
+        )
+        cfg = _load(str(path))
+        assert cfg.generator.base_url is None
+        with pytest.raises(ConfigError) as exc:
+            make_chat_provider(cfg.generator)
+        assert "requires base_url" in str(exc.value)
+
+    def test_scoring_mode_is_unknown(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scoring:\n  mode: QA\n")
+        with pytest.raises(ConfigError) as exc:
+            _load(str(path))
+        assert "unknown field scoring.mode" in str(exc.value)
+
+
+class TestReadmeExample:
+    def test_readme_yaml_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        cfg = _load(str(path))
+        assert cfg.embedding.base_url == "https://api.example.com/v1"
+        assert cfg.generator.base_url == "https://api.example.com/v1"
+        assert cfg.scoring.thresholds == (0.25,)
 
 
 class TestEnvLayer:

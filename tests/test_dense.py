@@ -15,13 +15,13 @@ from claimcheck.dense import (
     knn,
     make_embedding_provider,
     mmr_select,
-    MmrConfig,
     MOCK_DIM,
     mock_embed,
     MockEmbeddingProvider,
     VectorIndex,
 )
 from claimcheck.errors import ConfigError, ProviderError, ValidationError
+from claimcheck.retriever import RetrievalConfig
 
 
 class TestMockEmbed:
@@ -268,6 +268,22 @@ class TestHttpEmbeddingProvider:
         with pytest.raises(ProviderError):
             HttpEmbeddingProvider(self._cfg(base_url)).embed(["a"])
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"<html>gateway</html>", "embeddings response is not JSON"),
+            ([{"index": 0, "embedding": [1.0]}], "has no items"),
+            ({"data": [[1.0], "x"]}, "item is a list, not an object"),
+        ],
+        ids=["not-json", "json-array", "non-object-items"],
+    )
+    def test_malformed_success_body(self, stub_server, payload, message):
+        server, base_url = stub_server
+        server.app = lambda path, body, headers: (200, payload)
+        with pytest.raises(ProviderError) as exc:
+            HttpEmbeddingProvider(self._cfg(base_url)).embed(["a", "b"])
+        assert message in str(exc.value)
+
 
 class TestEmbedBatch:
     def test_order_preserved(self):
@@ -456,7 +472,7 @@ class TestMmr:
         index = VectorIndex.build(vectors, list(range(25)))
         pool = knn(index, query, 25)
         candidates = [(pid, vectors[pid], sim) for pid, sim in pool]
-        cfg = MmrConfig(lambda_=1.0, pool_size=25, select_size=8)
+        cfg = RetrievalConfig(lambda_=1.0, pool_size=25, k=8)
         assert mmr_select(candidates, cfg) == [pid for pid, _ in pool[:8]]
 
     def test_demotes_duplicate_of_selected(self):
@@ -464,7 +480,7 @@ class TestMmr:
         b = np.array([1.0, 0.0])  # duplicate of a
         c = np.array([0.0, 1.0])  # orthogonal, lower query sim
         candidates = [("a", a, 0.95), ("b", b, 0.94), ("c", c, 0.50)]
-        cfg = MmrConfig(lambda_=0.5, pool_size=3, select_size=2)
+        cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=2)
         # after picking a: b scores .5*.94-.5*1=-0.03, c scores .5*.5-.5*0=0.25
         assert mmr_select(candidates, cfg) == ["a", "c"]
 
@@ -473,7 +489,7 @@ class TestMmr:
         b = np.array([-1.0, 0.05])  # strongly anti-aligned with a
         c = np.array([0.0, 1.0])
         candidates = [("a", a, 0.9), ("b", b, 0.2), ("c", c, 0.3)]
-        cfg = MmrConfig(lambda_=0.5, pool_size=3, select_size=2)
+        cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=2)
         got = mmr_select(candidates, cfg)
         # b's redundancy is ~-1 so its score .5*.2+.5*~1 ~= .6 beats c's .15
         assert got == ["a", "b"]
@@ -486,7 +502,7 @@ class TestMmr:
         # lambda 0.5: score(x) = .5*0.4, score(y) = .5*0.4 -> tie; sim_q tie too,
         # then earlier index wins
         candidates = [("s", s, 0.9), ("x", x, 0.4), ("y", y, 0.4)]
-        cfg = MmrConfig(lambda_=0.5, pool_size=3, select_size=3)
+        cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=3)
         assert mmr_select(candidates, cfg) == ["s", "x", "y"]
 
     def test_matches_oracle_random(self):
@@ -504,19 +520,19 @@ class TestMmr:
             candidates = [(i, vectors[i], sims[i]) for i in range(n)]
             lam = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
             k = int(rng.integers(1, n + 1))
-            cfg = MmrConfig(lambda_=lam, pool_size=n, select_size=k)
+            cfg = RetrievalConfig(lambda_=lam, pool_size=n, k=k)
             assert mmr_select(candidates, cfg) == mmr_oracle(candidates, lam, k), (
                 f"trial {trial}: lam={lam} k={k}"
             )
 
     def test_select_capped_by_pool(self):
         with pytest.raises(ConfigError):
-            MmrConfig(lambda_=0.75, pool_size=3, select_size=5)
+            RetrievalConfig(lambda_=0.75, pool_size=3, k=5)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError):
-            mmr_select([], MmrConfig())
+            mmr_select([], RetrievalConfig())
 
     def test_lambda_range(self):
         with pytest.raises(ConfigError):
-            MmrConfig(lambda_=1.2)
+            RetrievalConfig(lambda_=1.2)

@@ -504,8 +504,6 @@ class TestAveritecScore:
             ScoringConfig(thresholds=(0.0,))
         with pytest.raises(ValidationError):
             ScoringConfig(thresholds=(1.5,))
-        with pytest.raises(ValidationError):
-            ScoringConfig(mode="answers")
 
 
 class TestMacroF1:
