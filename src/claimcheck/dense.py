@@ -59,7 +59,10 @@ class EmbeddingProviderConfig:
 
 
 def _check_vector(values: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"{what}: not a vector of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{what}: expected a non-empty 1-d vector")
     if not np.all(np.isfinite(arr)):
@@ -182,7 +185,11 @@ class HttpEmbeddingProvider:
             idx = item.get("index")
             if not isinstance(idx, int) or not 0 <= idx < expected:
                 raise ProviderError(f"embeddings response has bad index {idx!r}")
-            out[idx] = _check_vector(item.get("embedding"), f"embedding {idx}")
+            try:
+                out[idx] = _check_vector(item.get("embedding"), f"embedding {idx}")
+            except ValidationError as exc:
+                # a bad vector is the provider's fault, not the user's input
+                raise ProviderError(str(exc)) from exc
         if any(v is None for v in out):
             raise ProviderError("embeddings response is missing indices")
         return out  # type: ignore[return-value]

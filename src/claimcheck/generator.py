@@ -361,9 +361,14 @@ class HttpChatProvider:
             url, body, headers, self.cfg.timeout_s, self.cfg.transport_retries, "chat"
         )
         try:
-            return payload["choices"][0]["message"]["content"]
+            content = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"chat response missing message content: {exc}") from exc
+        if not isinstance(content, str):
+            raise ProviderError(
+                f"chat response message content is {type(content).__name__}, not a string"
+            )
+        return content
 
 
 def make_chat_provider(cfg: GeneratorConfig):

@@ -14,8 +14,10 @@ consistent.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +27,8 @@ from .corpus import Claim, VeracityLabel, parse_label
 from .errors import ValidationError
 from .lexical import DEFAULT_TOKENIZER, tokenize
 from .porter import stem
+
+log = logging.getLogger(__name__)
 
 # Full enumeration of alignment choices is abandoned past this many
 # combinations in favour of a deterministic first-occurrence greedy.
@@ -134,10 +138,18 @@ def _greedy_group_edges(surfaces: list[tuple[list[int], list[int]]]):
 
 
 def _crossings(pairs: list[tuple[int, int]]) -> int:
+    """Crossing edge pairs of an alignment sorted by candidate position.
+
+    Positions are distinct on each side, so two edges cross exactly when
+    the later one has the smaller reference position: the count is the
+    number of inversions among the reference positions.
+    """
+    seen: list[int] = []
     count = 0
-    for (c1, r1), (c2, r2) in itertools.combinations(pairs, 2):
-        if (c1 - c2) * (r1 - r2) < 0:
-            count += 1
+    for _c, r in pairs:
+        pos = bisect.bisect(seen, r)
+        count += len(seen) - pos
+        seen.insert(pos, r)
     return count
 
 
@@ -152,6 +164,23 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
+class _Stems(dict):
+    """word -> Porter stem, stemmed on its first lookup only.
+
+    One instance lives for the process: evaluation compares the same
+    texts pairwise, so each word recurs across many alignments. It grows
+    with the vocabulary scored; stemming is pure, so a word stemmed twice
+    by racing threads stores the same value.
+    """
+
+    def __missing__(self, word: str) -> str:
+        stemmed = self[word] = stem(word)
+        return stemmed
+
+
+_STEMS = _Stems()
+
+
 def align_tokens(
     cand: list[str], ref: list[str], stemming: bool = True
 ) -> list[tuple[int, int]]:
@@ -163,8 +192,8 @@ def align_tokens(
     match counts themselves are forced by token multiplicities, so the
     search is only over which duplicate positions pair up.
     """
-    stems_c = [stem(t) for t in cand] if stemming else list(cand)
-    stems_r = [stem(t) for t in ref] if stemming else list(ref)
+    stems_c = [_STEMS[t] for t in cand] if stemming else list(cand)
+    stems_r = [_STEMS[t] for t in ref] if stemming else list(ref)
 
     groups: dict[str, tuple[list[int], list[int]]] = {}
     for i, s in enumerate(stems_c):
@@ -199,10 +228,17 @@ def align_tokens(
             break
 
     if over_budget:
+        log.warning(
+            "alignment of %d candidate and %d reference tokens has over %d"
+            " choices; using the first-occurrence greedy alignment",
+            len(cand), len(ref), _ALIGN_BUDGET,
+        )
         pairs: list[tuple[int, int]] = []
         for surfaces in group_surfaces:
             pairs.extend(_greedy_group_edges(surfaces))
         return sorted(pairs)
+    if total == 1:  # one candidate alignment: no tie-break to compute
+        return sorted(edge for options in option_lists for edge in options[0])
 
     best = None
     best_key = None

@@ -284,6 +284,25 @@ class TestHttpEmbeddingProvider:
             HttpEmbeddingProvider(self._cfg(base_url)).embed(["a", "b"])
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ({"index": 0, "embedding": ["a"]}, "not a vector of numbers"),
+            ({"index": 0, "embedding": {"x": 1}}, "not a vector of numbers"),
+            ({"index": 0}, "expected a non-empty 1-d vector"),
+            ({"index": 0, "embedding": None}, "expected a non-empty 1-d vector"),
+            ({"index": 0, "embedding": []}, "expected a non-empty 1-d vector"),
+        ],
+        ids=["string-component", "object", "missing", "null", "empty"],
+    )
+    def test_malformed_vector_is_provider_error(self, stub_server, item, message):
+        server, base_url = stub_server
+        server.app = lambda path, body, headers: (200, {"data": [item]})
+        with pytest.raises(ProviderError) as exc:
+            HttpEmbeddingProvider(self._cfg(base_url)).embed(["a"])
+        assert str(exc.value).startswith("embedding 0: ")
+        assert message in str(exc.value)
+
 
 class TestEmbedBatch:
     def test_order_preserved(self):

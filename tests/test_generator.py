@@ -703,6 +703,21 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderError):
             HttpChatProvider(self._cfg(base_url)).complete("s", "u", 0)
 
+    @pytest.mark.parametrize(
+        "content, type_name", [(None, "NoneType"), (5, "int"), (0.5, "float")]
+    )
+    def test_non_string_content_is_provider_error(
+        self, stub_server, monkeypatch, content, type_name
+    ):
+        server, base_url = stub_server
+        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+        server.app = lambda path, body, headers: (
+            200, {"choices": [{"message": {"content": content}}]}
+        )
+        with pytest.raises(ProviderError) as exc:
+            HttpChatProvider(self._cfg(base_url)).complete("s", "u", 0)
+        assert f"content is {type_name}, not a string" in str(exc.value)
+
     def test_factory_requires_script_for_mock(self):
         with pytest.raises(ConfigError):
             make_chat_provider(GeneratorConfig(kind="mock", script_path=None))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from claimcheck.corpus import AnswerType, Claim, GoldQA, VeracityLabel
 from claimcheck.errors import ValidationError
+from claimcheck import scoring
 from claimcheck.porter import stem
 from claimcheck.scoring import (
     align_tokens,
@@ -170,6 +172,72 @@ class TestAlignTokens:
         ref = ["cat", "dog", "dog"]
         pairs = align_tokens(cand, ref)
         assert len(pairs) == 2  # one cat pair, one dog pair
+
+
+class TestAlignFastPaths:
+    def test_crossings_match_pairwise_definition(self):
+        rng = random.Random(5150)
+        cases = [[], [(3, 7)]]
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            cs = sorted(rng.sample(range(20), n))
+            rs = rng.sample(range(20), n)
+            cases.append(list(zip(cs, rs)))
+        for pairs in cases:
+            assert scoring._crossings(pairs) == _crossings(pairs), pairs
+
+    @pytest.mark.parametrize(
+        "vocab",
+        [
+            ["cat", "cats", "catting", "dog"],
+            ["run", "runs", "running", "hoping"],
+            ["cats", "catting", "dog", "dogs"],
+            ["cat", "cats", "dog"],
+            ["a", "b", "c"],
+        ],
+    )
+    def test_matches_oracle_long_repeats(self, vocab):
+        rng = random.Random("|".join(vocab))
+        for trial in range(100):
+            cand = [rng.choice(vocab) for _ in range(rng.randint(6, 9))]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(6, 9))]
+            got = align_tokens(cand, ref)
+            assert got == oracle_align(cand, ref), f"trial {trial}: cand={cand} ref={ref}"
+
+    def test_over_budget_fallback_warns(self, caplog):
+        words = [f"w{i}" for i in range(11)]
+        cand = [w for w in words for _ in range(3)]  # 3 choices per word, 3**11 in all
+        with caplog.at_level(logging.WARNING, logger="claimcheck.scoring"):
+            pairs = align_tokens(cand, words)
+        assert pairs == [(3 * i, i) for i in range(11)]
+        [record] = caplog.records
+        assert record.name == "claimcheck.scoring"
+        assert "33 candidate and 11 reference tokens" in record.getMessage()
+
+    def test_within_budget_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="claimcheck.scoring"):
+            align_tokens(["a", "a", "b"], ["a", "b", "a"])
+        assert caplog.records == []
+
+    def test_each_word_stemmed_once(self, claims, monkeypatch):
+        calls = []
+
+        def counting_stem(word):
+            calls.append(word)
+            return stem(word)
+
+        monkeypatch.setattr(scoring, "stem", counting_stem)
+        monkeypatch.setattr(scoring, "_STEMS", scoring._Stems())
+        preds = [
+            _pred(c.id, c.gold_label, [_pe(qa.answer, qa.question) for qa in c.gold_evidence])
+            for c in claims
+        ]
+        first = averitec_score(preds, claims)
+        assert calls
+        assert len(calls) == len(set(calls))
+        stemmed = len(calls)
+        assert averitec_score(preds, claims) == first
+        assert len(calls) == stemmed
 
 
 class TestMeteorLite:
