@@ -9,6 +9,7 @@ plus rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import logging
@@ -32,21 +33,6 @@ from .scoring import averitec_score, load_predictions
 from .verdict import ensemble, final_label, likert_softmax, load_external_probs
 
 log = logging.getLogger(__name__)
-
-_FLAG_TO_KEY = {
-    "dataset": "paths.dataset",
-    "knowledge_store": "paths.knowledge_store",
-    "train_set": "paths.train_set",
-    "cache_dir": "paths.cache_dir",
-    "output_dir": "paths.output_dir",
-    "omega": "retrieval.omega",
-    "k": "retrieval.k",
-    "mock_script": "generator.script_path",
-    "probs": "ensemble.probs_path",
-    "weight_external": "ensemble.weight_external",
-    "thresholds": "scoring.thresholds",
-}
-
 
 def _write_atomic(path: str, data: str) -> None:
     """Replace path with data; a crash leaves the old or the new content."""
@@ -144,14 +130,18 @@ def cmd_retrieve(args, cfg: AppConfig) -> int:
         path = os.path.join(cfg.paths.output_dir, f"trace_{claim.id}.json")
         _write_atomic(path, _dump_json(trace))
 
+    errors_path = os.path.join(cfg.paths.output_dir, "retrieve_errors.jsonl")
     if failures:
-        errors_path = os.path.join(cfg.paths.output_dir, "retrieve_errors.jsonl")
-        with open(errors_path, "w", encoding="utf-8") as fh:
-            for claim_id, message in failures:
-                fh.write(json.dumps({"claim_id": claim_id, "error": message}) + "\n")
+        _write_atomic(errors_path, "".join(
+            json.dumps({"claim_id": claim_id, "error": message}) + "\n"
+            for claim_id, message in failures
+        ))
         print(f"retrieved {len(claims) - len(failures)}/{len(claims)} claims, "
               f"{len(failures)} failures recorded in {errors_path}")
     else:
+        # an earlier run's failures no longer hold
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(errors_path)
         print(f"retrieved {len(claims)}/{len(claims)} claims")
     return 0
 
@@ -299,20 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECTION.FIELD=VALUE",
         help="override one config field; may repeat",
     )
-    common.add_argument("--dataset", help="dataset JSON file")
-    common.add_argument("--knowledge-store", help="knowledge store file or directory")
-    common.add_argument("--train-set", help="training dataset for few-shot examples")
-    common.add_argument("--cache-dir", help="embedding cache directory")
-    common.add_argument("--output-dir", help="directory for traces, predictions, reports")
-    common.add_argument("--omega", help="BM25 prune size")
-    common.add_argument("--k", help="number of sources to retrieve")
-    common.add_argument("--mock-script", help="scripted responses for the mock LLM")
-    common.add_argument("--probs", help="external classifier probabilities file")
-    common.add_argument("--weight-external", help="ensemble weight for external probs")
-    common.add_argument("--thresholds", help="comma-separated evaluation thresholds")
+    # a dedicated flag's dest is the config key it overrides (see _overrides_from)
+    for flag, key, text in (
+        ("--dataset", "paths.dataset", "dataset JSON file"),
+        ("--knowledge-store", "paths.knowledge_store", "knowledge store file or directory"),
+        ("--train-set", "paths.train_set", "training dataset for few-shot examples"),
+        ("--cache-dir", "paths.cache_dir", "embedding cache directory"),
+        ("--output-dir", "paths.output_dir", "directory for traces, predictions, reports"),
+        ("--omega", "retrieval.omega", "BM25 prune size"),
+        ("--k", "retrieval.k", "number of sources to retrieve"),
+        ("--mock-script", "generator.script_path", "scripted responses for the mock LLM"),
+        ("--probs", "ensemble.probs_path", "external classifier probabilities file"),
+        ("--weight-external", "ensemble.weight_external", "ensemble weight for external probs"),
+        ("--thresholds", "scoring.thresholds", "comma-separated evaluation thresholds"),
+    ):
+        common.add_argument(flag, dest=key, help=text)
     common.add_argument(
         "--simplified",
-        action="store_true",
+        dest="generator.simplified",
+        action="store_const",
+        const="true",
         help="disable few-shot, answer types, and Likert ratings",
     )
     common.add_argument("--claims", help="comma-separated claim ids to process")
@@ -347,13 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if args.simplified:
-        overrides["generator.simplified"] = "true"
+    # dedicated flags are the only dests with a dot; --set wins over them
+    overrides = {
+        dest: value for dest, value in vars(args).items() if "." in dest and value is not None
+    }
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects SECTION.FIELD=VALUE, got {item!r}")

@@ -2,18 +2,25 @@
 
 The embedding provider is pluggable: an HTTP provider speaking an
 OpenAI-style /embeddings endpoint, or a deterministic offline mock that
-feature-hashes tokens into a fixed-dimension vector. Search is exact
-(full scan): per-claim candidate sets are a few thousand vectors at
-most, so approximate indexes would only add a dependency.
+feature-hashes tokens into a fixed-dimension vector. The mock reuses the
+tokens a caller already holds for a text when the caller lends them
+through known_tokens (retrieve does, for its chunks); other texts are
+tokenized. Search is exact (full scan): per-claim candidate sets are a
+few thousand vectors at most, so approximate indexes would only add a
+dependency.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
 import os
 import time  # noqa: F401 -- errors.post_json's backoff sleeps through this module
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -98,13 +105,12 @@ class _TokenCodes(dict):
         return code
 
 
-def _hashed_vector(text: str, codes: _TokenCodes) -> np.ndarray:
-    """mock_embed with a caller-owned token memo.
+def _hashed_vector(tokens: list[str], codes: _TokenCodes) -> np.ndarray:
+    """mock_embed of a text's tokens, with a caller-owned token memo.
 
     Bucket sums are integer counts, exact in any order, so the result
     is bit-identical to adding +-1.0 token by token.
     """
-    tokens = tokenize(text, DEFAULT_TOKENIZER)
     counts = np.bincount(
         np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens)),
         minlength=2 * MOCK_DIM,
@@ -124,7 +130,29 @@ def mock_embed(text: str) -> np.ndarray:
     a bucket and the fifth byte's parity picks the sign. Texts with no
     tokens map to the first basis vector so the result is never zero.
     """
-    return _hashed_vector(text, _TokenCodes())
+    return _hashed_vector(tokenize(text, DEFAULT_TOKENIZER), _TokenCodes())
+
+
+# text -> tokenize(text, DEFAULT_TOKENIZER), lent by the caller of the
+# embed call in progress. A ContextVar, so each thread sees only its own.
+_KNOWN_TOKENS: ContextVar[dict[str, list[str]] | None] = ContextVar(
+    "known_tokens", default=None
+)
+
+
+@contextmanager
+def known_tokens(tokens_by_text: dict[str, list[str]]) -> Iterator[None]:
+    """Let the mock embedder reuse these tokens inside the block.
+
+    Each value must be tokenize(key, DEFAULT_TOKENIZER). The map is seen
+    by the current thread only and is gone once the block exits, raised
+    or not.
+    """
+    reset = _KNOWN_TOKENS.set(tokens_by_text)
+    try:
+        yield
+    finally:
+        _KNOWN_TOKENS.reset(reset)
 
 
 class MockEmbeddingProvider:
@@ -137,7 +165,14 @@ class MockEmbeddingProvider:
         # chunks of one claim share most of their vocabulary: hash each
         # distinct token once per call
         codes = _TokenCodes()
-        return [_hashed_vector(t, codes) for t in texts]
+        known = _KNOWN_TOKENS.get() or {}
+        out = []
+        for text in texts:
+            tokens = known.get(text)
+            if tokens is None:
+                tokens = tokenize(text, DEFAULT_TOKENIZER)
+            out.append(_hashed_vector(tokens, codes))
+        return out
 
 
 class HttpEmbeddingProvider:
@@ -218,13 +253,37 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarr
     return vectors
 
 
+def _decode_entry(obj) -> np.ndarray:
+    """The vector of one cache line: "f64" bytes or legacy "values" list."""
+    if ("f64" in obj) == ("values" in obj):
+        raise ValueError("needs exactly one of the f64 and values fields")
+    dim = int(obj["dim"])
+    if "values" in obj:
+        values = np.asarray(obj["values"], dtype=np.float64)
+        if values.ndim != 1 or values.shape[0] != dim:
+            raise ValueError("dim field disagrees with values length")
+        return values
+    if not isinstance(obj["f64"], str):
+        raise TypeError("f64 field is not a string")
+    raw = base64.b64decode(obj["f64"], validate=True)
+    if len(raw) != 8 * dim:
+        raise ValueError(f"f64 field holds {len(raw)} bytes, dim {dim} needs {8 * dim}")
+    # copy out of the read-only bytes, in native byte order
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 class EmbeddingCache:
     """JSON-lines vector cache keyed by claim, model, and text hash.
 
     Real embedding runs are the expensive part of retrieval, so vectors
-    are persisted and reruns only embed what is missing. A torn final
-    line left by an interrupted append is dropped (see appendlog), so its
-    vector is embedded again.
+    are persisted and reruns only embed what is missing. Each line is
+    {"key", "dim", "f64"}, f64 being the base64 of the vector's
+    little-endian float64 bytes, so vectors round-trip bit-exactly and
+    load without parsing float text. Lines of the older form
+    {"key", "dim", "values"} (a JSON float list) are still read, so an
+    old file needs no migration. A torn final line left by an
+    interrupted append is dropped (see appendlog), so its vector is
+    embedded again.
     """
 
     def __init__(self, path: str):
@@ -233,10 +292,7 @@ class EmbeddingCache:
         self._entries: dict[str, np.ndarray] = {}
         for lineno, obj in self._log.read():
             try:
-                values = np.asarray(obj["values"], dtype=np.float64)
-                if int(obj["dim"]) != values.shape[0]:
-                    raise ValueError("dim field disagrees with values length")
-                self._entries[obj["key"]] = values
+                self._entries[obj["key"]] = _decode_entry(obj)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(
                     f"{path}: line {lineno}: bad cache entry: {exc}"
@@ -259,7 +315,11 @@ class EmbeddingCache:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self._log.append(
-            json.dumps({"key": key, "dim": int(vec.shape[0]), "values": vec.tolist()})
+            json.dumps({
+                "key": key,
+                "dim": int(vec.shape[0]),
+                "f64": base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii"),
+            })
             for key, vec in fresh
         )
         self._entries.update(fresh)

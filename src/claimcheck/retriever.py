@@ -18,6 +18,7 @@ from .dense import (
     VectorIndex,
     embed_cached,
     knn,
+    known_tokens,
     mmr_select,
 )
 from .errors import ConfigError
@@ -116,7 +117,9 @@ def retrieve(
         survivors.append(ordinal)
 
     texts = [claim.text] + [chunks[o].text for o in survivors]
-    vectors = embed_cached(texts, claim.id, embedding_cfg, cache)
+    # the mock embedder reuses the chunk tokens instead of tokenizing again
+    with known_tokens({chunks[o].text: tokenized[o] for o in survivors}):
+        vectors = embed_cached(texts, claim.id, embedding_cfg, cache)
     claim_vec, chunk_vecs = vectors[0], vectors[1:]
 
     index_dense = VectorIndex.build(chunk_vecs, survivors)

@@ -130,4 +130,5 @@ def stub_server():
         yield server, f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

@@ -1,11 +1,14 @@
+import base64
 import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 import claimcheck.dense as dense
-from claimcheck.cli import _write_atomic
+from claimcheck.cli import _overrides_from, _write_atomic, build_parser
+from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.corpus import VeracityLabel
 
 from conftest import build_echo_script, run_cli
@@ -142,6 +145,23 @@ class TestRetrieve:
         ]
         assert [e["claim_id"] for e in errors] == [1]
         assert "retrieved 1/2 claims, 1 failures" in capsys.readouterr().out
+
+    def test_clean_rerun_removes_errors_file(
+        self, dataset_path, broken_store_dir, claims, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        argv = (["retrieve", "--claims", "0,1", "--keep-going"]
+                + _common(dataset_path, broken_store_dir, out_dir))
+        assert run_cli(argv) == 0
+        assert (out_dir / "retrieve_errors.jsonl").exists()
+        assert not list(out_dir.glob("*.tmp"))
+        doc = {"claim_id": 1, "url": "https://example.org/fixed", "url2text": [claims[1].text]}
+        (broken_store_dir / "1.json").write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert "retrieved 2/2 claims" in capsys.readouterr().out
+        assert not (out_dir / "retrieve_errors.jsonl").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == ["trace_0.json", "trace_1.json"]
 
     def test_without_keep_going_aborts(self, dataset_path, broken_store_dir, tmp_path, capsys):
         code = run_cli(
@@ -594,9 +614,85 @@ class TestCache:
                 warm / f"trace_{cid}.json"
             ).read_bytes()
 
+    def test_inspect_counts_legacy_and_f64_lines(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        path = cache_dir / "emb_0.jsonl"
+        lines = [{"key": f"old{i}", "dim": 2, "values": [0.5, -float(i)]} for i in range(2)]
+        lines += [
+            {"key": f"new{i}", "dim": 2,
+             "f64": base64.b64encode(np.array([1.0, i], dtype="<f8").tobytes()).decode()}
+            for i in range(3)
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"{path}: 5 vectors" in out
+        assert "1 cache files, 5 vectors total" in out
+
+    def test_cache_of_values_lines_reused_without_embedding(
+        self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
+        tmp_path, monkeypatch,
+    ):
+        """A cache written as JSON float lists, before the f64 form, is reused."""
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache-dir", str(cache_dir)]
+        assert run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                    echo_script_path, tmp_path / "cold") + argv) == 0
+        for path in cache_dir.glob("emb_*.jsonl"):
+            lines = []
+            for line in path.read_text().splitlines():
+                obj = json.loads(line)
+                raw = base64.b64decode(obj.pop("f64"))
+                obj["values"] = np.frombuffer(raw, dtype="<f8").tolist()
+                lines.append(json.dumps(obj) + "\n")
+            path.write_text("".join(lines))
+        before = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+
+        def no_embedding(texts, cfg):
+            raise AssertionError(f"re-embedded {len(texts)} texts")
+
+        monkeypatch.setattr(dense, "embed_batch", no_embedding)
+        assert run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                    echo_script_path, tmp_path / "warm") + argv) == 0
+        assert (tmp_path / "warm" / "predictions.json").read_bytes() == (
+            tmp_path / "cold" / "predictions.json"
+        ).read_bytes()
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
+
     def test_cache_requires_dir_config(self, capsys):
         assert run_cli(["cache", "inspect"]) == 2
         assert "cache_dir" in capsys.readouterr().err
+
+
+class TestFlags:
+    def test_dedicated_flags_set_accepted_config_keys(self):
+        """Each dedicated flag's dest is a config key load_app_config takes."""
+        args = build_parser().parse_args(["retrieve"])
+        keys = sorted(dest for dest in vars(args) if "." in dest)
+        assert len(keys) == 12
+        for key in keys:
+            section, field = key.split(".")
+            default = DEFAULTS[section][field]
+            if default is None:
+                raw = "x"
+            elif isinstance(default, tuple):
+                raw = ",".join(map(str, default))
+            else:
+                raw = str(default)
+            load_app_config(None, {}, {key: raw})
+
+    def test_overrides_from_flags_and_set(self):
+        args = build_parser().parse_args(
+            ["verify", "--omega", "70", "--simplified", "--dataset", "d.json",
+             "--set", "retrieval.omega=80", "--set", "retrieval.k=3"]
+        )
+        assert _overrides_from(args) == {
+            "retrieval.omega": "80",
+            "generator.simplified": "true",
+            "paths.dataset": "d.json",
+            "retrieval.k": "3",
+        }
 
 
 class TestEnvPrecedence:

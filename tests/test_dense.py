@@ -1,5 +1,8 @@
+import base64
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from claimcheck.dense import (
     EmbeddingProviderConfig,
     HttpEmbeddingProvider,
     knn,
+    known_tokens,
     make_embedding_provider,
     mmr_select,
     MOCK_DIM,
@@ -21,6 +25,7 @@ from claimcheck.dense import (
     VectorIndex,
 )
 from claimcheck.errors import ConfigError, ProviderError, ValidationError
+from claimcheck.lexical import tokenize
 from claimcheck.retriever import RetrievalConfig
 
 
@@ -75,6 +80,29 @@ class TestMockEmbed:
 
     def test_distinguishes_texts(self):
         assert not np.array_equal(mock_embed("river bridge"), mock_embed("comet orbit"))
+
+    def test_known_tokens_reused_only_inside_block(self, monkeypatch):
+        tokenized = []
+        real = dense.tokenize
+        monkeypatch.setattr(
+            dense, "tokenize", lambda *a: tokenized.append(a[0]) or real(*a)
+        )
+        provider = MockEmbeddingProvider(EmbeddingProviderConfig())
+        texts = ["alpha beta alpha", "gamma, delta!"]
+        expected = [mock_embed(t) for t in texts]
+        tokenized.clear()
+
+        with known_tokens({texts[0]: tokenize(texts[0])}):
+            inside = provider.embed(texts)
+        assert tokenized == [texts[1]]  # not in the map: tokenized as before
+        tokenized.clear()
+        with pytest.raises(RuntimeError):
+            with known_tokens({t: tokenize(t) for t in texts}):
+                raise RuntimeError("claim failed")
+        outside = provider.embed(texts)
+        assert tokenized == texts
+        for got in (inside, outside):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 class TestCosine:
@@ -332,12 +360,86 @@ class TestEmbeddingCache:
         assert len(reloaded) == 1
         assert np.array_equal(reloaded.get("k1"), vec)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0],
+            [5e-324],  # smallest subnormal
+            [2.2250738585072014e-309, -0.0, 1e308, -1e308],
+            [1e308],
+            "dim1536",
+        ],
+    )
+    def test_f64_lines_round_trip_bit_exact(self, tmp_path, values):
+        if values == "dim1536":
+            rng = np.random.default_rng(1536)
+            vec = rng.standard_normal(1536) * 10.0 ** rng.integers(-300, 300, 1536)
+            vec[:4] = [-0.0, 5e-324, 1e308, -1e308]
+        else:
+            vec = np.array(values, dtype=np.float64)
+        path = tmp_path / "emb_0.jsonl"
+        EmbeddingCache(str(path)).put_many([("k", vec)])
+        (line,) = path.read_text().splitlines()
+        obj = json.loads(line)
+        assert sorted(obj) == ["dim", "f64", "key"] and obj["dim"] == vec.size
+        assert base64.b64decode(obj["f64"]) == vec.astype("<f8").tobytes()
+        got = EmbeddingCache(str(path)).get("k")
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.writeable
+        assert got.tobytes() == vec.tobytes()
+
+    def test_legacy_values_lines_read_next_to_f64_lines(self, tmp_path):
+        rng = np.random.default_rng(99)
+        old = {f"old{i}": rng.standard_normal(6) for i in range(3)}
+        old["old0"][:3] = [-0.0, 5e-324, -1e308]
+        path = tmp_path / "emb_0.jsonl"
+        path.write_text("".join(
+            json.dumps({"key": k, "dim": 6, "values": v.tolist()}) + "\n"
+            for k, v in old.items()
+        ))
+        new = {f"new{i}": rng.standard_normal(6) for i in range(2)}
+        EmbeddingCache(str(path)).put_many(list(new.items()))
+        kinds = [set(json.loads(l)) - {"key", "dim"} for l in path.read_text().splitlines()]
+        assert kinds == [{"values"}] * 3 + [{"f64"}] * 2
+        reloaded = EmbeddingCache(str(path))
+        assert len(reloaded) == 5
+        for key, vec in {**old, **new}.items():
+            assert reloaded.get(key).tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"dim": 1, "values": [1.0], "f64": "AAAAAAAA8D8="},  # both fields
+            {"dim": 1},  # neither
+            {"dim": 1, "f64": "AAAA!AAA8D8="},  # not in the alphabet
+            {"dim": 1, "f64": "AAAAAAAA8D8"},  # padding missing
+            {"dim": 1, "f64": "AAAAAAAA\n8D8="},  # embedded newline
+            {"dim": 1, "f64": "AAAAAAAA8D8=AAAA"},  # data after padding
+            {"dim": 2, "f64": "AAAAAAAA8D8="},  # 8 bytes for dim 2
+            {"dim": 1, "f64": "AAAAAAAA"},  # 6 bytes
+            {"dim": 1, "f64": ""},
+            {"dim": 1, "f64": 5},
+            {"dim": 1, "f64": ["AAAAAAAA8D8="]},
+            {"f64": "AAAAAAAA8D8="},  # dim missing
+            {"dim": 1, "values": 1.0},  # legacy line with a bare number
+        ],
+    )
+    def test_malformed_f64_line_rejected(self, tmp_path, entry):
+        path = tmp_path / "emb_0.jsonl"
+        good = json.dumps({"key": "j", "dim": 1, "f64": "AAAAAAAA8D8="})
+        path.write_text(good + "\n")
+        assert EmbeddingCache(str(path)).get("j").tolist() == [1.0]
+        path.write_text(good + "\n" + json.dumps({"key": "k", **entry}) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingCache(str(path))
+        assert f"{path}: line 2: bad cache entry" in str(exc.value)
+
     def test_append_only_no_duplicates(self, tmp_path):
         path = str(tmp_path / "emb_0.jsonl")
         cache = EmbeddingCache(path)
         cache.put_many([("k1", np.array([1.0]))])
         cache.put_many([("k1", np.array([9.9])), ("k2", np.array([2.0]))])
-        lines = [l for l in open(path).read().splitlines() if l]
+        lines = [l for l in Path(path).read_text().splitlines() if l]
         assert len(lines) == 2
         assert np.array_equal(cache.get("k1"), np.array([1.0]))
 

@@ -1,8 +1,12 @@
 import json
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import claimcheck.dense as dense
+import claimcheck.retriever as retriever
 from claimcheck.corpus import Claim, Document, chunk_document, load_knowledge_store
 from claimcheck.dense import (
     EmbeddingCache,
@@ -11,7 +15,7 @@ from claimcheck.dense import (
     VectorIndex,
     knn,
 )
-from claimcheck.errors import ConfigError
+from claimcheck.errors import ConfigError, ProviderError
 from claimcheck.lexical import Bm25Params, bm25_top, build_index, tokenize
 from claimcheck.retriever import retrieve, RetrievalConfig
 
@@ -187,3 +191,102 @@ class TestPipeline:
         for s in result.sources:
             expect = float(np.dot(claim_vec, mock_embed(s.chunk.text)))
             assert abs(s.sim_to_claim - expect) < 1e-12
+
+
+def _count_tokenize(monkeypatch) -> dict[str, list[str]]:
+    """Texts tokenized through retriever's and dense's names, per module."""
+    calls: dict[str, list[str]] = {"retriever": [], "dense": []}
+    for name, module in (("retriever", retriever), ("dense", dense)):
+        real = module.tokenize
+
+        def counting(text, *args, _real=real, _calls=calls[name]):
+            _calls.append(text)
+            return _real(text, *args)
+
+        monkeypatch.setattr(module, "tokenize", counting)
+    return calls
+
+
+class TestTokensOnce:
+    CFG = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=4)
+
+    def _inputs(self, store_path, claim):
+        docs = list(load_knowledge_store(store_path, claim.id).documents)
+        chunks = [c for d in docs for c in chunk_document(d, self.CFG.max_chars)]
+        return docs, [c.text for c in chunks]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_each_chunk_tokenized_once(
+        self, knowledge_store_path, claims, tmp_path, monkeypatch, cached
+    ):
+        claim = claims[0]
+        docs, chunk_texts = self._inputs(knowledge_store_path, claim)
+        assert claim.text not in chunk_texts
+        cache = EmbeddingCache(str(tmp_path / "emb_0.jsonl")) if cached else None
+        calls = _count_tokenize(monkeypatch)
+        retrieve(claim, docs, self.CFG, MOCK, cache=cache)
+        assert Counter(calls["retriever"]) == Counter(chunk_texts + [claim.text])
+        # the mock embedder only tokenizes the claim, which is not a chunk
+        assert calls["dense"] == [claim.text]
+
+    def test_mock_sees_no_map_after_retrieve(
+        self, knowledge_store_path, claims, monkeypatch
+    ):
+        claim = claims[0]
+        docs, chunk_texts = self._inputs(knowledge_store_path, claim)
+        provider = dense.MockEmbeddingProvider(MOCK)
+        retrieve(claim, docs, self.CFG, MOCK)
+        calls = _count_tokenize(monkeypatch)
+        provider.embed(chunk_texts)
+        assert calls["dense"] == chunk_texts
+
+        def failing(texts, cfg):
+            raise ProviderError("embedding service down")
+
+        monkeypatch.setattr(dense, "embed_batch", failing)
+        with pytest.raises(ProviderError):
+            retrieve(claim, docs, self.CFG, MOCK)
+        calls["dense"].clear()
+        provider.embed(chunk_texts)
+        assert calls["dense"] == chunk_texts
+
+    def test_threads_match_sequential_runs(self, knowledge_store_path, claims, monkeypatch):
+        jobs = [(c, self._inputs(knowledge_store_path, c)[0]) for c in claims[:2]]
+        real = dense.embed_batch
+        vectors: dict[str, list] = {}
+
+        def recording(texts, cfg):
+            out = real(texts, cfg)
+            vectors[texts[0]] = out  # texts[0] is the claim
+            return out
+
+        monkeypatch.setattr(dense, "embed_batch", recording)
+        sequential = [retrieve(c, d, self.CFG, MOCK) for c, d in jobs]
+        expected = dict(vectors)
+        vectors.clear()
+
+        barrier = threading.Barrier(len(jobs), timeout=10)
+
+        def meet_then_embed(texts, cfg):
+            barrier.wait()  # every claim's map is set before either embeds
+            return recording(texts, cfg)
+
+        monkeypatch.setattr(dense, "embed_batch", meet_then_embed)
+        calls = _count_tokenize(monkeypatch)
+        results = [None] * len(jobs)
+
+        def run(i):
+            results[i] = retrieve(*jobs[i], self.CFG, MOCK)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert results == sequential
+        assert vectors.keys() == expected.keys()
+        for text, want in expected.items():
+            assert all(np.array_equal(g, w) for g, w in zip(vectors[text], want, strict=True))
+        # each thread found its own chunks' tokens: only the claims were tokenized
+        assert sorted(calls["dense"]) == sorted(c.text for c, _ in jobs)
