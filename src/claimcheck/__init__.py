@@ -16,7 +16,6 @@ from .dense import (
     EmbeddingCache,
     EmbeddingProviderConfig,
     VectorIndex,
-    cosine_sim,
     embed_batch,
     knn,
     mmr_select,
@@ -39,7 +38,7 @@ from .generator import (
     select_fewshot,
     serialize_output,
 )
-from .lexical import Bm25Params, TokenizerConfig, bm25_top, build_index, tokenize
+from .lexical import Bm25Params, bm25_top, build_index, tokenize
 from .retriever import RetrievalConfig, RetrievalResult, RetrievedSource, retrieve
 from .scoring import (
     MeteorParams,

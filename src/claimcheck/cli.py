@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from .appendlog import AppendLog
@@ -61,6 +62,9 @@ def _select_claims(claims: list[Claim], spec: str | None) -> list[Claim]:
         raise ValidationError(
             f"unknown claim ids {unknown}; valid ids: {sorted(by_id)}"
         )
+    repeated = sorted(i for i, n in Counter(wanted).items() if n > 1)
+    if repeated:
+        raise ValidationError(f"claim ids given more than once in --claims: {repeated}")
     return [by_id[i] for i in wanted]
 
 

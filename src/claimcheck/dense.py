@@ -7,7 +7,9 @@ tokens a caller already holds for a text when the caller lends them
 through known_tokens (retrieve does, for its chunks); other texts are
 tokenized. Search is exact (full scan): per-claim candidate sets are a
 few thousand vectors at most, so approximate indexes would only add a
-dependency.
+dependency. VectorIndex owns validation and normalization: build checks
+and unit-normalizes a claim's vectors once, as one matrix, and knn and
+mmr_select read its rows without checking them again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .appendlog import AppendLog
 from .errors import ConfigError, ProviderError, ValidationError, post_json
-from .lexical import DEFAULT_TOKENIZER, tokenize
+from .lexical import tokenize
 
 if TYPE_CHECKING:
     from .retriever import RetrievalConfig
@@ -65,29 +67,22 @@ class EmbeddingProviderConfig:
         return self.model_name or f"mock-{MOCK_DIM}"
 
 
-def _check_vector(values: np.ndarray, what: str) -> np.ndarray:
+def _check_array(values, what: str, ndim: int) -> np.ndarray:
+    """values as a non-empty float64 vector (ndim 1) or matrix (ndim 2), all finite."""
+    noun = "vector" if ndim == 1 else "matrix"
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{what}: not a vector of numbers: {exc}") from exc
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{what}: expected a non-empty 1-d vector")
+        raise ValidationError(f"{what}: not a {noun} of numbers: {exc}") from exc
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValidationError(f"{what}: expected a non-empty {ndim}-d {noun}")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what}: vector has NaN or inf components")
+        raise ValidationError(f"{what}: {noun} has NaN or inf components")
     return arr
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two equal-dimension nonzero vectors."""
-    va = _check_vector(a, "cosine_sim a")
-    vb = _check_vector(b, "cosine_sim b")
-    if va.shape != vb.shape:
-        raise ValidationError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(va, vb) / (na * nb))
+def _check_vector(values, what: str) -> np.ndarray:
+    return _check_array(values, what, 1)
 
 
 class _TokenCodes(dict):
@@ -130,11 +125,11 @@ def mock_embed(text: str) -> np.ndarray:
     a bucket and the fifth byte's parity picks the sign. Texts with no
     tokens map to the first basis vector so the result is never zero.
     """
-    return _hashed_vector(tokenize(text, DEFAULT_TOKENIZER), _TokenCodes())
+    return _hashed_vector(tokenize(text), _TokenCodes())
 
 
-# text -> tokenize(text, DEFAULT_TOKENIZER), lent by the caller of the
-# embed call in progress. A ContextVar, so each thread sees only its own.
+# text -> tokenize(text), lent by the caller of the embed call in
+# progress. A ContextVar, so each thread sees only its own.
 _KNOWN_TOKENS: ContextVar[dict[str, list[str]] | None] = ContextVar(
     "known_tokens", default=None
 )
@@ -144,9 +139,8 @@ _KNOWN_TOKENS: ContextVar[dict[str, list[str]] | None] = ContextVar(
 def known_tokens(tokens_by_text: dict[str, list[str]]) -> Iterator[None]:
     """Let the mock embedder reuse these tokens inside the block.
 
-    Each value must be tokenize(key, DEFAULT_TOKENIZER). The map is seen
-    by the current thread only and is gone once the block exits, raised
-    or not.
+    Each value must be tokenize(key). The map is seen by the current
+    thread only and is gone once the block exits, raised or not.
     """
     reset = _KNOWN_TOKENS.set(tokens_by_text)
     try:
@@ -170,7 +164,7 @@ class MockEmbeddingProvider:
         for text in texts:
             tokens = known.get(text)
             if tokens is None:
-                tokens = tokenize(text, DEFAULT_TOKENIZER)
+                tokens = tokenize(text)
             out.append(_hashed_vector(tokens, codes))
         return out
 
@@ -356,21 +350,29 @@ def embed_cached(
 
 @dataclass(frozen=True)
 class VectorIndex:
-    """Unit-normalized vectors with parallel payload identifiers."""
+    """Checked, unit-normalized vectors, one matrix row per payload id."""
 
     matrix: np.ndarray
     payload_ids: tuple
 
     @classmethod
-    def build(cls, vectors: list[np.ndarray], payload_ids: list) -> "VectorIndex":
+    def build(cls, vectors, payload_ids: list) -> "VectorIndex":
+        """Index vectors, a list of 1-d vectors or an (n, d) array.
+
+        payload_ids must be distinct. The caller's vectors are not modified.
+        """
         if len(vectors) != len(payload_ids):
             raise ValidationError("vectors and payload_ids must be parallel lists")
-        if not vectors:
+        if len(set(payload_ids)) != len(payload_ids):
+            raise ValidationError("payload ids must be distinct")
+        if not payload_ids:
             return cls(matrix=np.zeros((0, 0)), payload_ids=())
-        mat = np.stack([_check_vector(v, "index vector") for v in vectors])
+        mat = _check_array(vectors, "index vectors", 2)
         norms = np.linalg.norm(mat, axis=1)
         if np.any(norms == 0.0):
             raise ValidationError("cannot index a zero-norm vector")
+        # a new array, not an in-place division: the caller's (n, d) array
+        # stays as it was, and on paper_cold peak RSS was lower this way
         mat = mat / norms[:, None]
         mat.setflags(write=False)
         return cls(matrix=mat, payload_ids=tuple(payload_ids))
@@ -401,27 +403,30 @@ def knn(index: VectorIndex, query, p: int) -> list[tuple[object, float]]:
     return [(index.payload_ids[i], float(sims[i])) for i in order]
 
 
-def mmr_select(candidates: list[tuple[object, np.ndarray, float]], cfg: RetrievalConfig) -> list:
-    """Greedy maximal-marginal-relevance selection of cfg.k candidates.
+def mmr_select(
+    index: VectorIndex, pool: list[tuple[object, float]], cfg: RetrievalConfig
+) -> list:
+    """Greedy maximal-marginal-relevance selection of cfg.k pool entries.
 
-    Each step picks the candidate maximizing
-    lambda*sim_to_query - (1-lambda)*max(sim to already selected),
-    the redundancy term being 0 while nothing is selected. Score ties
-    prefer the higher sim_to_query, then earlier input position. The
-    running redundancy starts undefined rather than at zero so that
-    negative similarities to selected items are preserved.
+    pool holds (payload_id, sim_to_query) pairs, as knn returns them;
+    each id's vector is its row of index. Each step picks the candidate
+    maximizing lambda*sim_to_query - (1-lambda)*max(sim to already
+    selected), the redundancy term being 0 while nothing is selected.
+    Score ties prefer the higher sim_to_query, then earlier pool
+    position. The running redundancy starts undefined rather than at
+    zero so that negative similarities to selected items are preserved.
     """
-    if not candidates:
+    if not pool:
         raise ValidationError("mmr_select requires at least one candidate")
-    ids = [c[0] for c in candidates]
-    sims_q = np.array([c[2] for c in candidates], dtype=np.float64)
-    mat = np.stack([_check_vector(c[1], f"candidate {c[0]}") for c in candidates])
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        raise ValidationError("mmr candidate has zero norm")
-    unit = mat / norms[:, None]
+    ids = [pid for pid, _sim in pool]
+    row_of = {pid: row for row, pid in enumerate(index.payload_ids)}
+    try:
+        unit = index.matrix[[row_of[pid] for pid in ids]]
+    except KeyError as exc:
+        raise ValidationError(f"mmr pool id {exc.args[0]!r} is not in the index") from exc
+    sims_q = np.array([sim for _pid, sim in pool], dtype=np.float64)
 
-    n = len(candidates)
+    n = len(pool)
     take = min(cfg.k, n)
     selected: list[int] = []
     remaining = list(range(n))

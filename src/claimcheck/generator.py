@@ -27,14 +27,7 @@ from .errors import (
     ValidationError,
     post_json,
 )
-from .lexical import (
-    DEFAULT_TOKENIZER,
-    Bm25Index,
-    Bm25Params,
-    bm25_top,
-    build_index,
-    tokenize,
-)
+from .lexical import Bm25Index, Bm25Params, bm25_top, build_index, tokenize
 from .retriever import RetrievedSource
 
 log = logging.getLogger(__name__)
@@ -151,7 +144,7 @@ class FewshotPool:
         """The full index over the claims; None if no claim has a token."""
         with self._lock:
             if not self._built:
-                tokens = [tokenize(c.text, DEFAULT_TOKENIZER) for c in self.claims]
+                tokens = [tokenize(c.text) for c in self.claims]
                 self._index = build_index(tokens, Bm25Params()) if any(tokens) else None
                 self._built = True
             return self._index
@@ -167,7 +160,7 @@ def select_fewshot(claim: Claim, pool: FewshotPool, count: int) -> list[Claim]:
     """
     if count < 1 or not pool.claims:
         return []
-    query = tokenize(claim.text, DEFAULT_TOKENIZER)
+    query = tokenize(claim.text)
     if not query:
         return []
     candidates = tuple(
@@ -177,7 +170,7 @@ def select_fewshot(claim: Claim, pool: FewshotPool, count: int) -> list[Claim]:
         index = pool.index()
     else:
         # Excluding a claim changes N, avgdl and df: index the rest anew.
-        tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in candidates]
+        tokenized = [tokenize(c.text) for c in candidates]
         index = build_index(tokenized, Bm25Params(), terms=query) if any(tokenized) else None
     if index is None:
         return []

@@ -17,35 +17,11 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 
 _ALNUM_RE = re.compile(r"[a-z0-9]+")
-_ALNUM_KEEP_CASE_RE = re.compile(r"[A-Za-z0-9]+")
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    strip_non_alphanumeric: bool = True
-    min_token_len: int = 1
-
-    def __post_init__(self):
-        if self.min_token_len < 1:
-            raise ValidationError("min_token_len must be >= 1")
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Lowercase, strip punctuation, length-filter, in that order."""
-    if cfg.lowercase:
-        text = text.lower()
-    if cfg.strip_non_alphanumeric:
-        pattern = _ALNUM_RE if cfg.lowercase else _ALNUM_KEEP_CASE_RE
-        tokens = pattern.findall(text)
-    else:
-        tokens = text.split()
-    if cfg.min_token_len > 1:
-        tokens = [t for t in tokens if len(t) >= cfg.min_token_len]
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """Lowercase, then keep the runs of ASCII letters and digits."""
+    return _ALNUM_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)

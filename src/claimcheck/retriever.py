@@ -22,7 +22,7 @@ from .dense import (
     mmr_select,
 )
 from .errors import ConfigError
-from .lexical import DEFAULT_TOKENIZER, Bm25Params, bm25_top, build_index, tokenize
+from .lexical import Bm25Params, bm25_top, build_index, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -95,8 +95,8 @@ def retrieve(
     if not chunks:
         return _empty_result(claim)
 
-    tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in chunks]
-    query_tokens = tokenize(claim.text, DEFAULT_TOKENIZER)
+    tokenized = [tokenize(c.text) for c in chunks]
+    query_tokens = tokenize(claim.text)
     if not query_tokens or all(not t for t in tokenized):
         return _empty_result(claim)
 
@@ -120,14 +120,10 @@ def retrieve(
     # the mock embedder reuses the chunk tokens instead of tokenizing again
     with known_tokens({chunks[o].text: tokenized[o] for o in survivors}):
         vectors = embed_cached(texts, claim.id, embedding_cfg, cache)
-    claim_vec, chunk_vecs = vectors[0], vectors[1:]
 
-    index_dense = VectorIndex.build(chunk_vecs, survivors)
-    pool = knn(index_dense, claim_vec, cfg.pool_size)
-
-    vec_by_ordinal = dict(zip(survivors, chunk_vecs))
-    candidates = [(ordinal, vec_by_ordinal[ordinal], sim) for ordinal, sim in pool]
-    selected = mmr_select(candidates, cfg)
+    index_dense = VectorIndex.build(vectors[1:], survivors)
+    pool = knn(index_dense, vectors[0], cfg.pool_size)
+    selected = mmr_select(index_dense, pool, cfg)
 
     sim_by_ordinal = dict(pool)
     sources = tuple(

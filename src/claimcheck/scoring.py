@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Claim, VeracityLabel, parse_label
 from .errors import ValidationError
-from .lexical import DEFAULT_TOKENIZER, tokenize
+from .lexical import tokenize
 from .porter import stem
 
 log = logging.getLogger(__name__)
@@ -257,8 +257,8 @@ def meteor_lite(candidate: str, reference: str, p: MeteorParams = MeteorParams()
     P = m/|cand|, R = m/|ref|, F = P*R/(alpha*P + (1-alpha)*R),
     penalty = gamma*(chunks/m)^beta, score = F*(1-penalty).
     """
-    cand = tokenize(candidate, DEFAULT_TOKENIZER)
-    ref = tokenize(reference, DEFAULT_TOKENIZER)
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
     if not cand or not ref:
         return 0.0
     pairs = align_tokens(cand, ref, stemming=p.stemming)

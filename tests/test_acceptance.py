@@ -141,18 +141,20 @@ def test_criterion_03_mmr_oracle():
         query = rng.normal(size=dim)
         ranked = knn(index, query, n)
         sims = {pid: s for pid, s in ranked}
-        candidates = [(i, index.matrix[i], sims[i]) for i in range(n)]
+        candidates = [(i, sims[i]) for i in range(n)]
 
         take = int(rng.integers(1, n + 1))
         lam = float(rng.random())
-        got = mmr_select(candidates, RetrievalConfig(lambda_=lam, pool_size=n, k=take))
+        got = mmr_select(
+            index, candidates, RetrievalConfig(lambda_=lam, pool_size=n, k=take)
+        )
         want = _mmr_greedy(
             [index.matrix[i] for i in range(n)], [sims[i] for i in range(n)], lam, take
         )
         assert got == want, f"trial {trial}: lambda={lam} take={take}"
 
         knn_order = mmr_select(
-            candidates, RetrievalConfig(lambda_=1.0, pool_size=n, k=n)
+            index, candidates, RetrievalConfig(lambda_=1.0, pool_size=n, k=n)
         )
         assert knn_order == [pid for pid, _ in ranked], f"trial {trial}: lambda=1"
 

@@ -91,6 +91,19 @@ class TestRetrieve:
         assert code == 2
         assert "unknown claim ids [99]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "retrieve"])
+    def test_repeated_claim_id_exits_2(
+        self, command, dataset_path, knowledge_store_path, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            [command, "--claims", "0,2,1,2"]
+            + _common(dataset_path, knowledge_store_path, out_dir)
+        )
+        assert code == 2
+        assert "claim ids given more than once in --claims: [2]" in capsys.readouterr().err
+        assert not list(out_dir.glob("trace_*.json"))
+
     def test_jobs_parallel_identical(self, dataset_path, knowledge_store_path, tmp_path):
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
@@ -469,6 +482,48 @@ class TestVerify:
         assert (tmp_path / "first" / "predictions.json").read_bytes() == (
             tmp_path / "second" / "predictions.json"
         ).read_bytes()
+
+    def test_repeated_claim_id_exits_2_before_any_llm_call(
+        self, dataset_path, knowledge_store_path, train_set_path, claims, tmp_path, capsys,
+    ):
+        # one reply per claim: verifying claim 2 twice would need a second one
+        script = build_echo_script(claims, tmp_path / "script.json")
+        out_dir = tmp_path / "out"
+        argv = _verify_argv(dataset_path, knowledge_store_path, train_set_path, script, out_dir)
+        assert run_cli(argv + ["--claims", "2,2"]) == 2
+        assert "claim ids given more than once in --claims: [2]" in capsys.readouterr().err
+        assert not (out_dir / "predictions.json").exists()
+        assert not (out_dir / "verify_progress.jsonl").exists()
+
+    def test_cache_vector_of_other_dimension_fails_that_claim(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, capsys,
+    ):
+        cache_dir = tmp_path / "cache"
+        flags = ["--cache-dir", str(cache_dir), "--claims", "0,1"]
+        assert run_cli(
+            ["retrieve"] + _common(dataset_path, knowledge_store_path, tmp_path / "r") + flags
+        ) == 0
+        # the last line holds a chunk's vector (the claim's is the first);
+        # keep only that key, with a valid 3-vector under the 64-dim model
+        path = cache_dir / "emb_0.jsonl"
+        key = json.loads(path.read_text().splitlines()[-1])["key"]
+        f64 = base64.b64encode(np.array([0.5, -1.0, 2.0], dtype="<f8").tobytes()).decode()
+        path.write_text(json.dumps({"key": key, "dim": 3, "f64": f64}) + "\n")
+        capsys.readouterr()
+
+        out_dir = tmp_path / "out"
+        code = run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                    echo_script_path, out_dir) + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "verified 1/2 claims, 1 failures" in captured.out
+        assert "claim 0: index vectors: not a matrix of numbers" in captured.err
+        assert "Traceback" not in captured.err
+        entries = [json.loads(line) for line in
+                   (out_dir / "verify_progress.jsonl").read_text().splitlines()]
+        assert [(e["claim_id"], e["status"]) for e in entries] == [(0, "error"), (1, "ok")]
+        assert entries[0]["error"].startswith("index vectors: not a matrix of numbers")
 
     def test_invalid_mock_script_exits_2(
         self, dataset_path, knowledge_store_path, train_set_path, tmp_path, capsys,

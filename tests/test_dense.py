@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 import claimcheck.dense as dense
 from claimcheck.dense import (
-    cosine_sim,
     embed_batch,
     embed_cached,
     EmbeddingCache,
@@ -103,22 +103,6 @@ class TestMockEmbed:
         assert tokenized == texts
         for got in (inside, outside):
             assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-
-
-class TestCosine:
-    def test_hand_values(self):
-        assert cosine_sim([1, 0], [1, 0]) == 1.0
-        assert cosine_sim([1, 0], [0, 1]) == 0.0
-        assert cosine_sim([1, 0], [-1, 0]) == -1.0
-        assert abs(cosine_sim([1, 1], [1, 0]) - 1 / np.sqrt(2)) < 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValidationError):
-            cosine_sim([1, 0], [1, 0, 0])
-        with pytest.raises(ValidationError):
-            cosine_sim([0, 0], [1, 0])
-        with pytest.raises(ValidationError):
-            cosine_sim([np.nan, 1], [1, 0])
 
 
 class TestProviderConfig:
@@ -563,6 +547,33 @@ class TestVectorIndexKnn:
         with pytest.raises(ValidationError):
             VectorIndex.build([np.array([0.0, 0.0])], ["z"])
 
+    @pytest.mark.parametrize("vectors, ids, message", [
+        ([np.ones(3), np.ones(2)], ["a", "b"], "not a matrix of numbers"),
+        ([np.ones(2), np.array([1.0, np.nan])], ["a", "b"], "matrix has NaN or inf"),
+        ([np.ones(2)] * 3, ["a", "b", "a"], "payload ids must be distinct"),
+        ([np.ones((2, 2))], ["a"], "expected a non-empty 2-d matrix"),
+    ], ids=["mixed-dim", "nan-row", "repeated-id", "3-d"])
+    def test_build_rejects(self, vectors, ids, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            VectorIndex.build(vectors, ids)
+
+    def test_build_leaves_input_unmodified(self):
+        rows = np.array([[3.0, 4.0], [0.0, 2.0]])
+        before = rows.copy()
+        for vectors in (rows, list(rows)):
+            index = VectorIndex.build(vectors, ["a", "b"])
+            assert np.array_equal(rows, before)
+            assert not np.shares_memory(index.matrix, rows)
+            assert np.array_equal(index.matrix, [[0.6, 0.8], [0.0, 1.0]])
+
+    def test_array_and_list_input_build_the_same_bits(self):
+        rows = np.random.default_rng(8).normal(size=(30, 64))
+        from_array = VectorIndex.build(rows, list(range(30)))
+        from_list = VectorIndex.build(list(rows), list(range(30)))
+        assert from_array.matrix.tobytes() == from_list.matrix.tobytes()
+        divided = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert from_array.matrix.tobytes() == divided.tobytes()
+
 
 def mmr_oracle(candidates, lam, k):
     """Independent greedy recomputation of maximal marginal relevance."""
@@ -585,6 +596,12 @@ def mmr_oracle(candidates, lam, k):
     return [ids[i] for i in chosen]
 
 
+def _mmr(candidates, cfg):
+    """mmr_select of (id, vector, sim_to_query) candidates, indexed as retrieve does."""
+    index = VectorIndex.build([c[1] for c in candidates], [c[0] for c in candidates])
+    return mmr_select(index, [(c[0], c[2]) for c in candidates], cfg)
+
+
 class TestMmr:
     def test_lambda_one_equals_knn_order(self):
         rng = np.random.default_rng(77)
@@ -592,9 +609,8 @@ class TestMmr:
         query = rng.normal(size=6)
         index = VectorIndex.build(vectors, list(range(25)))
         pool = knn(index, query, 25)
-        candidates = [(pid, vectors[pid], sim) for pid, sim in pool]
         cfg = RetrievalConfig(lambda_=1.0, pool_size=25, k=8)
-        assert mmr_select(candidates, cfg) == [pid for pid, _ in pool[:8]]
+        assert mmr_select(index, pool, cfg) == [pid for pid, _ in pool[:8]]
 
     def test_demotes_duplicate_of_selected(self):
         a = np.array([1.0, 0.0])
@@ -603,7 +619,7 @@ class TestMmr:
         candidates = [("a", a, 0.95), ("b", b, 0.94), ("c", c, 0.50)]
         cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=2)
         # after picking a: b scores .5*.94-.5*1=-0.03, c scores .5*.5-.5*0=0.25
-        assert mmr_select(candidates, cfg) == ["a", "c"]
+        assert _mmr(candidates, cfg) == ["a", "c"]
 
     def test_negative_redundancy_boosts(self):
         a = np.array([1.0, 0.0])
@@ -611,7 +627,7 @@ class TestMmr:
         c = np.array([0.0, 1.0])
         candidates = [("a", a, 0.9), ("b", b, 0.2), ("c", c, 0.3)]
         cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=2)
-        got = mmr_select(candidates, cfg)
+        got = _mmr(candidates, cfg)
         # b's redundancy is ~-1 so its score .5*.2+.5*~1 ~= .6 beats c's .15
         assert got == ["a", "b"]
 
@@ -624,7 +640,7 @@ class TestMmr:
         # then earlier index wins
         candidates = [("s", s, 0.9), ("x", x, 0.4), ("y", y, 0.4)]
         cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=3)
-        assert mmr_select(candidates, cfg) == ["s", "x", "y"]
+        assert _mmr(candidates, cfg) == ["s", "x", "y"]
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(2026)
@@ -642,7 +658,7 @@ class TestMmr:
             lam = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
             k = int(rng.integers(1, n + 1))
             cfg = RetrievalConfig(lambda_=lam, pool_size=n, k=k)
-            assert mmr_select(candidates, cfg) == mmr_oracle(candidates, lam, k), (
+            assert _mmr(candidates, cfg) == mmr_oracle(candidates, lam, k), (
                 f"trial {trial}: lam={lam} k={k}"
             )
 
@@ -650,9 +666,26 @@ class TestMmr:
         with pytest.raises(ConfigError):
             RetrievalConfig(lambda_=0.75, pool_size=3, k=5)
 
+    def test_pool_id_not_in_index_rejected(self):
+        index = VectorIndex.build([np.array([1.0, 0.0])], ["a"])
+        with pytest.raises(ValidationError, match="mmr pool id 'b' is not in the index"):
+            mmr_select(index, [("a", 0.9), ("b", 0.5)], RetrievalConfig(pool_size=2, k=2))
+
+    def test_reads_index_rows_by_pool_id(self):
+        # c nearly duplicates a; the pool's order differs from the index's,
+        # so reading rows by position would pick a second instead of b
+        vectors = {
+            "a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]), "c": np.array([1.0, 0.001])
+        }
+        index = VectorIndex.build(list(vectors.values()), list(vectors))
+        pool = [("c", 0.9), ("a", 0.85), ("b", 0.5)]
+        cfg = RetrievalConfig(lambda_=0.5, pool_size=3, k=3)
+        candidates = [(pid, vectors[pid], sim) for pid, sim in pool]
+        assert mmr_select(index, pool, cfg) == mmr_oracle(candidates, 0.5, 3) == ["c", "b", "a"]
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError):
-            mmr_select([], RetrievalConfig())
+            mmr_select(VectorIndex.build([], []), [], RetrievalConfig())
 
     def test_lambda_range(self):
         with pytest.raises(ConfigError):

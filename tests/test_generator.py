@@ -32,7 +32,7 @@ from claimcheck.generator import (
     serialize_output,
     validate_ratings,
 )
-from claimcheck.lexical import DEFAULT_TOKENIZER, Bm25Params, bm25_top, build_index, tokenize
+from claimcheck.lexical import Bm25Params, bm25_top, build_index, tokenize
 from claimcheck.retriever import RetrievedSource
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -233,10 +233,10 @@ def _reference_select_fewshot(claim, train_set, count):
     ]
     if not candidates:
         return []
-    tokenized = [tokenize(c.text, DEFAULT_TOKENIZER) for c in candidates]
+    tokenized = [tokenize(c.text) for c in candidates]
     if all(not t for t in tokenized):
         return []
-    query = tokenize(claim.text, DEFAULT_TOKENIZER)
+    query = tokenize(claim.text)
     if not query:
         return []
     index = build_index(tokenized, Bm25Params(), terms=query)

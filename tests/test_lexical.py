@@ -8,33 +8,15 @@ from claimcheck.lexical import (
     Bm25Params,
     bm25_top,
     build_index,
-    DEFAULT_TOKENIZER,
     idf,
     tf_weight,
     tokenize,
-    TokenizerConfig,
 )
 
 
 class TestTokenize:
     def test_lowercase_and_strip(self):
         assert tokenize("The U.S. grew 3.5% in Q2!") == ["the", "u", "s", "grew", "3", "5", "in", "q2"]
-
-    def test_min_token_len(self):
-        cfg = TokenizerConfig(min_token_len=2)
-        assert tokenize("a bb ccc", cfg) == ["bb", "ccc"]
-
-    def test_no_strip_mode(self):
-        cfg = TokenizerConfig(strip_non_alphanumeric=False)
-        assert tokenize("Keep, punct!", cfg) == ["keep,", "punct!"]
-
-    def test_keep_case(self):
-        cfg = TokenizerConfig(lowercase=False)
-        assert tokenize("Mixed CASE", cfg) == ["Mixed", "CASE"]
-
-    def test_bad_config(self):
-        with pytest.raises(ValidationError):
-            TokenizerConfig(min_token_len=0)
 
 
 def _naive_bm25(docs, query, k1=1.2, b=0.75):
@@ -174,8 +156,3 @@ class TestFormulaShape:
             Bm25Params(k1=-0.1)
         with pytest.raises(ValidationError):
             Bm25Params(b=1.5)
-
-
-def test_default_tokenizer_is_shared_instance():
-    assert DEFAULT_TOKENIZER.lowercase
-    assert DEFAULT_TOKENIZER.strip_non_alphanumeric

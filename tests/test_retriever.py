@@ -193,6 +193,29 @@ class TestPipeline:
             assert abs(s.sim_to_claim - expect) < 1e-12
 
 
+class TestOneMatrix:
+    def test_vectors_checked_once_per_claim(
+        self, knowledge_store_path, claims, tmp_path, monkeypatch
+    ):
+        """VectorIndex.build checks the chunk matrix whole; only knn's query is checked alone."""
+        checked = []
+        real = dense._check_vector
+
+        def counting(values, what):
+            checked.append(what)
+            return real(values, what)
+
+        monkeypatch.setattr(dense, "_check_vector", counting)
+        cfg = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=4)
+        cache = EmbeddingCache(str(tmp_path / "emb.jsonl"))
+        for claim in claims:
+            docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+            for run_cache in (None, cache, cache):  # uncached, cold cache, warm cache
+                checked.clear()
+                result = retrieve(claim, docs, cfg, MOCK, run_cache)
+                assert checked == (["knn query"] if result.trace["pool"] else [])
+
+
 def _count_tokenize(monkeypatch) -> dict[str, list[str]]:
     """Texts tokenized through retriever's and dense's names, per module."""
     calls: dict[str, list[str]] = {"retriever": [], "dense": []}
