@@ -41,7 +41,6 @@ from .generator import (
 from .lexical import Bm25Params, bm25_top, build_index, tokenize
 from .retriever import RetrievalConfig, RetrievalResult, RetrievedSource, retrieve
 from .scoring import (
-    MeteorParams,
     ScoreReport,
     ScoringConfig,
     averitec_score,

@@ -15,12 +15,11 @@ import json
 import logging
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from .appendlog import AppendLog
 from .config import AppConfig, load_app_config
-from .corpus import Claim, load_dataset, load_knowledge_store
+from .corpus import Claim, load_dataset, load_knowledge_store, repeated_ids
 from .dense import EmbeddingCache
 from .errors import ClaimCheckError, ConfigError, ValidationError
 from .generator import (
@@ -62,7 +61,7 @@ def _select_claims(claims: list[Claim], spec: str | None) -> list[Claim]:
         raise ValidationError(
             f"unknown claim ids {unknown}; valid ids: {sorted(by_id)}"
         )
-    repeated = sorted(i for i, n in Counter(wanted).items() if n > 1)
+    repeated = repeated_ids(wanted)
     if repeated:
         raise ValidationError(f"claim ids given more than once in --claims: {repeated}")
     return [by_id[i] for i in wanted]
@@ -98,6 +97,7 @@ def _run_claims(claims: list[Claim], jobs: int, work):
 def cmd_ingest(args, cfg: AppConfig) -> int:
     cfg.require_paths("dataset")
     claims = load_dataset(cfg.paths.dataset)
+    selected = _select_claims(claims, args.claims)
     labeled = sum(1 for c in claims if c.gold_label is not None)
     print(f"claims: {len(claims)} ({labeled} labeled)")
     if cfg.paths.knowledge_store:
@@ -105,7 +105,7 @@ def cmd_ingest(args, cfg: AppConfig) -> int:
         docs = 0
         dropped = 0
         sentences = 0
-        for claim in _select_claims(claims, args.claims):
+        for claim in selected:
             store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)
             docs += len(store.documents)
             dropped += store.dropped_empty
@@ -179,7 +179,7 @@ def cmd_verify(args, cfg: AppConfig) -> int:
     fewshot_pool = FewshotPool()
     if cfg.paths.train_set and not cfg.generator.simplified:
         cfg.require_paths("train_set")
-        fewshot_pool = FewshotPool(load_dataset(cfg.paths.train_set))
+        fewshot_pool = FewshotPool(load_dataset(cfg.paths.train_set, "train set"))
 
     ext_probs = {}
     if cfg.ensemble.probs_path:
@@ -231,8 +231,6 @@ def cmd_evaluate(args, cfg: AppConfig) -> int:
     preds_path = args.predictions or os.path.join(
         cfg.paths.output_dir, "predictions.json"
     )
-    if not os.path.isfile(preds_path):
-        raise ValidationError(f"predictions file not found: {preds_path}")
     preds = load_predictions(preds_path)
     golds = _select_claims(load_dataset(cfg.paths.dataset), args.claims)
 
@@ -315,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         const="true",
         help="disable few-shot, answer types, and Likert ratings",
     )
-    common.add_argument("--claims", help="comma-separated claim ids to process")
     common.add_argument("--verbose", action="store_true", help="debug logging")
+    # every command but cache reads --claims
+    with_claims = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_claims.add_argument("--claims", help="comma-separated claim ids to process")
 
     parser = argparse.ArgumentParser(
         prog="claimcheck",
@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="validate and summarize input data")
+    p = sub.add_parser("ingest", parents=[with_claims], help="validate and summarize input data")
     p.set_defaults(func=cmd_ingest)
-    p = sub.add_parser("retrieve", parents=[common], help="write per-claim retrieval traces")
+    p = sub.add_parser("retrieve", parents=[with_claims], help="write per-claim retrieval traces")
     p.add_argument("--jobs", type=_worker_count, default=1, help="parallel workers")
     p.add_argument(
         "--keep-going",
@@ -334,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="record per-claim failures instead of aborting",
     )
     p.set_defaults(func=cmd_retrieve)
-    p = sub.add_parser("verify", parents=[common], help="run the full pipeline, write predictions")
+    p = sub.add_parser("verify", parents=[with_claims], help="run the full pipeline, write predictions")
     p.add_argument("--jobs", type=_worker_count, default=1, help="parallel workers")
     p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("evaluate", parents=[common], help="score a prediction file")
+    p = sub.add_parser("evaluate", parents=[with_claims], help="score a prediction file")
     p.add_argument("--predictions", help="prediction file (default: output_dir/predictions.json)")
     p.set_defaults(func=cmd_evaluate)
     p = sub.add_parser("cache", parents=[common], help="inspect or clear embedding caches")

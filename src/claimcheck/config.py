@@ -130,11 +130,15 @@ def _set(values: dict, section: str, key: str, value) -> None:
 
 
 def _merge_file(values: dict, path: str) -> None:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: bad YAML: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: bad YAML: {exc}") from exc
     if data is None:
         return
     if not isinstance(data, dict):
@@ -163,8 +167,6 @@ def load_app_config(
     """Resolve the app config: flags > environment > file > defaults."""
     values: dict[str, dict] = {section: {} for section in _FIELDS}
     if config_path:
-        if not os.path.isfile(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
         _merge_file(values, config_path)
     _merge_env(values, os.environ if env is None else env)
     for dotted, raw in (overrides or {}).items():

@@ -1,10 +1,13 @@
-"""Dataset and knowledge-store ingestion, sentence splitting, chunking.
+"""JSON input-file reading, dataset and knowledge-store ingestion,
+sentence splitting, chunking.
 
-A dataset file is a JSON array of claims with optional gold labels and
+Every JSON input file but the JSON-lines knowledge store is read
+through load_json, so a bad one fails the same way whichever it is. A
+dataset file is a JSON array of claims with optional gold labels and
 question-answer evidence. A knowledge store is a JSON-lines file (or a
 directory of per-claim files) of pre-scraped documents, each already
-split into sentences. Documents are packed greedily into character-bounded
-chunks that carry their neighbours' text as context.
+split into sentences. Documents are packed greedily into
+character-bounded chunks that carry their neighbours' text as context.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 import re
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,17 +55,17 @@ class AnswerType(Enum):
 
 def parse_label(value: str) -> VeracityLabel:
     """Strict label parse: only canonical serialization strings pass."""
-    for label in VeracityLabel:
-        if value == label.value:
-            return label
-    raise ValidationError(f"unknown veracity label: {value!r}")
+    try:
+        return VeracityLabel(value)
+    except ValueError:
+        raise ValidationError(f"unknown veracity label: {value!r}") from None
 
 
 def parse_answer_type(value: str) -> AnswerType:
-    for at in AnswerType:
-        if value == at.value:
-            return at
-    raise ValidationError(f"unknown answer type: {value!r}")
+    try:
+        return AnswerType(value)
+    except ValueError:
+        raise ValidationError(f"unknown answer type: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -121,64 +125,135 @@ class StoreLoadResult:
     dropped_empty: int
 
 
-def load_dataset(path: str) -> list[Claim]:
+def load_json(path: str, what: str):
+    """The parsed content of a UTF-8 JSON file.
+
+    what names the file's role in messages. A missing file, a directory,
+    an unreadable file, invalid UTF-8 and invalid JSON each raise a
+    ValidationError naming what and path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{what} file not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ValidationError(f"{what} file is a directory: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"{what} file cannot be read: {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} file is not valid UTF-8: {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
+        raise ValidationError(f"{what} file is not valid JSON: {path}: {exc}") from exc
+
+
+def load_json_objects(path: str, what: str, parse) -> list:
+    """[parse(pos, obj) for each obj] of a file holding a JSON array of objects.
+
+    A ValidationError, KeyError, TypeError or ValueError from parse is
+    reported as "{path}: element {pos}: ...".
+    """
+    data = load_json(path, what)
+    if not isinstance(data, list):
+        raise ValidationError(f"{path}: expected a JSON array, got {json_type(data)}")
+    out = []
+    for pos, obj in enumerate(data):
+        try:
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{json_type(obj)}, not an object")
+            out.append(parse(pos, obj))
+        except KeyError as exc:
+            raise ValidationError(f"{path}: element {pos}: missing field {exc}") from exc
+        except (ValidationError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: element {pos}: {exc}") from exc
+    return out
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_type(value) -> str:
+    """The JSON name of a parsed value's type, for messages."""
+    return _JSON_TYPES[type(value)]
+
+
+def str_field(obj: dict, key: str, default: str | None = None) -> str:
+    """obj[key], which must be a string; default when absent, if given."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"{key!r} must be a string, got {json_type(value)}")
+    return value
+
+
+def object_list(obj: dict, key: str) -> list[dict]:
+    """obj[key], which must be an array of objects; [] when absent or null."""
+    items = obj.get(key)
+    if items is None:
+        return []
+    if not isinstance(items, list):
+        raise ValidationError(f"{key!r} must be an array, got {json_type(items)}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValidationError(f"{key}[{i}] is {json_type(item)}, not an object")
+    return items
+
+
+def claim_id_field(obj: dict, default: int | None = None) -> int:
+    """obj["claim_id"], which must be an integer (not a boolean)."""
+    claim_id = obj["claim_id"] if default is None else obj.get("claim_id", default)
+    if type(claim_id) is not int:
+        raise ValidationError(f"claim_id must be an integer, got {claim_id!r}")
+    return claim_id
+
+
+def repeated_ids(ids) -> list[int]:
+    """The ids that occur more than once, sorted."""
+    return sorted(i for i, n in Counter(ids).items() if n > 1)
+
+
+def load_dataset(path: str, what: str = "dataset") -> list[Claim]:
     """Load a JSON-array dataset file into Claim objects.
 
     Ids come from an explicit "claim_id" field when present, else from the
-    array position. Unknown fields are ignored. Multiple answers to one
-    question are joined with "; " into a single gold answer.
+    array position, and must be distinct. Unknown fields are ignored.
+    Multiple answers to one question are joined with "; " into a single
+    gold answer.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: expected a JSON array at top level")
-
-    claims = []
-    for pos, item in enumerate(data):
-        try:
-            claims.append(_claim_from_json(item, pos))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: element {pos}: {exc}") from exc
+    claims = load_json_objects(path, what, _claim_from_json)
+    repeated = repeated_ids(c.id for c in claims)
+    if repeated:
+        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
     return claims
 
 
-def _claim_from_json(item: dict, position: int) -> Claim:
-    if not isinstance(item, dict):
-        raise ValidationError("element is not an object")
-    claim_id = item.get("claim_id", position)
-    if not isinstance(claim_id, int):
-        raise ValidationError(f"claim_id must be an integer, got {claim_id!r}")
-    text = item.get("claim")
-    if not isinstance(text, str):
-        raise ValidationError("missing or non-string 'claim' field")
-
+def _claim_from_json(position: int, item: dict) -> Claim:
+    claim_id = claim_id_field(item, position)
+    text = str_field(item, "claim")
     label = None
     raw_label = item.get("label")
     if raw_label is not None:
         label = parse_label(raw_label)
-
-    evidence = []
-    for q in item.get("questions", []) or []:
-        question = q.get("question", "")
-        answers = q.get("answers", []) or []
-        answer = "; ".join(a.get("answer", "") for a in answers)
-        at = AnswerType.ABSTRACTIVE
-        if answers:
-            raw_type = answers[0].get("answer_type")
-            if raw_type is not None:
-                at = parse_answer_type(raw_type)
-        evidence.append(GoldQA(question=question, answer=answer, answer_type=at))
 
     return Claim(
         id=claim_id,
         text=text,
         claim_date=item.get("claim_date"),
         gold_label=label,
-        gold_evidence=tuple(evidence),
+        gold_evidence=tuple(_gold_qa(q) for q in object_list(item, "questions")),
     )
+
+
+def _gold_qa(q: dict) -> GoldQA:
+    answers = object_list(q, "answers")
+    answer = "; ".join(str_field(a, "answer", "") for a in answers)
+    at = AnswerType.ABSTRACTIVE
+    if answers:
+        raw_type = answers[0].get("answer_type")
+        if raw_type is not None:
+            at = parse_answer_type(raw_type)
+    return GoldQA(question=str_field(q, "question", ""), answer=answer, answer_type=at)
 
 
 def _store_file_for_claim(path: str, claim_id: int) -> str | None:

@@ -325,7 +325,13 @@ def embed_cached(
     cfg: EmbeddingProviderConfig,
     cache: EmbeddingCache | None,
 ) -> list[np.ndarray]:
-    """Embed texts, serving repeats from the cache when one is given."""
+    """Embed texts, serving repeats from the cache when one is given.
+
+    Every vector returned has one dimension: that of the vectors this
+    call embedded, if any, else that of the first. A cached vector of
+    another dimension (say, stored under the same model name by a model
+    of another size) is a ValidationError naming the cache file and key.
+    """
     if cache is None:
         return embed_batch(texts, cfg)
     model = cfg.effective_model_name
@@ -336,14 +342,23 @@ def embed_cached(
         if cache.get(key) is None and key not in seen_keys:
             missing_positions.append(i)
             seen_keys.add(key)
+    dim = None
     if missing_positions:
         fresh = embed_batch([texts[i] for i in missing_positions], cfg)
         cache.put_many([(keys[i], vec) for i, vec in zip(missing_positions, fresh)])
+        dim = fresh[0].shape[0]
     out = []
     for key in keys:
         vec = cache.get(key)
         if vec is None:
             raise ProviderError(f"cache did not resolve key {key}")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ValidationError(
+                f"{cache.path}: cached vector {key} has dimension {vec.shape[0]},"
+                f" expected {dim}"
+            )
         out.append(vec)
     return out
 

@@ -19,7 +19,7 @@ import threading
 import time  # noqa: F401 -- errors.post_json's backoff sleeps through this module
 from dataclasses import dataclass, replace
 
-from .corpus import AnswerType, Claim, VeracityLabel
+from .corpus import AnswerType, Claim, VeracityLabel, json_type, load_json
 from .errors import (
     ConfigError,
     GenerationParseError,
@@ -294,13 +294,12 @@ class MockChatProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "MockChatProvider":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                script = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"{path}: cannot read mock script: {exc}") from exc
+        """Load a script file of the form {"<claim_id>": ["reply", ...]}."""
+        script = load_json(path, "mock script")
         if not isinstance(script, dict):
-            raise ValidationError(f"{path}: mock script must be a JSON object")
+            raise ValidationError(
+                f"{path}: mock script must be a JSON object, got {json_type(script)}"
+            )
         for key, value in script.items():
             if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
                 raise ValidationError(

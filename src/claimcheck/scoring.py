@@ -16,14 +16,21 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Claim, VeracityLabel, parse_label
+from .corpus import (
+    Claim,
+    VeracityLabel,
+    claim_id_field,
+    load_json_objects,
+    object_list,
+    parse_label,
+    str_field,
+)
 from .errors import ValidationError
 from .lexical import tokenize
 from .porter import stem
@@ -35,18 +42,11 @@ log = logging.getLogger(__name__)
 _ALIGN_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class MeteorParams:
-    alpha: float = 0.9
-    beta: float = 3.0
-    gamma: float = 0.5
-    stemming: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must be in (0, 1)")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValidationError("gamma must be in [0, 1]")
+# METEOR's parameters: F-mean weight on precision, fragmentation
+# penalty exponent and penalty weight (Banerjee & Lavie, 2005).
+ALPHA = 0.9
+BETA = 3.0
+GAMMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,7 @@ class _Stems(dict):
 _STEMS = _Stems()
 
 
-def align_tokens(
-    cand: list[str], ref: list[str], stemming: bool = True
-) -> list[tuple[int, int]]:
+def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
     """Two-stage unigram alignment between token lists.
 
     Exact matches are maximized first, stem matches fill in from the
@@ -192,8 +190,8 @@ def align_tokens(
     match counts themselves are forced by token multiplicities, so the
     search is only over which duplicate positions pair up.
     """
-    stems_c = [_STEMS[t] for t in cand] if stemming else list(cand)
-    stems_r = [_STEMS[t] for t in ref] if stemming else list(ref)
+    stems_c = [_STEMS[t] for t in cand]
+    stems_r = [_STEMS[t] for t in ref]
 
     groups: dict[str, tuple[list[int], list[int]]] = {}
     for i, s in enumerate(stems_c):
@@ -251,7 +249,7 @@ def align_tokens(
     return best if best is not None else []
 
 
-def meteor_lite(candidate: str, reference: str, p: MeteorParams = MeteorParams()) -> float:
+def meteor_lite(candidate: str, reference: str) -> float:
     """METEOR with exact and stem stages only.
 
     P = m/|cand|, R = m/|ref|, F = P*R/(alpha*P + (1-alpha)*R),
@@ -261,14 +259,14 @@ def meteor_lite(candidate: str, reference: str, p: MeteorParams = MeteorParams()
     ref = tokenize(reference)
     if not cand or not ref:
         return 0.0
-    pairs = align_tokens(cand, ref, stemming=p.stemming)
+    pairs = align_tokens(cand, ref)
     m = len(pairs)
     if m == 0:
         return 0.0
     precision = m / len(cand)
     recall = m / len(ref)
-    f_mean = precision * recall / (p.alpha * precision + (1.0 - p.alpha) * recall)
-    penalty = p.gamma * (_chunk_count(pairs) / m) ** p.beta
+    f_mean = precision * recall / (ALPHA * precision + (1.0 - ALPHA) * recall)
+    penalty = GAMMA * (_chunk_count(pairs) / m) ** BETA
     return f_mean * (1.0 - penalty)
 
 
@@ -407,7 +405,7 @@ def _pair_text(item, mode: str) -> str:
     return f"{item.question} {item.answer}"
 
 
-def hu_meteor(claim_pred, claim_gold, mode: str, p: MeteorParams = MeteorParams()) -> float:
+def hu_meteor(claim_pred, claim_gold, mode: str) -> float:
     """Best one-to-one METEOR matching of predictions to gold, over |gold|.
 
     Normalizing by the gold count means padding out extra predictions
@@ -420,7 +418,7 @@ def hu_meteor(claim_pred, claim_gold, mode: str, p: MeteorParams = MeteorParams(
     if not claim_pred:
         return 0.0
     matrix = [
-        [meteor_lite(_pair_text(pred, mode), _pair_text(gold, mode), p) for gold in claim_gold]
+        [meteor_lite(_pair_text(pred, mode), _pair_text(gold, mode)) for gold in claim_gold]
         for pred in claim_pred
     ]
     _pairs, total = hungarian_max(matrix)
@@ -445,37 +443,27 @@ class PredictionRecord:
 
 
 def load_predictions(path: str) -> list[PredictionRecord]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: expected a JSON array")
-    records = []
-    for pos, item in enumerate(data):
-        try:
-            evidence = tuple(
-                PredEvidence(
-                    question=str(e["question"]),
-                    answer=str(e["answer"]),
-                    source_url=str(e.get("source_url", "")),
-                    answer_type=str(e.get("answer_type", "")),
-                )
-                for e in item.get("evidence", [])
-            )
-            records.append(
-                PredictionRecord(
-                    claim_id=int(item["claim_id"]),
-                    claim=str(item.get("claim", "")),
-                    evidence=evidence,
-                    verdict=parse_label(item["verdict"]),
-                    ratings=item.get("ratings"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: element {pos}: {exc}") from exc
-    return records
+    """Load a prediction file, as verify writes it, into records."""
+    return load_json_objects(path, "predictions", _prediction_from_json)
+
+
+def _prediction_from_json(_pos: int, item: dict) -> PredictionRecord:
+    evidence = tuple(
+        PredEvidence(
+            question=str_field(e, "question"),
+            answer=str_field(e, "answer"),
+            source_url=str_field(e, "source_url", ""),
+            answer_type=str_field(e, "answer_type", ""),
+        )
+        for e in object_list(item, "evidence")
+    )
+    return PredictionRecord(
+        claim_id=claim_id_field(item),
+        claim=str_field(item, "claim", ""),
+        evidence=evidence,
+        verdict=parse_label(item["verdict"]),
+        ratings=item.get("ratings"),
+    )
 
 
 @dataclass(frozen=True)
@@ -562,7 +550,6 @@ def averitec_score(
     preds: list[PredictionRecord],
     golds: list[Claim],
     cfg: ScoringConfig = ScoringConfig(),
-    p: MeteorParams = MeteorParams(),
 ) -> ScoreReport:
     """Dataset-level evaluation of a prediction file against gold claims.
 
@@ -599,10 +586,10 @@ def averitec_score(
             PerClaimScore(
                 claim_id=gold_claim.id,
                 hu_meteor_q=hu_meteor(
-                    record.evidence, gold_claim.gold_evidence, "Q_only", p
+                    record.evidence, gold_claim.gold_evidence, "Q_only"
                 ),
                 hu_meteor_qa=hu_meteor(
-                    record.evidence, gold_claim.gold_evidence, "QA", p
+                    record.evidence, gold_claim.gold_evidence, "QA"
                 ),
                 label_pred=record.verdict,
                 label_gold=gold_claim.gold_label,

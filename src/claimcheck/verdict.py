@@ -8,11 +8,17 @@ argmax with deterministic tie handling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .corpus import LABEL_TIE_ORDER, VeracityLabel
+from .corpus import (
+    LABEL_TIE_ORDER,
+    VeracityLabel,
+    claim_id_field,
+    json_type,
+    load_json_objects,
+    repeated_ids,
+)
 from .errors import ConfigError, ValidationError
 from .generator import validate_ratings
 
@@ -87,32 +93,30 @@ def final_label(p: dict, llm_verdict: VeracityLabel) -> VeracityLabel:
 
 
 def load_external_probs(path: str) -> dict[int, dict]:
-    """Load per-claim label distributions from an external classifier file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: expected a JSON array")
-    out: dict[int, dict] = {}
-    for pos, item in enumerate(data):
-        try:
-            claim_id = item["claim_id"]
-            raw = item["probs"]
-            if not isinstance(claim_id, int) or not isinstance(raw, dict):
-                raise ValidationError("claim_id must be int and probs an object")
-            probs = {}
-            for label in VeracityLabel:
-                if label.value not in raw:
-                    raise ValidationError(f"probs missing label {label.value!r}")
-                probs[label] = float(raw[label.value])
-            validate_distribution(probs)
-            if claim_id in out:
-                raise ValidationError(f"duplicate claim_id {claim_id}")
-            out[claim_id] = probs
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: element {pos}: {exc}") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: element {pos}: {exc}") from exc
-    return out
+    """Load per-claim label distributions from an external classifier file.
+
+    The file is a JSON array of {"claim_id": int, "probs": {label: p}}
+    covering all four labels, one entry per claim.
+    """
+    entries = load_json_objects(path, "probabilities", _probs_from_json)
+    repeated = repeated_ids(claim_id for claim_id, _ in entries)
+    if repeated:
+        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
+    return dict(entries)
+
+
+def _probs_from_json(_pos: int, item: dict) -> tuple[int, dict]:
+    claim_id = claim_id_field(item)
+    raw = item["probs"]
+    if not isinstance(raw, dict):
+        raise ValidationError(f"probs must be an object, got {json_type(raw)}")
+    probs = {}
+    for label in VeracityLabel:
+        value = raw[label.value]
+        if type(value) not in (int, float):
+            raise ValidationError(
+                f"probability of {label.value!r} must be a number, got {json_type(value)}"
+            )
+        probs[label] = float(value)
+    validate_distribution(probs)
+    return claim_id, probs

@@ -91,15 +91,22 @@ class TestRetrieve:
         assert code == 2
         assert "unknown claim ids [99]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["ingest", "retrieve"])
+    @pytest.mark.parametrize(
+        "command, with_store",
+        [
+            pytest.param("ingest", True, id="ingest"),
+            pytest.param("retrieve", True, id="retrieve"),
+            pytest.param("ingest", False, id="ingest-without-store"),
+        ],
+    )
     def test_repeated_claim_id_exits_2(
-        self, command, dataset_path, knowledge_store_path, tmp_path, capsys
+        self, command, with_store, dataset_path, knowledge_store_path, tmp_path, capsys
     ):
         out_dir = tmp_path / "out"
-        code = run_cli(
-            [command, "--claims", "0,2,1,2"]
-            + _common(dataset_path, knowledge_store_path, out_dir)
-        )
+        paths = _common(dataset_path, knowledge_store_path, out_dir)
+        if not with_store:
+            paths = ["--dataset", str(dataset_path), "--output-dir", str(out_dir)]
+        code = run_cli([command, "--claims", "0,2,1,2"] + paths)
         assert code == 2
         assert "claim ids given more than once in --claims: [2]" in capsys.readouterr().err
         assert not list(out_dir.glob("trace_*.json"))
@@ -228,7 +235,12 @@ class TestRetrieve:
 
     @pytest.mark.parametrize(
         "argv",
-        [["ingest", "--jobs", "2"], ["evaluate", "--keep-going"], ["cache", "inspect", "--jobs", "2"]],
+        [
+            ["ingest", "--jobs", "2"],
+            ["evaluate", "--keep-going"],
+            ["cache", "inspect", "--jobs", "2"],
+            ["cache", "inspect", "--claims", "0"],
+        ],
     )
     def test_flags_only_where_read(self, argv, capsys):
         assert run_cli(argv) == 2
@@ -518,12 +530,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1
         assert "verified 1/2 claims, 1 failures" in captured.out
-        assert "claim 0: index vectors: not a matrix of numbers" in captured.err
+        message = f"{path}: cached vector {key} has dimension 3, expected 64"
+        assert f"claim 0: {message}" in captured.err
         assert "Traceback" not in captured.err
         entries = [json.loads(line) for line in
                    (out_dir / "verify_progress.jsonl").read_text().splitlines()]
         assert [(e["claim_id"], e["status"]) for e in entries] == [(0, "error"), (1, "ok")]
-        assert entries[0]["error"].startswith("index vectors: not a matrix of numbers")
+        assert entries[0]["error"].startswith(message)
 
     def test_invalid_mock_script_exits_2(
         self, dataset_path, knowledge_store_path, train_set_path, tmp_path, capsys,
@@ -629,6 +642,96 @@ class TestEvaluate:
         )
         assert code == 0
         assert (tmp_path / "fresh" / "report.json").exists()
+
+
+_FAULTS = ["missing", "directory", "utf8", "json", "top_level", "element", "nested", "repeated"]
+
+# each whole-file input: its file for the "nested" and "repeated" faults
+# (None: its ids are not checked for repeats), and how an element is named
+_INPUTS = {
+    "--dataset": (
+        [{"claim": "A claim.", "label": "Supported", "questions": [5]}],
+        [{"claim_id": 7, "claim": "A claim."}, {"claim_id": 7, "claim": "Another."}],
+        "element 0",
+    ),
+    "--train-set": (
+        [{"claim": "A claim.", "questions": [{"question": "Q?", "answers": [{"answer": 4}]}]}],
+        [{"claim_id": 7, "claim": "A claim."}, {"claim_id": 7, "claim": "Another."}],
+        "element 0",
+    ),
+    "--predictions": (
+        [{"claim_id": 0, "evidence": [{"question": "Q?", "answer": None}],
+          "verdict": "Supported"}],
+        None,
+        "element 0",
+    ),
+    "--probs": (
+        [{"claim_id": 0, "probs": {label.value: "0.25" for label in VeracityLabel}}],
+        [{"claim_id": 7, "probs": {label.value: 0.25 for label in VeracityLabel}}] * 2,
+        "element 0",
+    ),
+    "--mock-script": ({"0": ["reply", 5]}, None, "claim 0"),
+}
+
+
+class TestInputFiles:
+    """A faulty input file exits 2, naming the file, without a traceback."""
+
+    @staticmethod
+    def _write(path, flag, fault):
+        nested, repeated, _where = _INPUTS[flag]
+        is_script = flag == "--mock-script"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "utf8":
+            path.write_bytes(b'[{"claim": "caf\xe9"}]')
+        elif fault == "json":
+            path.write_text('[{"claim": ')
+        elif fault == "top_level":
+            path.write_text(json.dumps([] if is_script else {"claim_id": 0}))
+        elif fault == "element":
+            path.write_text(json.dumps({"0": "reply"} if is_script else [1]))
+        elif fault == "nested":
+            path.write_text(json.dumps(nested))
+        elif fault == "repeated":
+            path.write_text(json.dumps(repeated))
+
+    @pytest.mark.parametrize(
+        "flag, fault",
+        [
+            (flag, fault)
+            for flag in _INPUTS
+            for fault in _FAULTS
+            if fault != "repeated" or _INPUTS[flag][1] is not None
+        ],
+    )
+    def test_bad_file_exits_2_naming_it(
+        self, flag, fault, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, capsys,
+    ):
+        path = tmp_path / "input.json"
+        self._write(path, flag, fault)
+        out_dir = tmp_path / "out"
+        if flag == "--dataset":
+            argv = ["ingest", "--dataset", str(path)]
+        elif flag == "--predictions":
+            argv = ["evaluate", "--dataset", str(dataset_path), "--claims", "0",
+                    "--output-dir", str(out_dir), "--predictions", str(path)]
+        else:
+            # the later of two equal flags wins
+            argv = _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                echo_script_path, out_dir) + [flag, str(path)]
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if fault in ("element", "nested"):
+            assert _INPUTS[flag][2] in err
+        if fault == "repeated":
+            assert "claim ids repeated: [7]" in err
+        assert "Traceback" not in err
+        assert not (out_dir / "predictions.json").exists()
+        assert not (out_dir / "report.json").exists()
 
 
 class TestCache:

@@ -85,6 +85,17 @@ class TestFileLayer:
             _load("/nonexistent/cfg.yaml")
         assert "not found" in str(exc.value)
 
+    @pytest.mark.parametrize("fault", ["utf8", "directory"])
+    def test_unreadable_file_rejected(self, tmp_path, fault):
+        path = tmp_path / "cfg.yaml"
+        if fault == "utf8":
+            path.write_bytes(b"retrieval:\n  omega: \xff\n")
+        else:
+            path.mkdir()
+        with pytest.raises(ConfigError) as exc:
+            _load(str(path))
+        assert f"config file cannot be read: {path}" in str(exc.value)
+
     def test_bad_yaml_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("retrieval: [unclosed\n")

@@ -91,6 +91,33 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    def test_repeated_claim_ids_rejected(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([
+            {"claim": "First.", "claim_id": 7},
+            {"claim": "Second.", "claim_id": 3},
+            {"claim": "Third.", "claim_id": 7},
+            {"claim": "Fourth."},  # position 3
+        ]))
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: claim ids repeated: [3, 7]"
+
+    @pytest.mark.parametrize("claim_id", [True, 1.0, "1", None])
+    def test_claim_id_must_be_an_integer(self, tmp_path, claim_id):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{"claim": "A claim.", "claim_id": claim_id}]))
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert f"{path}: element 0: claim_id must be an integer" in str(exc.value)
+
+    def test_too_deeply_nested_json_rejected(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert f"dataset file is not valid JSON: {path}" in str(exc.value)
+
 
 class TestLoadKnowledgeStore:
     def test_single_file_filtered_by_claim(self, knowledge_store_path):

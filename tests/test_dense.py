@@ -478,6 +478,22 @@ class TestEmbedCached:
             assert np.array_equal(a, b)
         assert np.array_equal(out1[0], out1[2])
 
+    @pytest.mark.parametrize("embeds", [True, False])
+    def test_cached_vector_of_other_dimension_rejected(self, tmp_path, embeds):
+        cfg = EmbeddingProviderConfig(kind="mock")
+        cache = EmbeddingCache(str(tmp_path / "emb_3.jsonl"))
+        odd_key = EmbeddingCache.key_for(3, cfg.effective_model_name, "odd")
+        cache.put_many([(odd_key, np.array([1.0, 2.0, 3.0]))])
+        embed_cached(["first"], 3, cfg, cache)
+        # with a fresh text embedded, its 64 dims are expected even of a
+        # cached vector served before it; with none, those of the first
+        texts = ["odd", "first", "new"] if embeds else ["first", "odd"]
+        with pytest.raises(ValidationError) as exc:
+            embed_cached(texts, 3, cfg, cache)
+        assert str(exc.value) == (
+            f"{cache.path}: cached vector {odd_key} has dimension 3, expected 64"
+        )
+
     def test_no_cache_passthrough(self):
         cfg = EmbeddingProviderConfig(kind="mock")
         out = embed_cached(["plain"], 0, cfg, None)
