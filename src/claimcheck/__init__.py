@@ -38,7 +38,7 @@ from .generator import (
     select_fewshot,
     serialize_output,
 )
-from .lexical import Bm25Params, bm25_top, build_index, tokenize
+from .lexical import bm25_top, build_index, tokenize
 from .retriever import RetrievalConfig, RetrievalResult, RetrievedSource, retrieve
 from .scoring import (
     ScoreReport,

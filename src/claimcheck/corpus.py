@@ -274,7 +274,11 @@ def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
     so each later load parses only that claim's lines; a per-claim file
     is read once, in full. Lines end at LF or CRLF. Lines with an empty
     sentence list are dropped and counted rather than erroring: scraped
-    stores routinely contain them.
+    stores routinely contain them. A line whose url2text is not an array
+    of strings, or whose url or claim_id is present but not a string or
+    an integer, fails the load with a ValidationError naming the file
+    and claim; in a combined file, a line with an ill-typed claim_id
+    fails every claim's load.
     """
     if os.path.isdir(path):
         target = _store_file_for_claim(path, claim_id)
@@ -283,23 +287,41 @@ def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
             return StoreLoadResult(documents=(), dropped_empty=0)
         lines = _store_lines(target)
     else:
+        target = path
         lines = _combined_store_lines(path, claim_id)
 
     documents = []
     dropped = 0
     for obj in lines:
-        if obj.get("claim_id", claim_id) != claim_id:
-            continue
-        sentences = tuple(
-            s for s in obj.get("url2text", []) if isinstance(s, str) and s.strip()
-        )
+        try:
+            if claim_id_field(obj, claim_id) != claim_id:
+                continue
+            url = str_field(obj, "url", "")
+            sentences = _store_sentences(obj)
+        except ValidationError as exc:
+            raise ValidationError(f"{target}: claim {claim_id}: {exc}") from exc
         if not sentences:
             dropped += 1
             continue
-        documents.append(Document(url=obj.get("url", ""), sentences=sentences))
+        documents.append(Document(url=url, sentences=sentences))
     if dropped:
         log.info("claim %d: dropped %d empty documents", claim_id, dropped)
     return StoreLoadResult(documents=tuple(documents), dropped_empty=dropped)
+
+
+def _store_sentences(obj: dict) -> tuple[str, ...]:
+    """The non-blank sentences of a store line's url2text, an array of
+    strings; none when it is absent."""
+    texts = obj.get("url2text", [])
+    if not isinstance(texts, list):
+        raise ValidationError(f"'url2text' must be an array, got {json_type(texts)}")
+    sentences = []
+    for s in texts:
+        if not isinstance(s, str):
+            raise ValidationError(f"'url2text' must hold strings, got {json_type(s)}")
+        if s.strip():
+            sentences.append(s)
+    return tuple(sentences)
 
 
 def _parse_store_line(path: str, where: str, raw: bytes) -> dict | None:
@@ -347,7 +369,7 @@ class _StoreIndex:
     """
 
     file_key: tuple[int, int, int, int]
-    by_claim: dict[object, array]
+    by_claim: dict[int, array]
     shared: array
 
 
@@ -360,16 +382,16 @@ _store_index_lock = threading.Lock()
 
 
 def _index_store(path: str, fh, file_key: tuple[int, int, int, int]) -> _StoreIndex:
-    by_claim: dict[object, array] = {}
+    by_claim: dict[int, array] = {}
     shared = array("q")
     for offset, obj in _parsed_lines(path, fh):
-        if "claim_id" not in obj:
+        line_claim = obj.get("claim_id")
+        if type(line_claim) is int:
+            by_claim.setdefault(line_claim, array("q")).append(offset)
+        else:
+            # no claim_id, or one that is not an integer: every claim's
+            # load reads it, and rejects the latter
             shared.append(offset)
-            continue
-        try:
-            by_claim.setdefault(obj["claim_id"], array("q")).append(offset)
-        except TypeError:
-            pass  # an unhashable claim_id equals no claim's id
     return _StoreIndex(file_key=file_key, by_claim=by_claim, shared=shared)
 
 

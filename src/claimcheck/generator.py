@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     post_json,
 )
-from .lexical import Bm25Index, Bm25Params, bm25_top, build_index, tokenize
+from .lexical import Bm25Index, bm25_top, build_index, tokenize
 from .retriever import RetrievedSource
 
 log = logging.getLogger(__name__)
@@ -145,7 +145,7 @@ class FewshotPool:
         with self._lock:
             if not self._built:
                 tokens = [tokenize(c.text) for c in self.claims]
-                self._index = build_index(tokens, Bm25Params()) if any(tokens) else None
+                self._index = build_index(tokens) if any(tokens) else None
                 self._built = True
             return self._index
 
@@ -171,7 +171,7 @@ def select_fewshot(claim: Claim, pool: FewshotPool, count: int) -> list[Claim]:
     else:
         # Excluding a claim changes N, avgdl and df: index the rest anew.
         tokenized = [tokenize(c.text) for c in candidates]
-        index = build_index(tokenized, Bm25Params(), terms=query) if any(tokenized) else None
+        index = build_index(tokenized, terms=query) if any(tokenized) else None
     if index is None:
         return []
     ranked = bm25_top(index, query, count)

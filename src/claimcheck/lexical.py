@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -24,16 +24,10 @@ def tokenize(text: str) -> list[str]:
     return _ALNUM_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if self.k1 < 0:
-            raise ValidationError("k1 must be >= 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValidationError("b must be in [0, 1]")
+# Okapi BM25's term-frequency saturation and document-length
+# normalization (Robertson & Zaragoza, 2009).
+K1 = 1.2
+B = 0.75
 
 
 @dataclass(frozen=True)
@@ -49,15 +43,10 @@ class Bm25Index:
     doc_lengths: tuple[int, ...]
     avg_doc_length: float
     doc_count: int
-    params: Bm25Params = field(default=Bm25Params())
     indexed_terms: frozenset[str] | None = None
 
 
-def build_index(
-    docs: list[list[str]],
-    params: Bm25Params = Bm25Params(),
-    terms: list[str] | None = None,
-) -> Bm25Index:
+def build_index(docs: list[list[str]], terms: list[str] | None = None) -> Bm25Index:
     """Build an inverted index over tokenized documents.
 
     With terms given, only their postings are kept: ranking one query
@@ -83,7 +72,6 @@ def build_index(
         doc_lengths=doc_lengths,
         avg_doc_length=total / len(docs),
         doc_count=len(docs),
-        params=params,
         indexed_terms=None if wanted is None else frozenset(wanted),
     )
 
@@ -96,10 +84,10 @@ def idf(index: Bm25Index, term: str) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
-def tf_weight(tf: int, doc_length: int, avg_doc_length: float, params: Bm25Params) -> float:
+def tf_weight(tf: int, doc_length: int, avg_doc_length: float) -> float:
     """Okapi saturation term: tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl))."""
-    norm = params.k1 * (1.0 - params.b + params.b * doc_length / avg_doc_length)
-    return tf * (params.k1 + 1.0) / (tf + norm)
+    norm = K1 * (1.0 - B + B * doc_length / avg_doc_length)
+    return tf * (K1 + 1.0) / (tf + norm)
 
 
 def bm25_top(
@@ -123,9 +111,7 @@ def bm25_top(
             continue
         token_idf = idf(index, token)
         for ordinal, tf in plist:
-            w = token_idf * tf_weight(
-                tf, index.doc_lengths[ordinal], index.avg_doc_length, index.params
-            )
+            w = token_idf * tf_weight(tf, index.doc_lengths[ordinal], index.avg_doc_length)
             scores[ordinal] = scores.get(ordinal, 0.0) + w
 
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))

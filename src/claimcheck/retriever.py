@@ -22,7 +22,7 @@ from .dense import (
     mmr_select,
 )
 from .errors import ConfigError
-from .lexical import Bm25Params, bm25_top, build_index, tokenize
+from .lexical import bm25_top, build_index, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +100,7 @@ def retrieve(
     if not query_tokens or all(not t for t in tokenized):
         return _empty_result(claim)
 
-    index = build_index(tokenized, Bm25Params(), terms=query_tokens)
+    index = build_index(tokenized, terms=query_tokens)
     pruned = bm25_top(index, query_tokens, cfg.omega)
     if not pruned:
         return _empty_result(claim)

@@ -29,6 +29,7 @@ from .corpus import (
     load_json_objects,
     object_list,
     parse_label,
+    repeated_ids,
     str_field,
 )
 from .errors import ValidationError
@@ -37,8 +38,8 @@ from .porter import stem
 
 log = logging.getLogger(__name__)
 
-# Full enumeration of alignment choices is abandoned past this many
-# combinations in favour of a deterministic first-occurrence greedy.
+# Past this many alignments, align_tokens takes the first one enumerated
+# (first occurrences) instead of searching them all for the minimum.
 _ALIGN_BUDGET = 100_000
 
 
@@ -65,76 +66,55 @@ class ScoringConfig:
 # METEOR-lite
 
 
-def _pair_in_order(chosen_c: tuple[int, ...], chosen_r: tuple[int, ...]):
-    return list(zip(sorted(chosen_c), sorted(chosen_r)))
+def _matchings(pos_c: list[int], pos_r: list[int]):
+    """Every way to pair as many of pos_c with pos_r as one side holds.
 
-
-def _group_edge_options(surfaces: list[tuple[list[int], list[int]]]):
-    """All edge sets for one stem group, or None when over budget.
-
-    A group is the set of positions sharing a stem. Exact matching
-    happens per surface form (taking min counts, positions free);
-    whatever positions remain may pair across surfaces as stem matches.
-    Chosen position sets are always paired in increasing order: any
-    crossing-minimal alignment has that shape, so nothing optimal is
-    lost.
+    Chosen positions pair in increasing order: any crossing-minimal
+    alignment has that shape, so nothing optimal is lost. The first
+    yielded takes the first occurrences on both sides.
     """
-    per_surface = []
+    k = min(len(pos_c), len(pos_r))
+    for cc in itertools.combinations(pos_c, k):
+        for rr in itertools.combinations(pos_r, k):
+            yield list(zip(cc, rr))
+
+
+def _group_alignment_count(surfaces: list[tuple[list[int], list[int]]]) -> int:
+    """How many edge sets _group_alignments(surfaces) yields.
+
+    _matchings yields comb(max, min) of its two sides' sizes. The exact
+    stage leaves the same number of positions on each side whichever
+    occurrences it takes, so the count is a product.
+    """
+    count = 1
+    left_c = left_r = 0
     for pc, pr in surfaces:
         k = min(len(pc), len(pr))
-        picks = [
-            (cc, rr)
-            for cc in itertools.combinations(pc, k)
-            for rr in itertools.combinations(pr, k)
-        ]
-        per_surface.append(picks)
-        if math.prod(len(p) for p in per_surface) > _ALIGN_BUDGET:
-            return None
+        count *= math.comb(max(len(pc), len(pr)), k)
+        left_c += len(pc) - k
+        left_r += len(pr) - k
+    return count * math.comb(max(left_c, left_r), min(left_c, left_r))
 
+
+def _group_alignments(surfaces: list[tuple[list[int], list[int]]]):
+    """Every edge set for one stem group, lazily, first occurrences first.
+
+    A stem group is the positions sharing a Porter stem; a surface is
+    one spelling within it, given as its ascending candidate and
+    reference positions. Exact matching happens per surface (taking min
+    counts, positions free); whatever positions remain may pair across
+    surfaces as stem matches.
+    """
     all_c = sorted(p for pc, _pr in surfaces for p in pc)
     all_r = sorted(p for _pc, pr in surfaces for p in pr)
-
-    options = []
-    for combo in itertools.product(*per_surface):
-        exact_edges = []
-        used_c = set()
-        used_r = set()
-        for cc, rr in combo:
-            exact_edges.extend(_pair_in_order(cc, rr))
-            used_c.update(cc)
-            used_r.update(rr)
+    for exact in itertools.product(*(_matchings(pc, pr) for pc, pr in surfaces)):
+        exact_edges = [edge for edges in exact for edge in edges]
+        used_c = {c for c, _r in exact_edges}
+        used_r = {r for _c, r in exact_edges}
         left_c = [p for p in all_c if p not in used_c]
         left_r = [p for p in all_r if p not in used_r]
-        kg = min(len(left_c), len(left_r))
-        stem_picks = [
-            _pair_in_order(cc, rr)
-            for cc in itertools.combinations(left_c, kg)
-            for rr in itertools.combinations(left_r, kg)
-        ]
-        for stem_edges in stem_picks:
-            options.append(exact_edges + stem_edges)
-            if len(options) > _ALIGN_BUDGET:
-                return None
-    return options
-
-
-def _greedy_group_edges(surfaces: list[tuple[list[int], list[int]]]):
-    """First-occurrence fallback used when enumeration is too large."""
-    edges = []
-    used_c = set()
-    used_r = set()
-    for pc, pr in surfaces:
-        k = min(len(pc), len(pr))
-        edges.extend(_pair_in_order(tuple(pc[:k]), tuple(pr[:k])))
-        used_c.update(pc[:k])
-        used_r.update(pr[:k])
-    all_c = sorted(p for pc, _pr in surfaces for p in pc)
-    all_r = sorted(p for _pc, pr in surfaces for p in pr)
-    left_c = [p for p in all_c if p not in used_c]
-    left_r = [p for p in all_r if p not in used_r]
-    kg = min(len(left_c), len(left_r))
-    edges.extend(_pair_in_order(tuple(left_c[:kg]), tuple(left_r[:kg])))
-    return edges
+        for stem_edges in _matchings(left_c, left_r):
+            yield exact_edges + stem_edges
 
 
 def _crossings(pairs: list[tuple[int, int]]) -> int:
@@ -181,23 +161,17 @@ class _Stems(dict):
 _STEMS = _Stems()
 
 
-def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
-    """Two-stage unigram alignment between token lists.
+def _stem_groups(cand: list[str], ref: list[str]) -> list[list[tuple[list[int], list[int]]]]:
+    """The surfaces of each stem group present on both sides, by stem.
 
-    Exact matches are maximized first, stem matches fill in from the
-    leftovers; among maximal alignments the result minimizes crossings,
-    then chunk count, then compares pair lists lexicographically. The
-    match counts themselves are forced by token multiplicities, so the
-    search is only over which duplicate positions pair up.
+    Each surface is (candidate positions, reference positions) of one
+    spelling, ascending; surfaces are ordered by spelling.
     """
-    stems_c = [_STEMS[t] for t in cand]
-    stems_r = [_STEMS[t] for t in ref]
-
     groups: dict[str, tuple[list[int], list[int]]] = {}
-    for i, s in enumerate(stems_c):
-        groups.setdefault(s, ([], []))[0].append(i)
-    for j, s in enumerate(stems_r):
-        groups.setdefault(s, ([], []))[1].append(j)
+    for i, t in enumerate(cand):
+        groups.setdefault(_STEMS[t], ([], []))[0].append(i)
+    for j, t in enumerate(ref):
+        groups.setdefault(_STEMS[t], ([], []))[1].append(j)
 
     group_surfaces = []
     for s in sorted(groups):
@@ -210,43 +184,35 @@ def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
         for j in pr_all:
             by_surface.setdefault(ref[j], ([], []))[1].append(j)
         group_surfaces.append([by_surface[w] for w in sorted(by_surface)])
+    return group_surfaces
 
-    option_lists = []
-    over_budget = False
-    total = 1
-    for surfaces in group_surfaces:
-        options = _group_edge_options(surfaces)
-        if options is None:
-            over_budget = True
-            break
-        option_lists.append(options)
-        total *= len(options)
-        if total > _ALIGN_BUDGET:
-            over_budget = True
-            break
 
-    if over_budget:
+def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
+    """Two-stage unigram alignment between token lists.
+
+    Exact matches are maximized first, stem matches fill in from the
+    leftovers; among maximal alignments the result minimizes crossings,
+    then chunk count, then compares pair lists lexicographically. The
+    match counts themselves are forced by token multiplicities, so the
+    search is only over which duplicate positions pair up. Past
+    _ALIGN_BUDGET alignments the first one enumerated is returned, with
+    a warning.
+    """
+    group_surfaces = _stem_groups(cand, ref)
+    total = math.prod(_group_alignment_count(s) for s in group_surfaces)
+    if total > _ALIGN_BUDGET:
         log.warning(
             "alignment of %d candidate and %d reference tokens has over %d"
             " choices; using the first-occurrence greedy alignment",
             len(cand), len(ref), _ALIGN_BUDGET,
         )
-        pairs: list[tuple[int, int]] = []
-        for surfaces in group_surfaces:
-            pairs.extend(_greedy_group_edges(surfaces))
-        return sorted(pairs)
-    if total == 1:  # one candidate alignment: no tie-break to compute
-        return sorted(edge for options in option_lists for edge in options[0])
-
-    best = None
-    best_key = None
-    for combo in itertools.product(*option_lists):
-        pairs = sorted(edge for edges in combo for edge in edges)
-        key = (_crossings(pairs), _chunk_count(pairs), tuple(pairs))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = pairs
-    return best if best is not None else []
+    elif total > 1:
+        alignments = (
+            sorted(edge for edges in combo for edge in edges)
+            for combo in itertools.product(*map(_group_alignments, group_surfaces))
+        )
+        return min(alignments, key=lambda pairs: (_crossings(pairs), _chunk_count(pairs), pairs))
+    return sorted(edge for s in group_surfaces for edge in next(_group_alignments(s)))
 
 
 def meteor_lite(candidate: str, reference: str) -> float:
@@ -443,8 +409,15 @@ class PredictionRecord:
 
 
 def load_predictions(path: str) -> list[PredictionRecord]:
-    """Load a prediction file, as verify writes it, into records."""
-    return load_json_objects(path, "predictions", _prediction_from_json)
+    """Load a prediction file, as verify writes it, into records.
+
+    Claim ids may not repeat within the file.
+    """
+    records = load_json_objects(path, "predictions", _prediction_from_json)
+    repeated = repeated_ids(r.claim_id for r in records)
+    if repeated:
+        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
+    return records
 
 
 def _prediction_from_json(_pos: int, item: dict) -> PredictionRecord:
@@ -556,14 +529,10 @@ def averitec_score(
     A claim counts toward the score at threshold t when its predicted
     label is correct and its QA-mode Hu-METEOR is at least t.
     """
-    by_id: dict[int, PredictionRecord] = {}
-    duplicates = []
-    for record in preds:
-        if record.claim_id in by_id:
-            duplicates.append(record.claim_id)
-        by_id[record.claim_id] = record
-    if duplicates:
-        raise ValidationError(f"duplicate predictions for claim ids {sorted(set(duplicates))}")
+    repeated = repeated_ids(record.claim_id for record in preds)
+    if repeated:
+        raise ValidationError(f"duplicate predictions for claim ids {repeated}")
+    by_id = {record.claim_id: record for record in preds}
 
     gold_ids = {c.id for c in golds}
     missing = sorted(gold_ids - set(by_id))

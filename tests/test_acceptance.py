@@ -25,7 +25,7 @@ from claimcheck.corpus import (
     split_sentences,
 )
 from claimcheck.dense import VectorIndex, knn, mmr_select
-from claimcheck.lexical import Bm25Params, bm25_top, build_index
+from claimcheck.lexical import bm25_top, build_index
 from claimcheck.scoring import (
     align_tokens,
     averitec_score,
@@ -159,7 +159,7 @@ def test_criterion_03_mmr_oracle():
         assert knn_order == [pid for pid, _ in ranked], f"trial {trial}: lambda=1"
 
 
-def _bm25_scan(docs, query, params, omega):
+def _bm25_scan(docs, query, omega, k1=1.2, b=0.75):
     n = len(docs)
     avgdl = sum(len(d) for d in docs) / n
     scored = []
@@ -171,8 +171,8 @@ def _bm25_scan(docs, query, params, omega):
                 continue
             df = sum(1 for d in docs if term in d)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            norm = params.k1 * (1.0 - params.b + params.b * len(doc) / avgdl)
-            total += idf * (tf * (params.k1 + 1.0) / (tf + norm))
+            norm = k1 * (1.0 - b + b * len(doc) / avgdl)
+            total += idf * (tf * (k1 + 1.0) / (tf + norm))
         if total > 0.0:
             scored.append((ordinal, total))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -181,8 +181,7 @@ def _bm25_scan(docs, query, params, omega):
 
 def test_criterion_04_bm25_oracle():
     """Naive full-formula scan agrees on random corpora; pinned hand value."""
-    params = Bm25Params()
-    hand = bm25_top(build_index([["cat", "sat"]], params), ["cat"], omega=10)
+    hand = bm25_top(build_index([["cat", "sat"]]), ["cat"], omega=10)
     assert len(hand) == 1
     assert abs(hand[0][1] - 0.2877) < 1e-4
 
@@ -196,10 +195,10 @@ def test_criterion_04_bm25_oracle():
         ]
         query = [rng.choice(vocab) for _ in range(rng.randint(1, 4))]
         omega = rng.randint(1, n_docs + 2)
-        got = bm25_top(build_index(docs, params), query, omega)
-        want = _bm25_scan(docs, query, params, omega)
+        got = bm25_top(build_index(docs), query, omega)
+        want = _bm25_scan(docs, query, omega)
         assert got == want, f"trial {trial}"
-        restricted = bm25_top(build_index(docs, params, terms=query), query, omega)
+        restricted = bm25_top(build_index(docs, terms=query), query, omega)
         assert restricted == want, f"trial {trial}, query-restricted index"
 
 

@@ -550,6 +550,30 @@ class TestVerify:
         assert code == 2
         assert str(script) in capsys.readouterr().err
 
+    def test_ill_typed_store_line_fails_that_claim(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, capsys,
+    ):
+        store = tmp_path / "store.jsonl"
+        lines = knowledge_store_path.read_text().splitlines()
+        bad = {"claim_id": 1, "url": "u", "url2text": "One sentence here. Two."}
+        store.write_text("\n".join(lines + [json.dumps(bad)]) + "\n")
+        out_dir = tmp_path / "out"
+        code = run_cli(_verify_argv(dataset_path, store, train_set_path,
+                                    echo_script_path, out_dir) + ["--claims", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "verified 1/2 claims, 1 failures" in captured.out
+        message = f"{store}: claim 1: 'url2text' must be an array, got a string"
+        assert f"claim 1: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert [r["claim_id"] for r in json.loads((out_dir / "predictions.json").read_text())] == [0]
+
+        assert run_cli(["ingest"] + _common(dataset_path, store, tmp_path / "i")) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -662,7 +686,7 @@ _INPUTS = {
     "--predictions": (
         [{"claim_id": 0, "evidence": [{"question": "Q?", "answer": None}],
           "verdict": "Supported"}],
-        None,
+        [{"claim_id": 7, "evidence": [], "verdict": "Supported"}] * 2,
         "element 0",
     ),
     "--probs": (

@@ -154,6 +154,59 @@ class TestLoadKnowledgeStore:
             load_knowledge_store(path, claim_id=1)
 
 
+# each ill-typed field of a claim-1 store line, and the message it gives
+_STORE_FAULTS = {
+    "url2text_string": ({"url2text": "One sentence here. Two."},
+                        "'url2text' must be an array, got a string"),
+    "url2text_number": ({"url2text": 5}, "'url2text' must be an array, got a number"),
+    "url2text_item": ({"url2text": ["Fine.", 3]}, "'url2text' must hold strings, got a number"),
+    "url_number": ({"url": 7}, "'url' must be a string, got a number"),
+    "claim_id_bool": ({"claim_id": True}, "claim_id must be an integer, got True"),
+    "claim_id_string": ({"claim_id": "1"}, "claim_id must be an integer, got '1'"),
+}
+
+
+class TestStoreFieldTypes:
+    @pytest.mark.parametrize("fault", _STORE_FAULTS)
+    @pytest.mark.parametrize("layout", ["combined", "directory"])
+    def test_ill_typed_field_fails_the_claim_naming_file(self, tmp_path, layout, fault):
+        change, message = _STORE_FAULTS[fault]
+        bad = {"claim_id": 1, "url": "bad", "url2text": ["Fine."], **change}
+        good = [{"claim_id": cid, "url": f"u{cid}", "url2text": ["Fine.", " "]}
+                for cid in (1, 2)]
+        if layout == "combined":
+            path = store = tmp_path / "store.jsonl"
+            _write_store(path, [good[0], bad, good[1]])
+        else:
+            store = tmp_path / "store"
+            store.mkdir()
+            path = store / "1.jsonl"
+            _write_store(path, [good[0], bad])
+            _write_store(store / "2.jsonl", [good[1]])
+        with pytest.raises(ValidationError) as exc:
+            load_knowledge_store(store, 1)
+        assert str(exc.value) == f"{path}: claim 1: {message}"
+        if fault.startswith("claim_id") and layout == "combined":
+            # the line names no claim, so every claim's load meets it
+            with pytest.raises(ValidationError) as exc:
+                load_knowledge_store(store, 2)
+            assert str(exc.value) == f"{path}: claim 2: {message}"
+        else:
+            result = load_knowledge_store(store, 2)
+            assert [d.sentences for d in result.documents] == [("Fine.",)]
+
+    def test_blank_sentences_still_dropped_and_counted(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        _write_store(path, [
+            {"claim_id": 1, "url": "a", "url2text": [" ", "", "Kept.", "\t"]},
+            {"claim_id": 1, "url2text": [" "]},
+            {"claim_id": 1},
+            {"claim_id": 1, "url": "b", "url2text": []},
+        ])
+        result = load_knowledge_store(path, 1)
+        assert result.documents == (Document(url="a", sentences=("Kept.",)),)
+        assert result.dropped_empty == 3
+
 def _reference_load(path, claim_id):
     """The store loader before offset indexing: scan the whole file per claim."""
     documents, dropped = [], 0

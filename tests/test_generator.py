@@ -32,7 +32,7 @@ from claimcheck.generator import (
     serialize_output,
     validate_ratings,
 )
-from claimcheck.lexical import Bm25Params, bm25_top, build_index, tokenize
+from claimcheck.lexical import bm25_top, build_index, tokenize
 from claimcheck.retriever import RetrievedSource
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -239,7 +239,7 @@ def _reference_select_fewshot(claim, train_set, count):
     query = tokenize(claim.text)
     if not query:
         return []
-    index = build_index(tokenized, Bm25Params(), terms=query)
+    index = build_index(tokenized, terms=query)
     ranked = bm25_top(index, query, count)
     return [candidates[ordinal] for ordinal, _score in ranked]
 

@@ -5,7 +5,6 @@ import pytest
 
 from claimcheck.errors import ValidationError
 from claimcheck.lexical import (
-    Bm25Params,
     bm25_top,
     build_index,
     idf,
@@ -133,26 +132,17 @@ class TestFormulaShape:
         assert idf(index, "nope") == 0.0
 
     def test_tf_weight_monotone_in_tf(self):
-        params = Bm25Params()
         prev = None
         for tf in range(1, 20):
-            w = tf_weight(tf, doc_length=50, avg_doc_length=50.0, params=params)
+            w = tf_weight(tf, doc_length=50, avg_doc_length=50.0)
             if prev is not None:
                 assert w > prev
             prev = w
 
     def test_tf_weight_saturates_below_k1_plus_1(self):
-        params = Bm25Params(k1=1.2, b=0.75)
-        assert tf_weight(10_000, 50, 50.0, params) < params.k1 + 1.0
+        assert tf_weight(10_000, 50, 50.0) < 1.2 + 1.0
 
     def test_longer_docs_penalized(self):
-        params = Bm25Params()
-        short = tf_weight(2, doc_length=10, avg_doc_length=50.0, params=params)
-        long = tf_weight(2, doc_length=200, avg_doc_length=50.0, params=params)
+        short = tf_weight(2, doc_length=10, avg_doc_length=50.0)
+        long = tf_weight(2, doc_length=200, avg_doc_length=50.0)
         assert short > long
-
-    def test_param_validation(self):
-        with pytest.raises(ValidationError):
-            Bm25Params(k1=-0.1)
-        with pytest.raises(ValidationError):
-            Bm25Params(b=1.5)

@@ -16,7 +16,7 @@ from claimcheck.dense import (
     knn,
 )
 from claimcheck.errors import ConfigError, ProviderError
-from claimcheck.lexical import Bm25Params, bm25_top, build_index, tokenize
+from claimcheck.lexical import bm25_top, build_index, tokenize
 from claimcheck.retriever import retrieve, RetrievalConfig
 
 MOCK = EmbeddingProviderConfig(kind="mock")
@@ -81,7 +81,7 @@ class TestPipeline:
         chunks = []
         for doc in docs:
             chunks.extend(chunk_document(doc, cfg.max_chars))
-        index = build_index([tokenize(c.text) for c in chunks], Bm25Params())
+        index = build_index([tokenize(c.text) for c in chunks])
         pruned = bm25_top(index, tokenize(claim.text), cfg.omega)
         survivors, seen = [], set()
         for ordinal, _ in pruned:

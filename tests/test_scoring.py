@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import math
 import random
 
 import numpy as np
@@ -233,6 +234,91 @@ class TestAlignFastPaths:
         stemmed = len(calls)
         assert averitec_score(preds, claims) == first
         assert len(calls) == stemmed
+
+
+def _greedy_group_edges(surfaces):
+    """First-occurrence alignment of one stem group: the first k positions
+    of each surface pair in order, then the first leftovers pair as stems."""
+    edges = []
+    used_c = set()
+    used_r = set()
+    for pc, pr in surfaces:
+        k = min(len(pc), len(pr))
+        edges.extend(zip(sorted(pc[:k]), sorted(pr[:k])))
+        used_c.update(pc[:k])
+        used_r.update(pr[:k])
+    all_c = sorted(p for pc, _pr in surfaces for p in pc)
+    all_r = sorted(p for _pc, pr in surfaces for p in pr)
+    left_c = [p for p in all_c if p not in used_c]
+    left_r = [p for p in all_r if p not in used_r]
+    kg = min(len(left_c), len(left_r))
+    edges.extend(zip(sorted(left_c[:kg]), sorted(left_r[:kg])))
+    return edges
+
+
+def _first_occurrence_align(cand, ref):
+    return sorted(
+        edge for g in scoring._stem_groups(cand, ref) for edge in _greedy_group_edges(g)
+    )
+
+
+INFLECTED = VOCAB + ["catting", "forms", "formed", "hoped", "hopes", "bridges"]
+
+
+class TestOneEnumerator:
+    def test_count_equals_enumeration(self):
+        rng = random.Random(9090)
+        groups = 0
+        for _ in range(1000):
+            cand = [rng.choice(INFLECTED) for _ in range(rng.randint(0, 9))]
+            ref = [rng.choice(INFLECTED) for _ in range(rng.randint(0, 9))]
+            for g in scoring._stem_groups(cand, ref):
+                enumerated = list(scoring._group_alignments(g))
+                assert scoring._group_alignment_count(g) == len(enumerated), (cand, ref)
+                assert sorted(enumerated[0]) == sorted(_greedy_group_edges(g))
+                groups += 1
+        assert groups > 1000
+
+    def test_over_budget_equals_first_occurrence(self, caplog):
+        # 7 words at 2 candidate vs 4 reference copies: 6**7 alignments
+        words = [f"w{i}" for i in range(7)]
+        cases = [
+            ([w for w in words for _ in range(2)], [w for w in words for _ in range(4)])
+        ]
+        rng = random.Random(31337)
+        while len(cases) < 200:
+            words = [f"w{i}" for i in range(rng.randint(7, 12))]
+            cand = [w + rng.choice(["", "", "s"]) for w in words for _ in range(rng.randint(1, 3))]
+            ref = [w + rng.choice(["", "", "s"]) for w in words for _ in range(rng.randint(2, 4))]
+            if len(cases) % 2:
+                rng.shuffle(cand)
+                rng.shuffle(ref)
+            counts = [scoring._group_alignment_count(g) for g in scoring._stem_groups(cand, ref)]
+            if math.prod(counts) > scoring._ALIGN_BUDGET:
+                cases.append((cand, ref))
+        for cand, ref in cases:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="claimcheck.scoring"):
+                got = align_tokens(cand, ref)
+            assert got == _first_occurrence_align(cand, ref), (cand, ref)
+            assert len(caplog.records) == 1
+
+    def test_budget_boundary(self, monkeypatch, caplog):
+        monkeypatch.setattr(scoring, "_ALIGN_BUDGET", 6)
+        # "a": 2 vs 4 copies, comb(4, 2) = 6 alignments; the first crosses "b"
+        at_budget = (["b", "a", "a"], ["a", "a", "b", "a", "a"])
+        # "a": 1 vs 7 copies, 7 alignments
+        over_budget = (["b", "a"], ["a", "a", "a", "b", "a", "a", "a", "a"])
+        with caplog.at_level(logging.WARNING, logger="claimcheck.scoring"):
+            got = align_tokens(*at_budget)
+        assert got == oracle_align(*at_budget) == [(0, 2), (1, 3), (2, 4)]
+        assert caplog.records == []
+        with caplog.at_level(logging.WARNING, logger="claimcheck.scoring"):
+            got = align_tokens(*over_budget)
+        assert got == _first_occurrence_align(*over_budget) == [(0, 3), (1, 0)]
+        assert got != oracle_align(*over_budget)
+        [record] = caplog.records
+        assert "2 candidate and 8 reference tokens has over 6 choices" in record.getMessage()
 
 
 class TestMeteorLite:
