@@ -213,6 +213,13 @@ def repeated_ids(ids) -> list[int]:
     return sorted(i for i, n in Counter(ids).items() if n > 1)
 
 
+def require_distinct_ids(path: str, claim_ids) -> None:
+    """Raise a ValidationError naming path unless claim_ids are distinct."""
+    repeated = repeated_ids(claim_ids)
+    if repeated:
+        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
+
+
 def load_dataset(path: str, what: str = "dataset") -> list[Claim]:
     """Load a JSON-array dataset file into Claim objects.
 
@@ -222,9 +229,7 @@ def load_dataset(path: str, what: str = "dataset") -> list[Claim]:
     gold answer.
     """
     claims = load_json_objects(path, what, _claim_from_json)
-    repeated = repeated_ids(c.id for c in claims)
-    if repeated:
-        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
+    require_distinct_ids(path, (c.id for c in claims))
     return claims
 
 
@@ -276,9 +281,10 @@ def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
     sentence list are dropped and counted rather than erroring: scraped
     stores routinely contain them. A line whose url2text is not an array
     of strings, or whose url or claim_id is present but not a string or
-    an integer, fails the load with a ValidationError naming the file
-    and claim; in a combined file, a line with an ill-typed claim_id
-    fails every claim's load.
+    an integer, fails the load with a ValidationError naming the file,
+    the line (by number in a per-claim file, by byte offset in a
+    combined one) and the claim; in a combined file, a line with an
+    ill-typed claim_id fails every claim's load.
     """
     if os.path.isdir(path):
         target = _store_file_for_claim(path, claim_id)
@@ -292,14 +298,14 @@ def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
 
     documents = []
     dropped = 0
-    for obj in lines:
+    for where, obj in lines:
         try:
             if claim_id_field(obj, claim_id) != claim_id:
                 continue
             url = str_field(obj, "url", "")
             sentences = _store_sentences(obj)
         except ValidationError as exc:
-            raise ValidationError(f"{target}: claim {claim_id}: {exc}") from exc
+            raise ValidationError(f"{target}: {where}: claim {claim_id}: {exc}") from exc
         if not sentences:
             dropped += 1
             continue
@@ -342,20 +348,20 @@ def _parse_store_line(path: str, where: str, raw: bytes) -> dict | None:
 
 
 def _parsed_lines(path: str, fh):
-    """(byte offset, object) for each non-blank line of an open store file."""
+    """(line number, byte offset, object) of each non-blank line of a store."""
     offset = 0
     for lineno, raw in enumerate(fh, start=1):
         obj = _parse_store_line(path, f"line {lineno}", raw)
         if obj is not None:
-            yield offset, obj
+            yield lineno, offset, obj
         offset += len(raw)
 
 
 def _store_lines(path: str):
-    """Every non-blank line of a store file, parsed, in file order."""
+    """("line N", object) for every non-blank line of a store file, in order."""
     with open(path, "rb") as fh:
-        for _offset, obj in _parsed_lines(path, fh):
-            yield obj
+        for lineno, _offset, obj in _parsed_lines(path, fh):
+            yield f"line {lineno}", obj
 
 
 @dataclass(frozen=True)
@@ -384,7 +390,7 @@ _store_index_lock = threading.Lock()
 def _index_store(path: str, fh, file_key: tuple[int, int, int, int]) -> _StoreIndex:
     by_claim: dict[int, array] = {}
     shared = array("q")
-    for offset, obj in _parsed_lines(path, fh):
+    for _lineno, offset, obj in _parsed_lines(path, fh):
         line_claim = obj.get("claim_id")
         if type(line_claim) is int:
             by_claim.setdefault(line_claim, array("q")).append(offset)
@@ -396,7 +402,7 @@ def _index_store(path: str, fh, file_key: tuple[int, int, int, int]) -> _StoreIn
 
 
 def _combined_store_lines(path: str, claim_id: int):
-    """The lines of claim_id plus the shared lines of a combined store.
+    """("byte N", object) for claim_id's and the shared lines of a combined store.
 
     The first load of a file state parses the whole file to build its
     offset index, under a lock, so concurrent loads build it once; each
@@ -413,9 +419,10 @@ def _combined_store_lines(path: str, claim_id: int):
                 _store_indexes[resolved] = index
         for offset in heapq.merge(index.by_claim.get(claim_id, ()), index.shared):
             fh.seek(offset)
-            obj = _parse_store_line(path, f"byte {offset}", fh.readline())
+            where = f"byte {offset}"
+            obj = _parse_store_line(path, where, fh.readline())
             if obj is not None:
-                yield obj
+                yield where, obj
 
 
 # Words that end with a period without ending a sentence.

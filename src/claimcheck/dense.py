@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import os
-import time  # noqa: F401 -- errors.post_json's backoff sleeps through this module
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar

@@ -16,7 +16,6 @@ import logging
 import os
 import re
 import threading
-import time  # noqa: F401 -- errors.post_json's backoff sleeps through this module
 from dataclasses import dataclass, replace
 
 from .corpus import AnswerType, Claim, VeracityLabel, json_type, load_json
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .lexical import Bm25Index, bm25_top, build_index, tokenize
 from .retriever import RetrievedSource
+from .verdict import check_rating, single_label_ratings, validate_ratings
 
 log = logging.getLogger(__name__)
 
@@ -74,21 +74,7 @@ class GeneratorOutput:
     evidence: tuple[EvidenceQA, ...]
     ratings: dict
     verdict: VeracityLabel
-    raw_text: str = ""
     parse_warnings: tuple[str, ...] = ()
-
-
-def validate_ratings(ratings: dict) -> None:
-    labels = set(ratings.keys())
-    if labels != set(VeracityLabel):
-        raise ValidationError("ratings must cover exactly the four veracity labels")
-    for label, value in ratings.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"rating for {label.value} must be an integer")
-        if not 1 <= value <= 5:
-            raise ValidationError(
-                f"rating for {label.value} must be in [1, 5], got {value}"
-            )
 
 
 def _normalize_label_text(value: str) -> str:
@@ -385,17 +371,33 @@ def _first_json_object(text: str) -> dict:
     raise GenerationParseError("no JSON object found in model output", raw_text=text)
 
 
-def _parse_rank(value, warnings: list[str]) -> int:
-    if isinstance(value, bool):
-        pass
-    elif isinstance(value, int):
-        return value
-    elif isinstance(value, str):
+def _reply_int(value) -> int | None:
+    """A reply's integer, read leniently: an int as is, a string's first
+    run of digits with its minus sign; None for anything else, booleans too."""
+    if isinstance(value, str):
         digits = re.search(r"-?\d+", value)
-        if digits:
-            return int(digits.group())
-    warnings.append(f"unparseable source reference {value!r}")
-    return 0
+        return int(digits.group()) if digits else None
+    return value if type(value) is int else None
+
+
+def _read_ratings(raw_ratings: dict, warnings: list[str]) -> dict:
+    """The Likert rating of each label in a claim_veracity object.
+
+    Each rating is checked as it is read, so of two keys naming one
+    label, either one out of scale fails; the later one wins otherwise.
+    """
+    ratings = {}
+    for key, value in raw_ratings.items():
+        try:
+            label = coerce_label(key)
+        except GenerationParseError:
+            warnings.append(f"unknown rating key {key!r} ignored")
+            continue
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        ratings[label] = check_rating(label, _reply_int(value))
+    validate_ratings(ratings)
+    return ratings
 
 
 def parse_output(raw_text: str, m_sources: int, cfg: GeneratorConfig) -> GeneratorOutput:
@@ -430,7 +432,11 @@ def parse_output(raw_text: str, m_sources: int, cfg: GeneratorConfig) -> Generat
         if not isinstance(answer, str) or not answer.strip():
             warnings.append(f"question {i} has no answer text, skipped")
             continue
-        rank = _parse_rank(item.get("source"), warnings)
+        source = item.get("source")
+        rank = _reply_int(source)
+        if rank is None:
+            warnings.append(f"unparseable source reference {source!r}")
+            rank = 0
         if not 1 <= rank <= m_sources:
             warnings.append(
                 f"citation out of range: source {rank} not in 1..{m_sources}"
@@ -458,42 +464,19 @@ def parse_output(raw_text: str, m_sources: int, cfg: GeneratorConfig) -> Generat
     verdict = coerce_label(verdict_raw)
 
     if raw_ratings is None and cfg.simplified:
-        ratings = {label: 1 for label in VeracityLabel}
-        ratings[verdict] = 5
+        ratings = single_label_ratings(verdict)
+    elif not isinstance(raw_ratings, dict):
+        raise GenerationParseError("missing claim_veracity ratings", raw_text=raw_text)
     else:
-        if not isinstance(raw_ratings, dict):
-            raise GenerationParseError("missing claim_veracity ratings", raw_text=raw_text)
-        ratings = {}
-        for key, value in raw_ratings.items():
-            try:
-                label = coerce_label(key)
-            except GenerationParseError:
-                warnings.append(f"unknown rating key {key!r} ignored")
-                continue
-            if isinstance(value, str):
-                digits = re.search(r"-?\d+", value)
-                value = int(digits.group()) if digits else None
-            elif isinstance(value, bool):
-                value = None
-            elif isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if not isinstance(value, int) or not 1 <= value <= 5:
-                raise GenerationParseError(
-                    f"rating for {label.value} is not an integer in [1, 5]",
-                    raw_text=raw_text,
-                )
-            ratings[label] = value
-        if set(ratings.keys()) != set(VeracityLabel):
-            missing = [l.value for l in VeracityLabel if l not in ratings]
-            raise GenerationParseError(
-                f"ratings missing labels: {missing}", raw_text=raw_text
-            )
+        try:
+            ratings = _read_ratings(raw_ratings, warnings)
+        except ValidationError as exc:
+            raise GenerationParseError(str(exc), raw_text=raw_text) from exc
 
     return GeneratorOutput(
         evidence=tuple(evidence),
         ratings=ratings,
         verdict=verdict,
-        raw_text=raw_text,
         parse_warnings=tuple(warnings),
     )
 
@@ -524,13 +507,10 @@ def serialize_output(output: GeneratorOutput) -> str:
 
 
 def empty_retrieval_output() -> GeneratorOutput:
-    ratings = {label: 1 for label in VeracityLabel}
-    ratings[VeracityLabel.NOT_ENOUGH_EVIDENCE] = 5
     return GeneratorOutput(
         evidence=(),
-        ratings=ratings,
+        ratings=single_label_ratings(VeracityLabel.NOT_ENOUGH_EVIDENCE),
         verdict=VeracityLabel.NOT_ENOUGH_EVIDENCE,
-        raw_text="",
         parse_warnings=("empty retrieval short-circuit",),
     )
 
@@ -540,13 +520,11 @@ def run_generation(
     sources: list[RetrievedSource],
     fewshot_pool: FewshotPool,
     cfg: GeneratorConfig,
-    provider=None,
+    provider,
 ) -> GeneratorOutput:
     """Few-shot selection, prompting, LLM call, parse, retry on bad JSON."""
     if not sources:
         return empty_retrieval_output()
-    if provider is None:
-        provider = make_chat_provider(cfg)
 
     fewshot = []
     if not cfg.simplified:

@@ -68,16 +68,11 @@ class RetrievalResult:
     trace: dict
 
 
-def _empty_result(claim: Claim, pruned_count: int = 0) -> RetrievalResult:
+def _empty_result(claim: Claim) -> RetrievalResult:
     return RetrievalResult(
         claim_id=claim.id,
         sources=(),
-        trace={
-            "claim_id": claim.id,
-            "pruned_count": pruned_count,
-            "pool": [],
-            "selected": [],
-        },
+        trace={"claim_id": claim.id, "pruned_count": 0, "pool": [], "selected": []},
     )
 
 
@@ -92,16 +87,13 @@ def retrieve(
     chunks: list[Chunk] = []
     for doc in docs:
         chunks.extend(chunk_document(doc, cfg.max_chars))
-    if not chunks:
-        return _empty_result(claim)
-
     tokenized = [tokenize(c.text) for c in chunks]
     query_tokens = tokenize(claim.text)
-    if not query_tokens or all(not t for t in tokenized):
-        return _empty_result(claim)
-
-    index = build_index(tokenized, terms=query_tokens)
-    pruned = bm25_top(index, query_tokens, cfg.omega)
+    pruned = []
+    # BM25 needs a query and at least one chunk with a token
+    if query_tokens and any(tokenized):
+        index = build_index(tokenized, terms=query_tokens)
+        pruned = bm25_top(index, query_tokens, cfg.omega)
     if not pruned:
         return _empty_result(claim)
 

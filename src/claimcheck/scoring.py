@@ -30,6 +30,7 @@ from .corpus import (
     object_list,
     parse_label,
     repeated_ids,
+    require_distinct_ids,
     str_field,
 )
 from .errors import ValidationError
@@ -414,9 +415,7 @@ def load_predictions(path: str) -> list[PredictionRecord]:
     Claim ids may not repeat within the file.
     """
     records = load_json_objects(path, "predictions", _prediction_from_json)
-    repeated = repeated_ids(r.claim_id for r in records)
-    if repeated:
-        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
+    require_distinct_ids(path, (r.claim_id for r in records))
     return records
 
 

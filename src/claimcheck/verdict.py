@@ -1,9 +1,10 @@
 """Likert ratings to label probabilities, ensembling, final label choice.
 
-The generator's per-label agreement ratings become a distribution via
-softmax. Optionally that distribution is averaged with probabilities
-from an external classifier supplied as a file; the final label is the
-argmax with deterministic tie handling.
+The generator's per-label agreement ratings, an integer in [1, 5] for each
+of the four labels (checked here), become a distribution via softmax.
+Optionally that distribution is averaged with probabilities from an
+external classifier supplied as a file; the final label is the argmax
+with deterministic tie handling.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .corpus import (
     claim_id_field,
     json_type,
     load_json_objects,
-    repeated_ids,
+    require_distinct_ids,
 )
 from .errors import ConfigError, ValidationError
-from .generator import validate_ratings
 
 _SUM_TOL = 1e-9
 
@@ -40,6 +40,29 @@ class EnsembleConfig:
     def __post_init__(self):
         if not 0.0 <= self.weight_external <= 1.0:
             raise ConfigError("weight_external must be in [0, 1]")
+
+
+def check_rating(label: VeracityLabel, value) -> int:
+    """value, which must be a Likert rating: a non-boolean integer in [1, 5]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 5:
+        raise ValidationError(f"rating for {label.value} is not an integer in [1, 5]")
+    return value
+
+
+def validate_ratings(ratings: dict) -> None:
+    """Raise a ValidationError unless ratings rates exactly the four labels."""
+    missing = [label.value for label in VeracityLabel if label not in ratings]
+    if missing:
+        raise ValidationError(f"ratings missing labels: {missing}")
+    if len(ratings) != len(VeracityLabel):
+        raise ValidationError("ratings must cover exactly the four veracity labels")
+    for label, value in ratings.items():
+        check_rating(label, value)
+
+
+def single_label_ratings(label: VeracityLabel) -> dict:
+    """Ratings that fully agree with label (5) and with no other (1)."""
+    return {other: 5 if other is label else 1 for other in VeracityLabel}
 
 
 def softmax(values: list[float]) -> list[float]:
@@ -99,9 +122,7 @@ def load_external_probs(path: str) -> dict[int, dict]:
     covering all four labels, one entry per claim.
     """
     entries = load_json_objects(path, "probabilities", _probs_from_json)
-    repeated = repeated_ids(claim_id for claim_id, _ in entries)
-    if repeated:
-        raise ValidationError(f"{path}: claim ids repeated: {repeated}")
+    require_distinct_ids(path, (claim_id for claim_id, _ in entries))
     return dict(entries)
 
 

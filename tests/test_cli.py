@@ -91,6 +91,15 @@ class TestRetrieve:
         assert code == 2
         assert "unknown claim ids [99]" in capsys.readouterr().err
 
+    def test_non_integer_claim_id_exits_2(self, dataset_path, knowledge_store_path, tmp_path, capsys):
+        code = run_cli(
+            ["retrieve", "--claims", "0,x"]
+            + _common(dataset_path, knowledge_store_path, tmp_path)
+        )
+        assert code == 2
+        assert "bad --claims value '0,x'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace_*.json"))
+
     @pytest.mark.parametrize(
         "command, with_store",
         [
@@ -448,6 +457,26 @@ class TestVerify:
         records = json.loads((out_dir / "predictions.json").read_text())
         assert [r["claim_id"] for r in records] == list(range(10))
 
+    def test_blank_progress_lines_skipped(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path,
+    ):
+        out_dir = tmp_path / "out"
+        argv = _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                            echo_script_path, out_dir) + ["--claims", "0,1"]
+        assert run_cli(argv) == 0
+        predictions = (out_dir / "predictions.json").read_bytes()
+        progress = out_dir / "verify_progress.jsonl"
+        first, second = progress.read_text().splitlines()
+        progress.write_text(f"\n{first}\n  \n{second}\n")
+
+        # no scripted replies: both claims must come from the progress file
+        no_replies = tmp_path / "no_replies.json"
+        no_replies.write_text("{}")
+        assert run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                    no_replies, out_dir) + ["--claims", "0,1"]) == 0
+        assert (out_dir / "predictions.json").read_bytes() == predictions
+
     def test_corrupt_progress_line_exits_2(
         self, dataset_path, knowledge_store_path, train_set_path,
         echo_script_path, tmp_path, capsys,
@@ -558,13 +587,14 @@ class TestVerify:
         lines = knowledge_store_path.read_text().splitlines()
         bad = {"claim_id": 1, "url": "u", "url2text": "One sentence here. Two."}
         store.write_text("\n".join(lines + [json.dumps(bad)]) + "\n")
+        offset = len(("\n".join(lines) + "\n").encode())
         out_dir = tmp_path / "out"
         code = run_cli(_verify_argv(dataset_path, store, train_set_path,
                                     echo_script_path, out_dir) + ["--claims", "0,1"])
         captured = capsys.readouterr()
         assert code == 1
         assert "verified 1/2 claims, 1 failures" in captured.out
-        message = f"{store}: claim 1: 'url2text' must be an array, got a string"
+        message = f"{store}: byte {offset}: claim 1: 'url2text' must be an array, got a string"
         assert f"claim 1: {message}" in captured.err
         assert "Traceback" not in captured.err
         assert [r["claim_id"] for r in json.loads((out_dir / "predictions.json").read_text())] == [0]

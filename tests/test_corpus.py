@@ -111,6 +111,13 @@ class TestLoadDataset:
             load_dataset(path)
         assert f"{path}: element 0: claim_id must be an integer" in str(exc.value)
 
+    def test_questions_must_be_an_array(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{"claim": "A claim.", "questions": "x"}]))
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: element 0: 'questions' must be an array, got a string"
+
     def test_too_deeply_nested_json_rejected(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_text("[" * 100_000)
@@ -177,20 +184,23 @@ class TestStoreFieldTypes:
         if layout == "combined":
             path = store = tmp_path / "store.jsonl"
             _write_store(path, [good[0], bad, good[1]])
+            # the bad line starts where the first one ends
+            where = f"byte {len(json.dumps(good[0])) + 1}"
         else:
             store = tmp_path / "store"
             store.mkdir()
             path = store / "1.jsonl"
             _write_store(path, [good[0], bad])
             _write_store(store / "2.jsonl", [good[1]])
+            where = "line 2"
         with pytest.raises(ValidationError) as exc:
             load_knowledge_store(store, 1)
-        assert str(exc.value) == f"{path}: claim 1: {message}"
+        assert str(exc.value) == f"{path}: {where}: claim 1: {message}"
         if fault.startswith("claim_id") and layout == "combined":
             # the line names no claim, so every claim's load meets it
             with pytest.raises(ValidationError) as exc:
                 load_knowledge_store(store, 2)
-            assert str(exc.value) == f"{path}: claim 2: {message}"
+            assert str(exc.value) == f"{path}: {where}: claim 2: {message}"
         else:
             result = load_knowledge_store(store, 2)
             assert [d.sentences for d in result.documents] == [("Fine.",)]

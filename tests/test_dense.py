@@ -176,7 +176,7 @@ class TestHttpEmbeddingProvider:
 
     def test_retry_then_success(self, stub_server, monkeypatch):
         server, base_url = stub_server
-        monkeypatch.setattr(dense.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         attempts = []
 
         def app(path, body, headers):
@@ -193,7 +193,7 @@ class TestHttpEmbeddingProvider:
 
     def test_client_error_not_retried(self, stub_server, monkeypatch):
         server, base_url = stub_server
-        monkeypatch.setattr(dense.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         attempts = []
 
         def app(path, body, headers):
@@ -209,7 +209,7 @@ class TestHttpEmbeddingProvider:
 
     def test_rate_limit_retried(self, stub_server, monkeypatch):
         server, base_url = stub_server
-        monkeypatch.setattr(dense.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         attempts = []
 
         def app(path, body, headers):
@@ -225,7 +225,7 @@ class TestHttpEmbeddingProvider:
 
     def test_exhausted_retries_raise(self, stub_server, monkeypatch):
         server, base_url = stub_server
-        monkeypatch.setattr(dense.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         server.app = lambda path, body, headers: (503, {"error": "down"})
         provider = HttpEmbeddingProvider(self._cfg(base_url, retries=1))
         with pytest.raises(ProviderError) as exc:
@@ -327,6 +327,16 @@ class TestEmbedBatch:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             embed_batch([], EmbeddingProviderConfig(kind="mock"))
+
+    def test_mixed_dimensions_are_provider_error(self, monkeypatch):
+        class TwoDims:
+            def embed(self, texts):
+                return [np.ones(3), np.ones(4)]
+
+        monkeypatch.setattr(dense, "make_embedding_provider", lambda cfg: TwoDims())
+        with pytest.raises(ProviderError) as exc:
+            embed_batch(["a", "b"], EmbeddingProviderConfig(kind="mock"))
+        assert str(exc.value) == "embedding dimensions disagree within one batch: [3, 4]"
 
 
 class TestEmbeddingCache:

@@ -30,7 +30,6 @@ from claimcheck.generator import (
     run_generation,
     select_fewshot,
     serialize_output,
-    validate_ratings,
 )
 from claimcheck.lexical import bm25_top, build_index, tokenize
 from claimcheck.retriever import RetrievedSource
@@ -351,22 +350,6 @@ class TestCoerceLabel:
             coerce_label(raw)
 
 
-class TestValidateRatings:
-    def test_good(self):
-        validate_ratings({l: 3 for l in VeracityLabel})
-
-    def test_bad(self):
-        with pytest.raises(ValidationError):
-            validate_ratings({l: 3 for l in list(VeracityLabel)[:3]})
-        bad = {l: 3 for l in VeracityLabel}
-        bad[VeracityLabel.SUPPORTED] = 6
-        with pytest.raises(ValidationError):
-            validate_ratings(bad)
-        bad[VeracityLabel.SUPPORTED] = True
-        with pytest.raises(ValidationError):
-            validate_ratings(bad)
-
-
 class TestParseOutput:
     def test_happy_path(self):
         out = parse_output(_reply(questions=[GOOD_QUESTION]), 3, CFG)
@@ -514,6 +497,89 @@ class TestParseOutput:
         assert out.ratings[VeracityLabel.NOT_ENOUGH_EVIDENCE] == 2
 
 
+class TestReplyReaders:
+    """How parse_output reads a reply's source references, ratings and
+    question array, value by value."""
+
+    def _source(self, source):
+        return parse_output(_reply(questions=[dict(GOOD_QUESTION, source=source)]), 3, CFG)
+
+    @pytest.mark.parametrize("source, rank", [(2, 2), ("Source 3", 3)])
+    def test_source_read(self, source, rank):
+        out = self._source(source)
+        assert out.evidence[0].source_rank == rank
+        assert out.parse_warnings == ()
+
+    @pytest.mark.parametrize("source", [True, 2.0, None, "x"])
+    def test_unparseable_source_warned_rank_zero(self, source):
+        out = self._source(source)
+        assert out.evidence[0].source_rank == 0
+        assert out.parse_warnings == (
+            f"unparseable source reference {source!r}",
+            "citation out of range: source 0 not in 1..3",
+        )
+
+    def test_negative_source_kept_out_of_range(self):
+        out = self._source("-1")
+        assert out.evidence[0].source_rank == -1
+        assert out.parse_warnings == ("citation out of range: source -1 not in 1..3",)
+
+    def _ratings(self, **changes):
+        ratings = {
+            "Supported": 1,
+            "Refuted": 5,
+            "Not Enough Evidence": 1,
+            "Conflicting Evidence/Cherrypicking": 1,
+        }
+        ratings.update(changes)
+        return _reply(ratings={k: v for k, v in ratings.items() if v is not ...})
+
+    @pytest.mark.parametrize("value", [4.0, "4 - Agree"])
+    def test_rating_read(self, value):
+        out = parse_output(self._ratings(Supported=value), 1, CFG)
+        assert out.ratings[VeracityLabel.SUPPORTED] == 4
+        assert type(out.ratings[VeracityLabel.SUPPORTED]) is int
+
+    @pytest.mark.parametrize("value", [True, 4.5, None, "six"])
+    def test_unreadable_rating_is_parse_error(self, value):
+        raw = self._ratings(Supported=value)
+        with pytest.raises(GenerationParseError) as exc:
+            parse_output(raw, 1, CFG)
+        assert str(exc.value) == "rating for Supported is not an integer in [1, 5]"
+        assert exc.value.raw_text == raw
+
+    @pytest.mark.parametrize("first, second", [(9, 2), (2, 9)])
+    def test_out_of_scale_alias_rejected(self, first, second):
+        # both keys name one label; either one out of scale rejects the reply
+        raw = self._ratings(**{
+            "Conflicting Evidence/Cherrypicking": ...,
+            "Conflicting Evidence": first,
+            "Cherrypicking": second,
+        })
+        with pytest.raises(GenerationParseError) as exc:
+            parse_output(raw, 1, CFG)
+        assert str(exc.value) == (
+            "rating for Conflicting Evidence/Cherrypicking is not an integer in [1, 5]"
+        )
+
+    def test_missing_label_named(self):
+        raw = self._ratings(**{"Not Enough Evidence": ...})
+        with pytest.raises(GenerationParseError) as exc:
+            parse_output(raw, 1, CFG)
+        assert str(exc.value) == "ratings missing labels: ['Not Enough Evidence']"
+        assert exc.value.raw_text == raw
+
+    def test_questions_not_an_array_warned(self):
+        out = parse_output(_reply(questions={}), 1, CFG)
+        assert out.evidence == ()
+        assert out.parse_warnings == ("questions field is not an array",)
+
+    def test_non_object_question_skipped(self):
+        out = parse_output(_reply(questions=["Who?", GOOD_QUESTION]), 1, CFG)
+        assert [e.question for e in out.evidence] == ["Who confirmed it?"]
+        assert out.parse_warnings == ("question 0 is not an object, skipped",)
+
+
 class TestSerializeRoundTrip:
     def test_round_trip_preserves_fields(self):
         original = parse_output(_reply(questions=[GOOD_QUESTION]), 3, CFG)
@@ -638,7 +704,7 @@ class TestHttpChatProvider:
     def test_retry_then_success(self, stub_server, monkeypatch):
         server, base_url = stub_server
         monkeypatch.setenv("TEST_CHAT_KEY", "k")
-        monkeypatch.setattr(generator.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         attempts = []
 
         def app(path, body, headers):
@@ -655,7 +721,7 @@ class TestHttpChatProvider:
     def test_client_error_not_retried(self, stub_server, monkeypatch):
         server, base_url = stub_server
         monkeypatch.setenv("TEST_CHAT_KEY", "k")
-        monkeypatch.setattr(generator.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         attempts = []
 
         def app(path, body, headers):
@@ -672,7 +738,7 @@ class TestHttpChatProvider:
     def test_rate_limit_retried(self, stub_server, monkeypatch):
         server, base_url = stub_server
         monkeypatch.setenv("TEST_CHAT_KEY", "k")
-        monkeypatch.setattr(generator.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         attempts = []
 
         def app(path, body, headers):
@@ -689,7 +755,7 @@ class TestHttpChatProvider:
     def test_failure_does_not_leak_key(self, stub_server, monkeypatch):
         server, base_url = stub_server
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-chat-secret")
-        monkeypatch.setattr(generator.time, "sleep", lambda s: None)
+        monkeypatch.setattr("claimcheck.errors.time.sleep", lambda s: None)
         server.app = lambda path, body, headers: (401, {"error": "denied"})
         provider = HttpChatProvider(self._cfg(base_url, transport_retries=1))
         with pytest.raises(ProviderError) as exc:

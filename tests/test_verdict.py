@@ -12,8 +12,10 @@ from claimcheck.verdict import (
     final_label,
     likert_softmax,
     load_external_probs,
+    single_label_ratings,
     softmax,
     validate_distribution,
+    validate_ratings,
 )
 
 S = VeracityLabel.SUPPORTED
@@ -24,6 +26,36 @@ C = VeracityLabel.CONFLICTING
 
 def _ratings(s, r, n, c):
     return {S: s, R: r, N: n, C: c}
+
+
+class TestValidateRatings:
+    def test_good(self):
+        validate_ratings({l: 3 for l in VeracityLabel})
+
+    def test_bad(self):
+        with pytest.raises(ValidationError):
+            validate_ratings({l: 3 for l in list(VeracityLabel)[:3]})
+        bad = {l: 3 for l in VeracityLabel}
+        bad[VeracityLabel.SUPPORTED] = 6
+        with pytest.raises(ValidationError):
+            validate_ratings(bad)
+        bad[VeracityLabel.SUPPORTED] = True
+        with pytest.raises(ValidationError):
+            validate_ratings(bad)
+
+
+    def test_other_keys_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            validate_ratings({l: 3 for l in VeracityLabel} | {"Mostly True": 3})
+        assert str(exc.value) == "ratings must cover exactly the four veracity labels"
+
+
+class TestSingleLabelRatings:
+    @pytest.mark.parametrize("label", list(VeracityLabel))
+    def test_five_for_the_label_one_for_the_rest(self, label):
+        ratings = single_label_ratings(label)
+        validate_ratings(ratings)
+        assert ratings == {l: 5 if l is label else 1 for l in VeracityLabel}
 
 
 class TestSoftmax:
@@ -196,6 +228,12 @@ class TestLoadExternalProbs:
         path = self._write(tmp_path, {"claim_id": 0})
         with pytest.raises(ValidationError):
             load_external_probs(path)
+
+    def test_probs_not_an_object_rejected(self, tmp_path):
+        path = self._write(tmp_path, [self._entry(0), {"claim_id": 1, "probs": [0.25] * 4}])
+        with pytest.raises(ValidationError) as exc:
+            load_external_probs(path)
+        assert str(exc.value) == f"{path}: element 1: probs must be an object, got an array"
 
 
 class TestEndToEndVerdictPath:
