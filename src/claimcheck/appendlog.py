@@ -45,11 +45,13 @@ class AppendLog:
                 if not raw.strip():
                     continue
                 try:
-                    yield lineno, json.loads(raw)
-                except ValueError as exc:
+                    obj = json.loads(raw)
+                except (ValueError, RecursionError) as exc:
+                    # ValueError covers JSONDecodeError and over-long integer literals
                     raise ValidationError(
                         f"{self.path}: line {lineno}: not valid JSON: {exc}"
                     ) from exc
+                yield lineno, obj
 
     def append(self, lines: Iterable[str]) -> None:
         """Append lines, each given without its newline."""

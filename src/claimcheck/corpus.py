@@ -340,7 +340,8 @@ def _parse_store_line(path: str, where: str, raw: bytes) -> dict | None:
         return None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise ValidationError(f"{path}: {where}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: {where}: not a JSON object")

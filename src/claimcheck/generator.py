@@ -364,8 +364,13 @@ def _first_json_object(text: str) -> dict:
             continue
         try:
             obj, _end = decoder.raw_decode(text, pos)
-        except json.JSONDecodeError:
+        except ValueError:
+            # JSONDecodeError, or an integer literal too long to convert
             continue
+        except RecursionError as exc:
+            raise GenerationParseError(
+                "model output is nested too deeply to parse", raw_text=text
+            ) from exc
         if isinstance(obj, dict):
             return obj
     raise GenerationParseError("no JSON object found in model output", raw_text=text)
@@ -373,10 +378,14 @@ def _first_json_object(text: str) -> dict:
 
 def _reply_int(value) -> int | None:
     """A reply's integer, read leniently: an int as is, a string's first
-    run of digits with its minus sign; None for anything else, booleans too."""
+    run of digits with its minus sign; None for anything else, booleans too,
+    and for a run too long for int() to convert (over 4,300 digits by default)."""
     if isinstance(value, str):
         digits = re.search(r"-?\d+", value)
-        return int(digits.group()) if digits else None
+        try:
+            return int(digits.group()) if digits else None
+        except ValueError:
+            return None
     return value if type(value) is int else None
 
 

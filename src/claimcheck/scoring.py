@@ -106,6 +106,10 @@ def _group_alignments(surfaces: list[tuple[list[int], list[int]]]):
     counts, positions free); whatever positions remain may pair across
     surfaces as stem matches.
     """
+    if len(surfaces) == 1:
+        # one spelling leaves positions on one side only: no stem matches
+        yield from _matchings(*surfaces[0])
+        return
     all_c = sorted(p for pc, _pr in surfaces for p in pc)
     all_r = sorted(p for _pc, pr in surfaces for p in pr)
     for exact in itertools.product(*(_matchings(pc, pr) for pc, pr in surfaces)):
@@ -123,7 +127,9 @@ def _crossings(pairs: list[tuple[int, int]]) -> int:
 
     Positions are distinct on each side, so two edges cross exactly when
     the later one has the smaller reference position: the count is the
-    number of inversions among the reference positions.
+    number of inversions among the reference positions. align_tokens
+    prices edge pairs instead; this count is the reference it is tested
+    against.
     """
     seen: list[int] = []
     count = 0
@@ -168,24 +174,87 @@ def _stem_groups(cand: list[str], ref: list[str]) -> list[list[tuple[list[int], 
     Each surface is (candidate positions, reference positions) of one
     spelling, ascending; surfaces are ordered by spelling.
     """
-    groups: dict[str, tuple[list[int], list[int]]] = {}
-    for i, t in enumerate(cand):
-        groups.setdefault(_STEMS[t], ([], []))[0].append(i)
-    for j, t in enumerate(ref):
-        groups.setdefault(_STEMS[t], ([], []))[1].append(j)
+    stems_c = [_STEMS[t] for t in cand]
+    stems_r = [_STEMS[t] for t in ref]
+    shared = set(stems_c).intersection(stems_r)
+    by_word: dict[str, tuple[list[int], list[int]]] = {}
+    for i, s in enumerate(stems_c):
+        if s in shared:
+            by_word.setdefault(cand[i], ([], []))[0].append(i)
+    for j, s in enumerate(stems_r):
+        if s in shared:
+            by_word.setdefault(ref[j], ([], []))[1].append(j)
+    by_stem: dict[str, list[tuple[list[int], list[int]]]] = {}
+    for word in sorted(by_word):
+        by_stem.setdefault(_STEMS[word], []).append(by_word[word])
+    return [by_stem[s] for s in sorted(by_stem)]
 
-    group_surfaces = []
-    for s in sorted(groups):
-        pc_all, pr_all = groups[s]
-        if not pc_all or not pr_all:
-            continue
-        by_surface: dict[str, tuple[list[int], list[int]]] = {}
-        for i in pc_all:
-            by_surface.setdefault(cand[i], ([], []))[0].append(i)
-        for j in pr_all:
-            by_surface.setdefault(ref[j], ([], []))[1].append(j)
-        group_surfaces.append([by_surface[w] for w in sorted(by_surface)])
-    return group_surfaces
+
+def _price(edge_pairs, m: int) -> int:
+    """crossings * m - adjacencies over pairs of position-disjoint edges.
+
+    An alignment of m edges has m - adjacencies chunks, an adjacency
+    being an edge (c, r) whose (c + 1, r + 1) is also an edge. Both
+    counts sum over edge pairs, and adjacencies < m, so ordering
+    alignments by their summed price orders them by (crossings, chunks).
+    """
+    price = 0
+    for (c1, r1), (c2, r2) in edge_pairs:
+        if (c1 < c2) != (r1 < r2):
+            price += m
+        elif c2 - c1 == r2 - r1 and (c2 - c1 == 1 or c1 - c2 == 1):
+            price -= 1
+    return price
+
+
+def _cheapest(
+    fixed: list[tuple[int, int]], groups: list[list[tuple[list[int], list[int]]]]
+) -> list[tuple[int, int]]:
+    """The edges to add to fixed, one alignment per ambiguous group, that
+    minimize (crossings, chunks, sorted pairs) of the whole.
+
+    Each group's alignments are priced once against the fixed edges and
+    within themselves. A depth-first search visits every combination,
+    as many as the product of the groups' counts, and adds each chosen
+    alignment's price against the ones chosen before it once per branch
+    instead of rescoring every whole alignment. Pair lists are compared
+    only between equal prices, which is where the lexicographic
+    tie-break decides.
+    """
+    options = [list(_group_alignments(s)) for s in groups]
+    m = len(fixed) + sum(len(group[0]) for group in options)
+    priced = [
+        [
+            (_price(itertools.chain(itertools.product(edges, fixed),
+                                    itertools.combinations(edges, 2)), m), edges)
+            for edges in group
+        ]
+        for group in options
+    ]
+    best_price = math.inf
+    best: list[tuple[int, int]] = []
+    placed: list[tuple[int, int]] = []  # the edges chosen for groups before d
+
+    def visit(d: int, price: int) -> None:
+        nonlocal best_price, best
+        for own, edges in priced[d]:
+            total = price + own + _price(itertools.product(placed, edges), m)
+            if d + 1 < len(priced):
+                mark = len(placed)
+                placed.extend(edges)
+                visit(d + 1, total)
+                del placed[mark:]
+            elif total < best_price:
+                best_price = total
+                best = placed + edges  # sorted only if a tie needs it
+            elif total == best_price:  # the smaller sorted pair list wins
+                best.sort()
+                pairs = sorted(placed + edges)
+                if pairs < best:
+                    best = pairs
+
+    visit(0, 0)
+    return best
 
 
 def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
@@ -195,25 +264,31 @@ def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
     leftovers; among maximal alignments the result minimizes crossings,
     then chunk count, then compares pair lists lexicographically. The
     match counts themselves are forced by token multiplicities, so the
-    search is only over which duplicate positions pair up. Past
-    _ALIGN_BUDGET alignments the first one enumerated is returned, with
-    a warning.
+    search is only over which duplicate positions pair up, and only
+    stem groups with more than one alignment take part in it: see
+    _cheapest. Past _ALIGN_BUDGET alignments in all, counted before any
+    is enumerated, the first one enumerated is returned, with a warning.
     """
-    group_surfaces = _stem_groups(cand, ref)
-    total = math.prod(_group_alignment_count(s) for s in group_surfaces)
+    fixed: list[tuple[int, int]] = []
+    ambiguous = []
+    total = 1
+    for surfaces in _stem_groups(cand, ref):
+        count = _group_alignment_count(surfaces)
+        if count == 1:
+            fixed += next(_group_alignments(surfaces))
+        else:
+            ambiguous.append(surfaces)
+            total *= count
     if total > _ALIGN_BUDGET:
         log.warning(
             "alignment of %d candidate and %d reference tokens has over %d"
             " choices; using the first-occurrence greedy alignment",
             len(cand), len(ref), _ALIGN_BUDGET,
         )
-    elif total > 1:
-        alignments = (
-            sorted(edge for edges in combo for edge in edges)
-            for combo in itertools.product(*map(_group_alignments, group_surfaces))
-        )
-        return min(alignments, key=lambda pairs: (_crossings(pairs), _chunk_count(pairs), pairs))
-    return sorted(edge for s in group_surfaces for edge in next(_group_alignments(s)))
+        fixed += (edge for s in ambiguous for edge in next(_group_alignments(s)))
+    elif ambiguous:
+        fixed += _cheapest(fixed, ambiguous)
+    return sorted(fixed)
 
 
 def meteor_lite(candidate: str, reference: str) -> float:

@@ -11,7 +11,7 @@ from claimcheck.cli import _overrides_from, _write_atomic, build_parser
 from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.corpus import VeracityLabel
 
-from conftest import build_echo_script, run_cli
+from conftest import build_echo_script, echo_response_text, run_cli
 
 
 @pytest.fixture(autouse=True)
@@ -382,6 +382,30 @@ class TestVerify:
         records = json.loads((out_dir / "predictions.json").read_text())
         assert [r["claim_id"] for r in records] == list(range(10))
 
+    def test_overlong_number_reply_retried(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        claims, tmp_path, capsys, caplog,
+    ):
+        # over 4,300 digits: int() refuses to convert them
+        digits = "9" * 5000
+        good = echo_response_text(claims[0])
+        label = claims[0].gold_label.value
+        quoted_rating = good.replace(f'"{label}": "5"', f'"{label}": "{digits}"')
+        bare_rating = good.replace(f'"{label}": "5"', f'"{label}": {digits}')
+        assert digits in quoted_rating and digits in bare_rating
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"0": [quoted_rating, bare_rating, good]}))
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                         script, out_dir) + ["--claims", "0"]
+        )
+        assert code == 0
+        assert "verified 1/1 claims, 0 failures" in capsys.readouterr().out
+        assert "claim 0: parse failure on attempt 2" in caplog.text
+        [record] = json.loads((out_dir / "predictions.json").read_text())
+        assert record["verdict"] == label
+
     @pytest.mark.parametrize("weight, external_wins", [("1.0", True), ("0.0", False)])
     def test_external_probs_ensemble(
         self, weight, external_wins, dataset_path, knowledge_store_path,
@@ -491,6 +515,21 @@ class TestVerify:
                              echo_script_path, out_dir)
             ) == 2
             assert "verify_progress.jsonl: line 1" in capsys.readouterr().err
+
+    def test_too_deeply_nested_progress_line_exits_2(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, capsys,
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        first = json.dumps({"claim_id": 4, "status": "error", "error": "x"})
+        progress = out_dir / "verify_progress.jsonl"
+        progress.write_text(first + "\n" + "[" * 50_000 + "\n")
+        assert run_cli(
+            _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                         echo_script_path, out_dir)
+        ) == 2
+        assert f"{progress}: line 2: not valid JSON" in capsys.readouterr().err
 
     def test_torn_cache_line_reembeds_only_lost_vector(
         self, dataset_path, knowledge_store_path, train_set_path,

@@ -205,6 +205,24 @@ class TestStoreFieldTypes:
             result = load_knowledge_store(store, 2)
             assert [d.sentences for d in result.documents] == [("Fine.",)]
 
+    @pytest.mark.parametrize(
+        "bad", ['{"claim_id": 1, "url": ' + "9" * 5000 + "}", '{"url": ' + "[" * 50_000],
+        ids=["overlong_integer", "nested_too_deeply"],
+    )
+    @pytest.mark.parametrize("layout", ["combined", "directory"])
+    def test_unconvertible_line_fails_naming_it(self, tmp_path, layout, bad):
+        good = json.dumps({"claim_id": 1, "url": "u1", "url2text": ["Fine."]})
+        if layout == "combined":
+            path = store = tmp_path / "store.jsonl"
+        else:
+            store = tmp_path / "store"
+            store.mkdir()
+            path = store / "1.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load_knowledge_store(store, 1)
+        assert str(exc.value).startswith(f"{path}: line 2: not valid JSON: ")
+
     def test_blank_sentences_still_dropped_and_counted(self, tmp_path):
         path = tmp_path / "store.jsonl"
         _write_store(path, [

@@ -443,6 +443,18 @@ class TestEmbeddingCache:
         with pytest.raises(ValidationError):
             EmbeddingCache(str(path))
 
+    @pytest.mark.parametrize(
+        "bad", ['{"key": "k", "dim": ' + "9" * 5000 + "}", "[" * 50_000],
+        ids=["overlong_integer", "nested_too_deeply"],
+    )
+    def test_unconvertible_line_rejected_naming_it(self, tmp_path, bad):
+        path = tmp_path / "emb_0.jsonl"
+        good = json.dumps({"key": "j", "dim": 1, "f64": "AAAAAAAA8D8="})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingCache(str(path))
+        assert str(exc.value).startswith(f"{path}: line 2: not valid JSON: ")
+
     def test_torn_final_line_dropped_then_cut_before_append(self, tmp_path, caplog):
         path = tmp_path / "emb_0.jsonl"
         cache = EmbeddingCache(str(path))

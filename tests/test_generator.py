@@ -580,6 +580,48 @@ class TestReplyReaders:
         assert out.parse_warnings == ("question 0 is not an object, skipped",)
 
 
+# longer than the 4,300 digits int() converts from a string
+LONG_DIGITS = "9" * 5000
+
+
+class TestOverlongReplies:
+    """Replies no integer or JSON reader can convert are parse outcomes,
+    never a builtin exception."""
+
+    def test_overlong_source_string_warned_rank_zero(self):
+        out = parse_output(_reply(questions=[dict(GOOD_QUESTION, source=LONG_DIGITS)]), 3, CFG)
+        assert out.evidence[0].source_rank == 0
+        assert out.parse_warnings == (
+            f"unparseable source reference {LONG_DIGITS!r}",
+            "citation out of range: source 0 not in 1..3",
+        )
+
+    def test_overlong_rating_string_is_parse_error(self):
+        raw = TestReplyReaders()._ratings(Supported=LONG_DIGITS)
+        with pytest.raises(GenerationParseError) as exc:
+            parse_output(raw, 1, CFG)
+        assert str(exc.value) == "rating for Supported is not an integer in [1, 5]"
+
+    def test_overlong_bare_number_skips_that_object(self):
+        raw = _reply(questions=[dict(GOOD_QUESTION, source=0)])
+        raw = raw.replace('"source": 0', f'"source": {LONG_DIGITS}')
+        with pytest.raises(GenerationParseError) as exc:
+            parse_output(raw, 1, CFG)
+        assert exc.value.raw_text == raw
+        # a good object after it is still found
+        out = parse_output(f'{{"n": {LONG_DIGITS}}} ' + _reply(questions=[GOOD_QUESTION]), 1, CFG)
+        assert out.verdict is VeracityLabel.REFUTED
+        assert [e.question for e in out.evidence] == ["Who confirmed it?"]
+
+    @pytest.mark.parametrize(
+        "nested", ['{"a": ' * 50_000, '{"a": ' + "[" * 50_000], ids=["objects", "arrays"]
+    )
+    def test_too_deeply_nested_is_parse_error(self, nested):
+        with pytest.raises(GenerationParseError) as exc:
+            parse_output(nested, 1, CFG)
+        assert str(exc.value) == "model output is nested too deeply to parse"
+
+
 class TestSerializeRoundTrip:
     def test_round_trip_preserves_fields(self):
         original = parse_output(_reply(questions=[GOOD_QUESTION]), 3, CFG)

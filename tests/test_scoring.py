@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import logging
@@ -319,6 +320,66 @@ class TestOneEnumerator:
         assert got != oracle_align(*over_budget)
         [record] = caplog.records
         assert "2 candidate and 8 reference tokens has over 6 choices" in record.getMessage()
+
+
+def _enumerated_align(cand, ref):
+    """align_tokens as the minimum over the product of every group's
+    alignments, each scored whole: the reference for the priced search."""
+    alignments = (
+        sorted(edge for edges in combo for edge in edges)
+        for combo in itertools.product(
+            *map(scoring._group_alignments, scoring._stem_groups(cand, ref))
+        )
+    )
+    return min(
+        alignments,
+        key=lambda pairs: (scoring._crossings(pairs), scoring._chunk_count(pairs), pairs),
+    )
+
+
+STOPWORDS = ["the", "of", "and", "a", "to", "in", "is"]
+
+
+def _stopword_text(rng):
+    """Half stopwords, half inflected content words, some doubled ("the the")."""
+    words = []
+    for _ in range(rng.randint(6, 18)):
+        word = rng.choice(STOPWORDS) if rng.random() < 0.5 else rng.choice(INFLECTED)
+        words += [word] * (2 if rng.random() < 0.15 else 1)
+    return words
+
+
+class TestPricedSearch:
+    def test_equals_enumerated_minimum(self):
+        rng = random.Random(11235)
+        by_ambiguous = collections.Counter()
+        while sum(by_ambiguous.values()) < 1500:
+            cand = _stopword_text(rng)
+            ref = _stopword_text(rng)
+            counts = [scoring._group_alignment_count(g) for g in scoring._stem_groups(cand, ref)]
+            if math.prod(counts) > 2000:
+                continue
+            by_ambiguous[min(sum(1 for n in counts if n > 1), 3)] += 1
+            assert align_tokens(cand, ref) == _enumerated_align(cand, ref), (cand, ref)
+        assert by_ambiguous[3] >= 200  # three or more groups searched together
+
+    def test_adjacency_identity(self):
+        # chunks = m - #{(c, r): (c + 1, r + 1) also an edge}, so the
+        # price of all edge pairs is crossings * m - (m - chunks)
+        rng = random.Random(8128)
+        for _ in range(500):
+            m = rng.randint(0, 10)
+            cs = sorted(rng.sample(range(14), m))
+            rs = rng.sample(range(14), m)
+            if rng.random() < 0.5:  # runs of adjacent edges
+                rs = sorted(rs)
+            pairs = list(zip(cs, rs))
+            edges = set(pairs)
+            adjacent = sum(1 for c, r in pairs if (c + 1, r + 1) in edges)
+            assert scoring._chunk_count(pairs) == m - adjacent, pairs
+            rng.shuffle(pairs)
+            price = scoring._price(itertools.combinations(pairs, 2), m)
+            assert price == _crossings(pairs) * m - adjacent, pairs
 
 
 class TestMeteorLite:
