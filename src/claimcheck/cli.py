@@ -49,13 +49,15 @@ def _dump_json(obj) -> str:
 
 
 def _select_claims(claims: list[Claim], spec: str | None) -> list[Claim]:
-    if not spec:
+    if spec is None:
         return claims
     by_id = {c.id: c for c in claims}
     try:
         wanted = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad --claims value {spec!r}: {exc}") from exc
+    if not wanted:
+        raise ValidationError(f"bad --claims value {spec!r}: names no claim id")
     unknown = [i for i in wanted if i not in by_id]
     if unknown:
         raise ValidationError(

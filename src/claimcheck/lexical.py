@@ -10,18 +10,25 @@ run (generator.FewshotPool).
 from __future__ import annotations
 
 import math
-import re
+import string
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ValidationError
 
-_ALNUM_RE = re.compile(r"[a-z0-9]+")
+# every byte but a-z and 0-9 becomes a space
+_KEEP = (string.ascii_lowercase + string.digits).encode("ascii")
+_SEPARATORS = bytes(b if b in _KEEP else 0x20 for b in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, then keep the runs of ASCII letters and digits."""
-    return _ALNUM_RE.findall(text.lower())
+    """Lowercase, then keep the runs of ASCII letters and digits.
+
+    The same tokens as re.findall(r"[a-z0-9]+", text.lower()), found a
+    byte at a time: every non-ASCII code point encodes as "?", and the
+    table turns every byte outside [a-z0-9] into a separator.
+    """
+    return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
 # Okapi BM25's term-frequency saturation and document-length
@@ -61,9 +68,11 @@ def build_index(docs: list[list[str]], terms: list[str] | None = None) -> Bm25In
         raise ValidationError("all documents are empty of tokens")
 
     wanted = None if terms is None else tuple(dict.fromkeys(terms))
+    is_wanted = None if wanted is None else frozenset(wanted).__contains__
     postings: dict[str, list[tuple[int, int]]] = {}
     for ordinal, doc in enumerate(docs):
-        counts = Counter(doc)
+        # a restricted index counts only its terms: the rest would be dropped
+        counts = Counter(doc if is_wanted is None else filter(is_wanted, doc))
         for term in counts if wanted is None else [t for t in wanted if t in counts]:
             postings.setdefault(term, []).append((ordinal, counts[term]))
 

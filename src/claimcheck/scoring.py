@@ -14,7 +14,6 @@ consistent.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import logging
 import math
@@ -122,24 +121,6 @@ def _group_alignments(surfaces: list[tuple[list[int], list[int]]]):
             yield exact_edges + stem_edges
 
 
-def _crossings(pairs: list[tuple[int, int]]) -> int:
-    """Crossing edge pairs of an alignment sorted by candidate position.
-
-    Positions are distinct on each side, so two edges cross exactly when
-    the later one has the smaller reference position: the count is the
-    number of inversions among the reference positions. align_tokens
-    prices edge pairs instead; this count is the reference it is tested
-    against.
-    """
-    seen: list[int] = []
-    count = 0
-    for _c, r in pairs:
-        pos = bisect.bisect(seen, r)
-        count += len(seen) - pos
-        seen.insert(pos, r)
-    return count
-
-
 def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     if not pairs:
         return 0
@@ -168,26 +149,47 @@ class _Stems(dict):
 _STEMS = _Stems()
 
 
+class _Text(list):
+    """A token list with its positions grouped by Porter stem, then by
+    spelling: {stem: {spelling: ascending positions}}.
+
+    hu_meteor prepares each text once and aligns it with every text on
+    the other side, so the grouping is not rebuilt for each pair.
+    """
+
+    def __init__(self, tokens: list[str]):
+        super().__init__(tokens)
+        by_word: dict[str, list[int]] = {}
+        for i, token in enumerate(tokens):
+            by_word.setdefault(token, []).append(i)
+        self.by_stem: dict[str, dict[str, list[int]]] = {}
+        for word, positions in by_word.items():
+            self.by_stem.setdefault(_STEMS[word], {})[word] = positions
+
+
+def _text(text: str | list[str]) -> _Text:
+    """text prepared for alignment: a str is tokenized, a token list grouped."""
+    if isinstance(text, _Text):
+        return text
+    return _Text(tokenize(text) if isinstance(text, str) else text)
+
+
 def _stem_groups(cand: list[str], ref: list[str]) -> list[list[tuple[list[int], list[int]]]]:
     """The surfaces of each stem group present on both sides, by stem.
 
     Each surface is (candidate positions, reference positions) of one
-    spelling, ascending; surfaces are ordered by spelling.
+    spelling, ascending; surfaces are ordered by spelling. Either side
+    may be a prepared _Text, whose grouping is then read, not rebuilt.
     """
-    stems_c = [_STEMS[t] for t in cand]
-    stems_r = [_STEMS[t] for t in ref]
-    shared = set(stems_c).intersection(stems_r)
-    by_word: dict[str, tuple[list[int], list[int]]] = {}
-    for i, s in enumerate(stems_c):
-        if s in shared:
-            by_word.setdefault(cand[i], ([], []))[0].append(i)
-    for j, s in enumerate(stems_r):
-        if s in shared:
-            by_word.setdefault(ref[j], ([], []))[1].append(j)
-    by_stem: dict[str, list[tuple[list[int], list[int]]]] = {}
-    for word in sorted(by_word):
-        by_stem.setdefault(_STEMS[word], []).append(by_word[word])
-    return [by_stem[s] for s in sorted(by_stem)]
+    stems_c, stems_r = _text(cand).by_stem, _text(ref).by_stem
+    groups = []
+    for s in sorted(stems_c.keys() & stems_r.keys()):
+        words_c, words_r = stems_c[s], stems_r[s]
+        groups.append([
+            (words_c.get(w, []), words_r.get(w, []))
+            for w in sorted(words_c.keys() | words_r.keys())
+        ])
+    return groups
 
 
 def _price(edge_pairs, m: int) -> int:
@@ -213,20 +215,22 @@ def _cheapest(
     """The edges to add to fixed, one alignment per ambiguous group, that
     minimize (crossings, chunks, sorted pairs) of the whole.
 
-    Each group's alignments are priced once against the fixed edges and
-    within themselves. A depth-first search visits every combination,
-    as many as the product of the groups' counts, and adds each chosen
-    alignment's price against the ones chosen before it once per branch
-    instead of rescoring every whole alignment. Pair lists are compared
-    only between equal prices, which is where the lexicographic
-    tie-break decides.
+    Each group's alignments are priced once within themselves, and each
+    distinct edge once against the fixed edges. A depth-first search
+    visits every combination, as many as the product of the groups'
+    counts, and adds each chosen alignment's price against the ones
+    chosen before it once per branch instead of rescoring every whole
+    alignment. Pair lists are compared only between equal prices, which
+    is where the lexicographic tie-break decides.
     """
     options = [list(_group_alignments(s)) for s in groups]
     m = len(fixed) + sum(len(group[0]) for group in options)
+    distinct = {edge for group in options for edges in group for edge in edges}
+    against_fixed = {edge: _price(((edge, f) for f in fixed), m) for edge in distinct}
     priced = [
         [
-            (_price(itertools.chain(itertools.product(edges, fixed),
-                                    itertools.combinations(edges, 2)), m), edges)
+            (sum(map(against_fixed.__getitem__, edges))
+             + _price(itertools.combinations(edges, 2), m), edges)
             for edges in group
         ]
         for group in options
@@ -273,6 +277,9 @@ def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
     ambiguous = []
     total = 1
     for surfaces in _stem_groups(cand, ref):
+        if len(surfaces) == 1 and len(surfaces[0][0]) == 1 == len(surfaces[0][1]):
+            fixed.append((surfaces[0][0][0], surfaces[0][1][0]))  # one word once each side
+            continue
         count = _group_alignment_count(surfaces)
         if count == 1:
             fixed += next(_group_alignments(surfaces))
@@ -291,14 +298,13 @@ def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
     return sorted(fixed)
 
 
-def meteor_lite(candidate: str, reference: str) -> float:
+def meteor_lite(candidate: str | _Text, reference: str | _Text) -> float:
     """METEOR with exact and stem stages only.
 
     P = m/|cand|, R = m/|ref|, F = P*R/(alpha*P + (1-alpha)*R),
     penalty = gamma*(chunks/m)^beta, score = F*(1-penalty).
     """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    cand, ref = _text(candidate), _text(reference)
     if not cand or not ref:
         return 0.0
     pairs = align_tokens(cand, ref)
@@ -459,9 +465,10 @@ def hu_meteor(claim_pred, claim_gold, mode: str) -> float:
         raise ValidationError(f"mode must be Q_only or QA, got {mode!r}")
     if not claim_pred:
         return 0.0
+    golds = [_text(_pair_text(gold, mode)) for gold in claim_gold]
     matrix = [
-        [meteor_lite(_pair_text(pred, mode), _pair_text(gold, mode)) for gold in claim_gold]
-        for pred in claim_pred
+        [meteor_lite(pred_text, gold_text) for gold_text in golds]
+        for pred_text in (_text(_pair_text(pred, mode)) for pred in claim_pred)
     ]
     _pairs, total = hungarian_max(matrix)
     return total / len(claim_gold)
@@ -603,6 +610,8 @@ def averitec_score(
     A claim counts toward the score at threshold t when its predicted
     label is correct and its QA-mode Hu-METEOR is at least t.
     """
+    if not golds:
+        raise ValidationError("no gold claims to score")
     repeated = repeated_ids(record.claim_id for record in preds)
     if repeated:
         raise ValidationError(f"duplicate predictions for claim ids {repeated}")

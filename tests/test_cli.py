@@ -100,6 +100,29 @@ class TestRetrieve:
         assert "bad --claims value '0,x'" in capsys.readouterr().err
         assert not list(tmp_path.glob("trace_*.json"))
 
+    @pytest.mark.parametrize("spec", [",", " , ,", ""])
+    @pytest.mark.parametrize("command", ["ingest", "retrieve", "verify", "evaluate"])
+    def test_claims_naming_no_id_exits_2(
+        self, command, spec, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, capsys,
+    ):
+        out_dir = tmp_path / "out"
+        if command == "verify":
+            argv = _verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                echo_script_path, out_dir)
+        elif command == "evaluate":
+            verified = tmp_path / "verified"
+            assert run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                        echo_script_path, verified)) == 0
+            capsys.readouterr()
+            argv = ["evaluate", "--dataset", str(dataset_path), "--output-dir", str(verified)]
+        else:
+            argv = [command] + _common(dataset_path, knowledge_store_path, out_dir)
+        code = run_cli(argv + ["--claims", spec])
+        assert code == 2
+        assert f"bad --claims value {spec!r}: names no claim id" in capsys.readouterr().err
+        assert not list(out_dir.glob("*.json"))
+
     @pytest.mark.parametrize(
         "command, with_store",
         [
@@ -700,6 +723,15 @@ class TestEvaluate:
         )
         assert code == 2
         assert "predictions file not found" in capsys.readouterr().err
+
+    def test_no_gold_claims_exits_2(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text("[]")
+        (tmp_path / "predictions.json").write_text("[]")
+        code = run_cli(["evaluate", "--dataset", str(dataset), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "no gold claims to score" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_prediction_gold_mismatch_exits_2(self, dataset_path, verified_dir, capsys):
         code = run_cli(

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import string
 
 import pytest
 
@@ -13,9 +15,44 @@ from claimcheck.lexical import (
 )
 
 
+def _regex_tokens(text):
+    """The tokenizer's contract: the runs of [a-z0-9] in the lowercased text."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+# code points whose lowercase is longer, ASCII or otherwise special
+_SPECIAL = "\u0130\u212a\u212b\u017f\ufb03\u1e9e\u0000\ud800\udfff\u00a0\u2028\u0345"
+_SCRIPTS = [
+    string.ascii_letters + string.digits,
+    string.punctuation + " \t\n\r\x0b\x0c",
+    "".join(map(chr, range(0x80, 0x250))),  # Latin-1 and Latin Extended
+    "".join(map(chr, range(0x370, 0x530))),  # Greek and Cyrillic
+    "\u4e2d\u6587\u3042\uac00\u0627\u05d0\u0915\U0001f600\U0001d400\U0010ffff",
+    "\u0300\u0301\u200b\u200d\ufeff\uff21\uff41\uff10",  # combining, zero-width, fullwidth
+    _SPECIAL,
+]
+
+
 class TestTokenize:
     def test_lowercase_and_strip(self):
         assert tokenize("The U.S. grew 3.5% in Q2!") == ["the", "u", "s", "grew", "3", "5", "in", "q2"]
+
+    def test_every_code_point_matches_regex(self):
+        # each code point between two ASCII letters of either case, so a
+        # code point that lowercases to ASCII, or splits a run, shows
+        letters = string.ascii_letters
+        text = "".join(letters[cp % 52] + chr(cp) for cp in range(0x110000)) + "Z"
+        for ch in _SPECIAL:
+            assert ch in text
+        assert tokenize(text) == _regex_tokens(text)
+
+    def test_mixed_scripts_match_regex(self):
+        rng = random.Random(5557)
+        for _ in range(2000):
+            text = "".join(
+                rng.choice(rng.choice(_SCRIPTS)) for _ in range(rng.randint(0, 40))
+            )
+            assert tokenize(text) == _regex_tokens(text), repr(text)
 
 
 def _naive_bm25(docs, query, k1=1.2, b=0.75):
@@ -77,6 +114,21 @@ class TestBm25:
             assert got == want  # exact float equality, same accumulation order
             restricted = build_index(docs, terms=query)
             assert bm25_top(restricted, query, omega=n_docs) == want
+
+    def test_restricted_postings_equal_full_postings(self):
+        rng = random.Random(2024)
+        vocab = [f"t{i}" for i in range(20)]
+        for _ in range(100):
+            docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 15))] for _ in range(8)]
+            if not any(docs):
+                continue
+            terms = [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
+            full = build_index(docs)
+            restricted = build_index(docs, terms=terms)
+            assert restricted.postings == {t: full.postings[t] for t in terms if t in full.postings}
+            assert restricted.doc_lengths == full.doc_lengths
+            assert restricted.avg_doc_length == full.avg_doc_length
+            assert restricted.indexed_terms == frozenset(terms)
 
     def test_restricted_index_rejects_other_query_terms(self):
         index = build_index([["apple", "pear"], ["plum"]], terms=["apple"])

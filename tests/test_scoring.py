@@ -172,17 +172,6 @@ class TestAlignTokens:
 
 
 class TestAlignFastPaths:
-    def test_crossings_match_pairwise_definition(self):
-        rng = random.Random(5150)
-        cases = [[], [(3, 7)]]
-        for _ in range(300):
-            n = rng.randint(0, 12)
-            cs = sorted(rng.sample(range(20), n))
-            rs = rng.sample(range(20), n)
-            cases.append(list(zip(cs, rs)))
-        for pairs in cases:
-            assert scoring._crossings(pairs) == _crossings(pairs), pairs
-
     @pytest.mark.parametrize(
         "vocab",
         [
@@ -333,7 +322,7 @@ def _enumerated_align(cand, ref):
     )
     return min(
         alignments,
-        key=lambda pairs: (scoring._crossings(pairs), scoring._chunk_count(pairs), pairs),
+        key=lambda pairs: (_crossings(pairs), scoring._chunk_count(pairs), pairs),
     )
 
 
@@ -582,6 +571,55 @@ class TestHuMeteor:
         assert abs(swapped - aligned) < 1e-12
 
 
+QA_WORDS = INFLECTED + STOPWORDS + ["Cats", "RUN", "1977", "x-ray", "?", "!!", "\u00e9t\u00e9"]
+
+
+def _qa_text(rng):
+    """A question or answer: empty, punctuation only (no tokens) or words."""
+    roll = rng.random()
+    if roll < 0.1:
+        return ""
+    if roll < 0.2:
+        return rng.choice(["?", "...", " - ", "\u00bf\u00a1"])
+    return " ".join(rng.choice(QA_WORDS) for _ in range(rng.randint(1, 9)))
+
+
+class TestHuMeteorPerPair:
+    """hu_meteor prepares each text once per call; its score must equal
+    the assignment over per-pair meteor_lite scores of the plain strings."""
+
+    @pytest.mark.parametrize("mode", ["Q_only", "QA"])
+    def test_equals_per_pair_matrix(self, mode):
+        rng = random.Random(f"hu-meteor-{mode}")
+        for _ in range(150):
+            pool = [(_qa_text(rng), _qa_text(rng)) for _ in range(rng.randint(1, 5))]
+            # drawing from a small pool repeats texts within and across sides
+            golds = [_qa(*rng.choice(pool)) for _ in range(rng.randint(1, 5))]
+            preds = [_pe(*rng.choice(pool)) for _ in range(rng.randint(1, 6))]
+
+            def text(item):
+                return item.question if mode == "Q_only" else f"{item.question} {item.answer}"
+
+            matrix = [[meteor_lite(text(p), text(g)) for g in golds] for p in preds]
+            _pairs, total = hungarian_max(matrix)
+            assert hu_meteor(preds, golds, mode) == total / len(golds), (preds, golds)
+
+    def test_tokenizes_each_text_once(self, monkeypatch):
+        calls = []
+        real = scoring.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(scoring, "tokenize", counting_tokenize)
+        golds = [_qa("Who built it?", "The city."), _qa("When?", "In 1977.")]
+        preds = [_pe("Who built the bridge?", "The city."), _pe("When?", "1977."),
+                 _pe("Why?", "")]
+        hu_meteor(preds, golds, "QA")
+        assert len(calls) == len(golds) + len(preds)
+
+
 def _gold_claim(cid, label, qas):
     return Claim(id=cid, text=f"claim {cid}", gold_label=label, gold_evidence=tuple(qas))
 
@@ -660,6 +698,10 @@ class TestAveritecScore:
         with pytest.raises(ValidationError) as exc:
             averitec_score(preds + [preds[0]], golds)
         assert "duplicate" in str(exc.value)
+
+    def test_no_gold_claims_rejected(self):
+        with pytest.raises(ValidationError, match="no gold claims to score"):
+            averitec_score([], [])
 
     def test_missing_and_extra_ids_rejected(self):
         golds, preds = self._fixture()
