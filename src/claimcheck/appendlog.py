@@ -5,18 +5,17 @@ and a line counts once its newline is written. A process killed in the
 middle of an append leaves an unterminated fragment at the end of the
 file: reading drops it with a warning, so its record is redone, and the
 next append first cuts the file back to the last newline, so the new
-line is not glued to the fragment. A bad line anywhere else is
-corruption and raises ValidationError.
+line is not glued to the fragment. Complete lines are decoded by
+corpus.json_line, so a bad one is corruption and raises ValidationError.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections.abc import Iterable, Iterator
 
-from .errors import ValidationError
+from .corpus import json_line
 
 log = logging.getLogger(__name__)
 
@@ -26,8 +25,8 @@ class AppendLog:
         self.path = path
         self._torn_at: int | None = None  # byte offset of a torn final line
 
-    def read(self) -> Iterator[tuple[int, object]]:
-        """(line number, parsed JSON) of each complete, non-blank line."""
+    def read(self) -> Iterator[tuple[int, dict]]:
+        """(line number, JSON object) of each complete, non-blank line."""
         self._torn_at = None
         if not os.path.isfile(self.path):
             return
@@ -42,16 +41,9 @@ class AppendLog:
                     self._torn_at = offset
                     return
                 offset += len(raw)
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:
-                    # ValueError covers JSONDecodeError and over-long integer literals
-                    raise ValidationError(
-                        f"{self.path}: line {lineno}: not valid JSON: {exc}"
-                    ) from exc
-                yield lineno, obj
+                obj = json_line(self.path, f"line {lineno}", raw)
+                if obj is not None:
+                    yield lineno, obj
 
     def append(self, lines: Iterable[str]) -> None:
         """Append lines, each given without its newline."""

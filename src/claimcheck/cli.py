@@ -19,7 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .appendlog import AppendLog
 from .config import AppConfig, load_app_config
-from .corpus import Claim, load_dataset, load_knowledge_store, repeated_ids
+from .corpus import (Claim, claim_id_field, json_record, json_type, load_dataset,
+                     load_knowledge_store, repeated_ids)
 from .dense import EmbeddingCache
 from .errors import ClaimCheckError, ConfigError, ValidationError
 from .generator import (
@@ -84,16 +85,19 @@ def _run_claims(claims: list[Claim], jobs: int, work):
 
     Yields (claim, result, error) in claim order, each as soon as that
     claim and the ones before it are done; error is the ClaimCheckError
-    work raised (result None), else None. Leaving the loop early still
-    waits for the claims already submitted.
+    work raised (result None), else None. Closing the generator early
+    cancels the claims not yet started and waits for the running ones.
     """
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [(claim, pool.submit(work, claim)) for claim in claims]
-        for claim, future in futures:
-            try:
-                yield claim, future.result(), None
-            except ClaimCheckError as exc:
-                yield claim, None, exc
+        try:
+            for claim, future in futures:
+                try:
+                    yield claim, future.result(), None
+                except ClaimCheckError as exc:
+                    yield claim, None, exc
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def cmd_ingest(args, cfg: AppConfig) -> int:
@@ -126,15 +130,16 @@ def cmd_retrieve(args, cfg: AppConfig) -> int:
         return _retrieve_claim(cfg, claim).trace
 
     failures: list[tuple[int, str]] = []
-    for claim, trace, error in _run_claims(claims, args.jobs, work):
-        if error is not None:
-            if not args.keep_going:
-                print(f"claim {claim.id} failed: {error}", file=sys.stderr)
-                return 1
-            failures.append((claim.id, str(error)))
-            continue
-        path = os.path.join(cfg.paths.output_dir, f"trace_{claim.id}.json")
-        _write_atomic(path, _dump_json(trace))
+    with contextlib.closing(_run_claims(claims, args.jobs, work)) as results:
+        for claim, trace, error in results:
+            if error is not None:
+                if not args.keep_going:
+                    print(f"claim {claim.id} failed: {error}", file=sys.stderr)
+                    return 1
+                failures.append((claim.id, str(error)))
+                continue
+            path = os.path.join(cfg.paths.output_dir, f"trace_{claim.id}.json")
+            _write_atomic(path, _dump_json(trace))
 
     errors_path = os.path.join(cfg.paths.output_dir, "retrieve_errors.jsonl")
     if failures:
@@ -157,18 +162,23 @@ def _load_progress(progress: AppendLog) -> dict[int, dict]:
 
     The last status per claim wins; errored claims are retried on rerun.
     """
-    done: dict[int, dict] = {}
-    for lineno, entry in progress.read():
-        try:
-            if entry.get("status") == "ok":
-                done[entry["claim_id"]] = entry["record"]
-            else:
-                done.pop(entry["claim_id"], None)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"{progress.path}: line {lineno}: bad progress entry: {exc!r}"
-            ) from exc
-    return done
+    last: dict[int, dict | None] = {}
+    for lineno, obj in progress.read():
+        where = f"line {lineno}: bad progress entry"
+        claim_id, record = json_record(progress.path, where, obj, _progress_entry)
+        last[claim_id] = record
+    return {claim_id: record for claim_id, record in last.items() if record is not None}
+
+
+def _progress_entry(entry: dict) -> tuple[int, dict | None]:
+    """The claim id of a progress line, and its record if its status is ok."""
+    claim_id = claim_id_field(entry)
+    if entry.get("status") != "ok":
+        return claim_id, None
+    record = entry["record"]
+    if not isinstance(record, dict):
+        raise ValidationError(f"record must be an object, got {json_type(record)}")
+    return claim_id, record
 
 
 def cmd_verify(args, cfg: AppConfig) -> int:
@@ -206,14 +216,15 @@ def cmd_verify(args, cfg: AppConfig) -> int:
 
     # progress is appended from this thread only, as each claim completes
     failures: list[tuple[int, str]] = []
-    for claim, record, error in _run_claims(pending, args.jobs, work):
-        if error is not None:
-            failures.append((claim.id, str(error)))
-            entry = {"claim_id": claim.id, "status": "error", "error": str(error)}
-        else:
-            done[claim.id] = record
-            entry = {"claim_id": claim.id, "status": "ok", "record": record}
-        progress.append([json.dumps(entry, sort_keys=True)])
+    with contextlib.closing(_run_claims(pending, args.jobs, work)) as results:
+        for claim, record, error in results:
+            if error is not None:
+                failures.append((claim.id, str(error)))
+                entry = {"claim_id": claim.id, "status": "error", "error": str(error)}
+            else:
+                done[claim.id] = record
+                entry = {"claim_id": claim.id, "status": "ok", "record": record}
+            progress.append([json.dumps(entry, sort_keys=True)])
 
     ordered = [done[c.id] for c in claims if c.id in done]
     out_path = os.path.join(cfg.paths.output_dir, "predictions.json")

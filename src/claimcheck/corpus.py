@@ -1,8 +1,10 @@
-"""JSON input-file reading, dataset and knowledge-store ingestion,
-sentence splitting, chunking.
+"""JSON input reading, dataset and knowledge-store ingestion, sentence
+splitting, chunking.
 
-Every JSON input file but the JSON-lines knowledge store is read
-through load_json, so a bad one fails the same way whichever it is. A
+Every outside JSON record is read here: a JSON file through load_json,
+a line of a JSON-lines file (a knowledge store, an embedding cache,
+verify's progress) through json_line, and each record through
+json_record, so a bad one fails the same way whichever it is. A
 dataset file is a JSON array of claims with optional gold labels and
 question-answer evidence. A knowledge store is a JSON-lines file (or a
 directory of per-claim files) of pre-scraped documents, each already
@@ -22,6 +24,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import ValidationError
 
@@ -35,15 +38,6 @@ class VeracityLabel(Enum):
     REFUTED = "Refuted"
     NOT_ENOUGH_EVIDENCE = "Not Enough Evidence"
     CONFLICTING = "Conflicting Evidence/Cherrypicking"
-
-
-# Order used when probability ties must be broken without an LLM preference.
-LABEL_TIE_ORDER = [
-    VeracityLabel.SUPPORTED,
-    VeracityLabel.REFUTED,
-    VeracityLabel.CONFLICTING,
-    VeracityLabel.NOT_ENOUGH_EVIDENCE,
-]
 
 
 class AnswerType(Enum):
@@ -149,25 +143,48 @@ def load_json(path: str, what: str):
 
 
 def load_json_objects(path: str, what: str, parse) -> list:
-    """[parse(pos, obj) for each obj] of a file holding a JSON array of objects.
-
-    A ValidationError, KeyError, TypeError or ValueError from parse is
-    reported as "{path}: element {pos}: ...".
-    """
+    """[parse(pos, obj) for each obj] of a file holding a JSON array of
+    objects, each a record at "element {pos}" (see json_record)."""
     data = load_json(path, what)
     if not isinstance(data, list):
         raise ValidationError(f"{path}: expected a JSON array, got {json_type(data)}")
-    out = []
-    for pos, obj in enumerate(data):
-        try:
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{json_type(obj)}, not an object")
-            out.append(parse(pos, obj))
-        except KeyError as exc:
-            raise ValidationError(f"{path}: element {pos}: missing field {exc}") from exc
-        except (ValidationError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: element {pos}: {exc}") from exc
-    return out
+    return [json_record(path, f"element {pos}", obj, partial(parse, pos))
+            for pos, obj in enumerate(data)]
+
+
+def json_record(path: str, where: str, obj, parse):
+    """parse(obj), obj being the record at where in path, which must be an
+    object. A ValidationError, KeyError, TypeError or ValueError from
+    parse is reported as "{path}: {where}: ..."."""
+    try:
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{json_type(obj)}, not an object")
+        return parse(obj)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: {where}: missing field {exc}") from exc
+    except (ValidationError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {where}: {exc}") from exc
+
+
+def json_line(path: str, where: str, raw: bytes) -> dict | None:
+    """The JSON object on a line of a JSON-lines file, given as bytes; None
+    for a blank line. Invalid UTF-8, invalid JSON (too deep nesting and
+    over-long integer literals included) and a value that is not an
+    object each raise a ValidationError naming path and where."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {where}: not valid UTF-8: {exc}") from exc
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
+        raise ValidationError(f"{path}: {where}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: {where}: {json_type(obj)}, not an object")
+    return obj
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
@@ -296,23 +313,22 @@ def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
         target = path
         lines = _combined_store_lines(path, claim_id)
 
-    documents = []
-    dropped = 0
-    for where, obj in lines:
-        try:
-            if claim_id_field(obj, claim_id) != claim_id:
-                continue
-            url = str_field(obj, "url", "")
-            sentences = _store_sentences(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"{target}: {where}: claim {claim_id}: {exc}") from exc
-        if not sentences:
-            dropped += 1
-            continue
-        documents.append(Document(url=url, sentences=sentences))
+    parse = partial(_store_document, claim_id)
+    parsed = [json_record(target, f"{where}: claim {claim_id}", obj, parse)
+              for where, obj in lines]
+    found = [doc for doc in parsed if doc is not None]
+    documents = [Document(url=url, sentences=sentences) for url, sentences in found if sentences]
+    dropped = len(found) - len(documents)
     if dropped:
         log.info("claim %d: dropped %d empty documents", claim_id, dropped)
     return StoreLoadResult(documents=tuple(documents), dropped_empty=dropped)
+
+
+def _store_document(claim_id: int, obj: dict) -> tuple[str, tuple[str, ...]] | None:
+    """(url, non-blank sentences) of claim_id's store line; None for another claim's."""
+    if claim_id_field(obj, claim_id) != claim_id:
+        return None
+    return str_field(obj, "url", ""), _store_sentences(obj)
 
 
 def _store_sentences(obj: dict) -> tuple[str, ...]:
@@ -330,29 +346,11 @@ def _store_sentences(obj: dict) -> tuple[str, ...]:
     return tuple(sentences)
 
 
-def _parse_store_line(path: str, where: str, raw: bytes) -> dict | None:
-    """One store line as a JSON object; None for a blank line."""
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: {where}: not valid UTF-8: {exc}") from exc
-    if not line:
-        return None
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and over-long integer literals
-        raise ValidationError(f"{path}: {where}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: {where}: not a JSON object")
-    return obj
-
-
 def _parsed_lines(path: str, fh):
     """(line number, byte offset, object) of each non-blank line of a store."""
     offset = 0
     for lineno, raw in enumerate(fh, start=1):
-        obj = _parse_store_line(path, f"line {lineno}", raw)
+        obj = json_line(path, f"line {lineno}", raw)
         if obj is not None:
             yield lineno, offset, obj
         offset += len(raw)
@@ -421,7 +419,7 @@ def _combined_store_lines(path: str, claim_id: int):
         for offset in heapq.merge(index.by_claim.get(claim_id, ()), index.shared):
             fh.seek(offset)
             where = f"byte {offset}"
-            obj = _parse_store_line(path, where, fh.readline())
+            obj = json_line(path, where, fh.readline())
             if obj is not None:
                 yield where, obj
 

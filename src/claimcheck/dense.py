@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .appendlog import AppendLog
+from .corpus import json_record, str_field
 from .errors import ConfigError, ProviderError, ValidationError, post_json
 from .lexical import tokenize
 
@@ -246,23 +247,26 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarr
     return vectors
 
 
-def _decode_entry(obj) -> np.ndarray:
-    """The vector of one cache line: "f64" bytes or legacy "values" list."""
+def _cache_entry(obj: dict) -> tuple[str, np.ndarray]:
+    """The key and vector of one cache line: "f64" bytes or legacy "values" list."""
     if ("f64" in obj) == ("values" in obj):
         raise ValueError("needs exactly one of the f64 and values fields")
-    dim = int(obj["dim"])
+    key = str_field(obj, "key")
+    dim = obj["dim"]
+    if type(dim) is not int:
+        raise ValidationError(f"dim must be an integer, got {dim!r}")
     if "values" in obj:
         values = np.asarray(obj["values"], dtype=np.float64)
         if values.ndim != 1 or values.shape[0] != dim:
             raise ValueError("dim field disagrees with values length")
-        return values
+        return key, values
     if not isinstance(obj["f64"], str):
         raise TypeError("f64 field is not a string")
     raw = base64.b64decode(obj["f64"], validate=True)
     if len(raw) != 8 * dim:
         raise ValueError(f"f64 field holds {len(raw)} bytes, dim {dim} needs {8 * dim}")
     # copy out of the read-only bytes, in native byte order
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return key, np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 class EmbeddingCache:
@@ -284,12 +288,8 @@ class EmbeddingCache:
         self._log = AppendLog(path)
         self._entries: dict[str, np.ndarray] = {}
         for lineno, obj in self._log.read():
-            try:
-                self._entries[obj["key"]] = _decode_entry(obj)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{path}: line {lineno}: bad cache entry: {exc}"
-                ) from exc
+            key, vec = json_record(path, f"line {lineno}: bad cache entry", obj, _cache_entry)
+            self._entries[key] = vec
 
     @staticmethod
     def key_for(claim_id: int, model_name: str, text: str) -> str:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .corpus import (
-    LABEL_TIE_ORDER,
     VeracityLabel,
     claim_id_field,
     json_type,
@@ -23,6 +22,10 @@ from .corpus import (
 from .errors import ConfigError, ValidationError
 
 _SUM_TOL = 1e-9
+
+# Order used when probability ties must be broken without an LLM preference.
+LABEL_TIE_ORDER = [VeracityLabel.SUPPORTED, VeracityLabel.REFUTED,
+                   VeracityLabel.CONFLICTING, VeracityLabel.NOT_ENOUGH_EVIDENCE]
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,18 @@ import base64
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 
+import claimcheck.cli as cli
 import claimcheck.dense as dense
+from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _overrides_from, _write_atomic, build_parser
 from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.corpus import VeracityLabel
+from claimcheck.errors import ValidationError
 
 from conftest import build_echo_script, echo_response_text, run_cli
 
@@ -222,6 +226,28 @@ class TestRetrieve:
         )
         assert code == 1
         assert "claim 1 failed" in capsys.readouterr().err
+
+    def test_abort_runs_no_claim_not_yet_started(
+        self, dataset_path, knowledge_store_path, tmp_path, monkeypatch
+    ):
+        ran = []
+        real = cli._retrieve_claim
+
+        def slow(cfg, claim):
+            ran.append(claim.id)
+            time.sleep(0.2)
+            if claim.id == 0:
+                raise ValidationError("claim 0 fails")
+            return real(cfg, claim)
+
+        monkeypatch.setattr(cli, "_retrieve_claim", slow)
+        code = run_cli(
+            ["retrieve", "--jobs", "1"]
+            + _common(dataset_path, knowledge_store_path, tmp_path / "out")
+        )
+        assert code == 1
+        # claim 1 may start while claim 0's failure is reported; no later one
+        assert set(ran) <= {0, 1}
 
     def test_bad_set_value_exits_2(self, dataset_path, knowledge_store_path, tmp_path, capsys):
         code = run_cli(
@@ -503,6 +529,29 @@ class TestVerify:
         assert [e["claim_id"] for e in entries] == list(range(10))
         records = json.loads((out_dir / "predictions.json").read_text())
         assert [r["claim_id"] for r in records] == list(range(10))
+
+    def test_interrupt_runs_no_claim_not_yet_started(
+        self, dataset_path, knowledge_store_path, train_set_path,
+        echo_script_path, tmp_path, monkeypatch,
+    ):
+        ran = []
+        real = cli.run_generation
+
+        def slow(claim, *args):
+            ran.append(claim.id)
+            time.sleep(0.2)
+            return real(claim, *args)
+
+        def interrupt(self, lines):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_generation", slow)
+        monkeypatch.setattr(AppendLog, "append", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
+                                 echo_script_path, tmp_path / "out") + ["--jobs", "1"])
+        # claim 1 may start while claim 0's progress is appended; no later one
+        assert set(ran) <= {0, 1}
 
     def test_blank_progress_lines_skipped(
         self, dataset_path, knowledge_store_path, train_set_path,

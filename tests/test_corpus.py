@@ -288,7 +288,7 @@ class TestCombinedStoreIndex:
         path = tmp_path / "store.jsonl"
         lines = _random_store_lines(rng, list(range(12)), 300)
         _write_store(path, lines)
-        parses = _count_calls(monkeypatch, "_parse_store_line")
+        parses = _count_calls(monkeypatch, "json_line")
         builds = _count_calls(monkeypatch, "_index_store")
         expected_parses = len(lines)
         for claim_id in list(range(12)) + [99]:

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from claimcheck.corpus import LABEL_TIE_ORDER, VeracityLabel
+from claimcheck.corpus import VeracityLabel
 from claimcheck.errors import ConfigError, ValidationError
 from claimcheck.verdict import (
+    LABEL_TIE_ORDER,
     ensemble,
     EnsembleConfig,
     final_label,
