@@ -17,8 +17,6 @@ import types
 import typing
 from dataclasses import dataclass, fields
 
-import yaml
-
 from .dense import EmbeddingProviderConfig
 from .errors import ConfigError
 from .generator import GeneratorConfig
@@ -130,6 +128,9 @@ def _set(values: dict, section: str, key: str, value) -> None:
 
 
 def _merge_file(values: dict, path: str) -> None:
+    # imported here: a run without a config file never needs PyYAML
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

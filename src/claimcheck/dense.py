@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -100,22 +101,33 @@ class _TokenCodes(dict):
         return code
 
 
-def _hashed_vector(tokens: list[str], codes: _TokenCodes) -> np.ndarray:
-    """mock_embed of a text's tokens, with a caller-owned token memo.
+def _hashed_vectors(token_lists: list[list[str]], codes: _TokenCodes) -> np.ndarray:
+    """mock_embed of each token list, as the rows of one (n, MOCK_DIM) array.
 
-    Bucket sums are integer counts, exact in any order, so the result
-    is bit-identical to adding +-1.0 token by token.
+    codes is a caller-owned token memo. All texts' bucket codes go
+    through one bincount, each text's shifted to its own row. Bucket
+    sums are integer counts, exact in any order, and so is each row's
+    sum of squares, so every row is bit-identical to adding +-1.0 token
+    by token and dividing by np.linalg.norm.
     """
-    counts = np.bincount(
-        np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens)),
-        minlength=2 * MOCK_DIM,
+    n = len(token_lists)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
+    flat = np.fromiter(
+        map(codes.__getitem__, itertools.chain.from_iterable(token_lists)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
     )
-    vec = (counts[:MOCK_DIM] - counts[MOCK_DIM:]).astype(np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        vec[0] = 1.0
-        return vec
-    return vec / norm
+    flat += np.repeat(np.arange(0, n * 2 * MOCK_DIM, 2 * MOCK_DIM), lengths)
+    counts = np.bincount(flat, minlength=n * 2 * MOCK_DIM).reshape(n, 2 * MOCK_DIM)
+    diff = counts[:, :MOCK_DIM] - counts[:, MOCK_DIM:]
+    norms = np.sqrt((diff * diff).sum(axis=1).astype(np.float64))
+    vecs = diff.astype(np.float64)
+    # a text with no tokens, or whose signs cancel, is the first basis vector
+    empty = norms == 0.0
+    vecs[empty, 0] = 1.0
+    norms[empty] = 1.0
+    vecs /= norms[:, None]
+    return vecs
 
 
 def mock_embed(text: str) -> np.ndarray:
@@ -125,7 +137,7 @@ def mock_embed(text: str) -> np.ndarray:
     a bucket and the fifth byte's parity picks the sign. Texts with no
     tokens map to the first basis vector so the result is never zero.
     """
-    return _hashed_vector(tokenize(text), _TokenCodes())
+    return _hashed_vectors([tokenize(text)], _TokenCodes())[0]
 
 
 # text -> tokenize(text), lent by the caller of the embed call in
@@ -158,15 +170,12 @@ class MockEmbeddingProvider:
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         # chunks of one claim share most of their vocabulary: hash each
         # distinct token once per call
-        codes = _TokenCodes()
         known = _KNOWN_TOKENS.get() or {}
-        out = []
+        token_lists = []
         for text in texts:
             tokens = known.get(text)
-            if tokens is None:
-                tokens = tokenize(text)
-            out.append(_hashed_vector(tokens, codes))
-        return out
+            token_lists.append(tokenize(text) if tokens is None else tokens)
+        return list(_hashed_vectors(token_lists, _TokenCodes()))
 
 
 class HttpEmbeddingProvider:
@@ -212,7 +221,7 @@ class HttpEmbeddingProvider:
                     f"embeddings response item is a {type(item).__name__}, not an object"
                 )
             idx = item.get("index")
-            if not isinstance(idx, int) or not 0 <= idx < expected:
+            if type(idx) is not int or not 0 <= idx < expected:
                 raise ProviderError(f"embeddings response has bad index {idx!r}")
             try:
                 out[idx] = _check_vector(item.get("embedding"), f"embedding {idx}")
@@ -307,12 +316,11 @@ class EmbeddingCache:
         if not fresh:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        # json.dumps of {"key", "dim", "f64"}, byte for byte, without a
+        # dict per vector: only the key can need escaping
         self._log.append(
-            json.dumps({
-                "key": key,
-                "dim": int(vec.shape[0]),
-                "f64": base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii"),
-            })
+            f'{{"key": {json.dumps(key)}, "dim": {vec.shape[0]}, "f64": "'
+            f'{base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")}"}}'
             for key, vec in fresh
         )
         self._entries.update(fresh)

@@ -87,7 +87,15 @@ def retrieve(
     chunks: list[Chunk] = []
     for doc in docs:
         chunks.extend(chunk_document(doc, cfg.max_chars))
-    tokenized = [tokenize(c.text) for c in chunks]
+    # one string object per distinct word: a claim's chunks repeat a few
+    # thousand words hundreds of thousands of times, and each duplicate
+    # from tokenize is dropped as soon as its list is mapped
+    canon: dict[str, str] = {}
+    share = canon.setdefault
+    tokenized = []
+    for c in chunks:
+        tokens = tokenize(c.text)
+        tokenized.append(list(map(share, tokens, tokens)))
     query_tokens = tokenize(claim.text)
     pruned = []
     # BM25 needs a query and at least one chunk with a token

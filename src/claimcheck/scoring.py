@@ -322,12 +322,14 @@ def meteor_lite(candidate: str | _Text, reference: str | _Text) -> float:
 # Hungarian assignment
 
 
-def _solve_min_assignment(cost: np.ndarray):
+def _solve_min_assignment(cost: list[list[float]]):
     """Shortest-augmenting-path assignment with potentials, O(n^3).
 
+    cost is a square matrix as nested lists: the loops read it one
+    element at a time, which on a numpy array makes a scalar per read.
     Returns (col_to_row, u, v), all 1-indexed with a 0 sentinel slot.
     """
-    n = cost.shape[0]
+    n = len(cost)
     inf = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -370,14 +372,14 @@ def _solve_min_assignment(cost: np.ndarray):
     return p, u, v
 
 
-def _can_complete(tight: np.ndarray, start: int, used_cols: list[bool]) -> bool:
+def _can_complete(tight: list[list[bool]], start: int, used_cols: list[bool]) -> bool:
     """Can rows start..n-1 be perfectly matched into the unused columns?"""
-    n = tight.shape[0]
+    n = len(tight)
     match_col = [-1] * n
 
     def try_row(r: int, visited: list[bool]) -> bool:
         for c in range(n):
-            if used_cols[c] or visited[c] or not tight[r, c]:
+            if used_cols[c] or visited[c] or not tight[r][c]:
                 continue
             visited[c] = True
             if match_col[c] == -1 or try_row(match_col[c], visited):
@@ -415,16 +417,16 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     padded[:rows, :cols] = arr
     cost = -padded
 
-    _p, u, v = _solve_min_assignment(cost)
+    _p, u, v = _solve_min_assignment(cost.tolist())
     eps = 1e-9 * max(1.0, float(np.abs(cost).max()))
     reduced = cost - np.array(u[1:])[:, None] - np.array(v[1:])[None, :]
-    tight = reduced <= eps
+    tight = (reduced <= eps).tolist()
 
     assigned = [-1] * n
     used_cols = [False] * n
     for i in range(n):
         for j in range(n):
-            if used_cols[j] or not tight[i, j]:
+            if used_cols[j] or not tight[i][j]:
                 continue
             used_cols[j] = True
             if _can_complete(tight, i + 1, used_cols):

@@ -29,6 +29,20 @@ from claimcheck.lexical import tokenize
 from claimcheck.retriever import RetrievalConfig
 
 
+def _hash_oracle(text):
+    """mock_embed recomputed independently, one token at a time."""
+    expected = np.zeros(MOCK_DIM)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+        bucket = int.from_bytes(digest[:4], "little") % MOCK_DIM
+        expected[bucket] += 1.0 if digest[4] % 2 == 0 else -1.0
+    norm = np.linalg.norm(expected)
+    if norm == 0.0:
+        expected[0] = 1.0
+        return expected
+    return expected / norm
+
+
 class TestMockEmbed:
     def test_unit_norm_and_dim(self):
         v = mock_embed("The Halvern Bridge was completed in 1977.")
@@ -46,32 +60,24 @@ class TestMockEmbed:
         assert np.array_equal(a, b)
 
     def test_matches_hash_oracle(self):
-        # independent recomputation of the bucket/sign scheme, one token at
-        # a time; "w14 w22" share a bucket with opposite signs and cancel
-        def oracle(text):
-            expected = np.zeros(MOCK_DIM)
-            for token in text.lower().split():
-                digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
-                bucket = int.from_bytes(digest[:4], "little") % MOCK_DIM
-                expected[bucket] += 1.0 if digest[4] % 2 == 0 else -1.0
-            norm = np.linalg.norm(expected)
-            if norm == 0.0:
-                expected[0] = 1.0
-                return expected
-            return expected / norm
-
+        # "w14 w22" share a bucket with opposite signs and cancel. One
+        # batch goes through one bincount: repeated texts, texts with no
+        # tokens and long texts next to short ones each keep their own row
         rng = random.Random(4417)
         vocab = [f"w{i}" for i in range(40)]
         texts = ["Quorvel sold forty thousand vans", "w14 w22", "w22 w14 w14 w22"] + [
-            " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 60)))
+            " ".join(rng.choice(vocab) for _ in range(rng.choice([1, 7, 60, 900])))
             for _ in range(200)
         ]
+        texts += ["", "?!...", texts[5], texts[5], "", "Ünïcode only ☃"]
+        rng.shuffle(texts)
         assert np.array_equal(mock_embed("w14 w22"), np.eye(MOCK_DIM)[0])
         batched = MockEmbeddingProvider(EmbeddingProviderConfig()).embed(texts)
+        assert len(batched) == len(texts)
         for text, vec in zip(texts, batched):
-            expected = oracle(text)
-            assert np.array_equal(mock_embed(text), expected), text
-            assert np.array_equal(vec, expected), text
+            expected = _hash_oracle(text).tobytes()
+            assert mock_embed(text).tobytes() == expected, text
+            assert vec.shape == (MOCK_DIM,) and vec.tobytes() == expected, text
 
     def test_no_tokens_maps_to_basis(self):
         v = mock_embed("?!...")
@@ -286,8 +292,16 @@ class TestHttpEmbeddingProvider:
             (b"<html>gateway</html>", "embeddings response is not JSON"),
             ([{"index": 0, "embedding": [1.0]}], "has no items"),
             ({"data": [[1.0], "x"]}, "item is a list, not an object"),
+            (
+                {"data": [{"index": False, "embedding": [1.0]}, {"index": 1, "embedding": [2.0]}]},
+                "bad index False",
+            ),
+            (
+                {"data": [{"index": 0, "embedding": [1.0]}, {"index": True, "embedding": [2.0]}]},
+                "bad index True",
+            ),
         ],
-        ids=["not-json", "json-array", "non-object-items"],
+        ids=["not-json", "json-array", "non-object-items", "false-index", "true-index"],
     )
     def test_malformed_success_body(self, stub_server, payload, message):
         server, base_url = stub_server
@@ -381,6 +395,35 @@ class TestEmbeddingCache:
         assert got.dtype == np.float64 and got.dtype.isnative
         assert got.flags.writeable
         assert got.tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "3:mock-64:0123abcd",
+            '0:model "quoted":ff',
+            "0:C:\\models\\emb\\v2:aa",
+            "12:modèle-é☃-埋め込み:bb",
+            "1:tab\tnewline\n\u0000:cc",
+        ],
+        ids=["plain", "quotes", "backslashes", "non-ascii", "control"],
+    )
+    def test_lines_equal_json_dumps_of_the_record(self, tmp_path, key):
+        rng = np.random.default_rng(305)
+        vecs = [rng.standard_normal(64), np.array([-0.0, 5e-324, 1e308]), np.eye(MOCK_DIM)[0]]
+        path = tmp_path / "emb_0.jsonl"
+        items = [(f"{key}:{i}", vec) for i, vec in enumerate(vecs)]
+        EmbeddingCache(str(path)).put_many(items)
+        expected = [
+            json.dumps({
+                "key": k,
+                "dim": v.size,
+                "f64": base64.b64encode(v.astype("<f8").tobytes()).decode("ascii"),
+            })
+            for k, v in items
+        ]
+        assert path.read_bytes() == "".join(line + "\n" for line in expected).encode("ascii")
+        reloaded = EmbeddingCache(str(path))
+        assert all(reloaded.get(k).tobytes() == v.tobytes() for k, v in items)
 
     def test_legacy_values_lines_read_next_to_f64_lines(self, tmp_path):
         rng = np.random.default_rng(99)

@@ -273,6 +273,25 @@ class TestTokensOnce:
         provider.embed(chunk_texts)
         assert calls["dense"] == chunk_texts
 
+    def test_repeated_words_are_one_object(self, knowledge_store_path, claims, monkeypatch):
+        claim = claims[0]
+        docs, chunk_texts = self._inputs(knowledge_store_path, claim)
+        lent = []
+        real = retriever.known_tokens
+        monkeypatch.setattr(retriever, "known_tokens", lambda m: lent.append(m) or real(m))
+        retrieve(claim, docs, self.CFG, MOCK)
+        (tokens_by_text,) = lent
+        assert all(tokens == tokenize(text) for text, tokens in tokens_by_text.items())
+        first: dict[str, str] = {}
+        occurrences = Counter()
+        for tokens in tokens_by_text.values():
+            for word in tokens:
+                assert first.setdefault(word, word) is word, word
+                occurrences[word] += 1
+        # single characters are shared by the interpreter anyway: make
+        # sure longer words repeat too, so the check above means something
+        assert sum(n - 1 for w, n in occurrences.items() if len(w) > 1) > 20
+
     def test_threads_match_sequential_runs(self, knowledge_store_path, claims, monkeypatch):
         jobs = [(c, self._inputs(knowledge_store_path, c)[0]) for c in claims[:2]]
         real = dense.embed_batch
