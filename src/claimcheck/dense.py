@@ -2,14 +2,12 @@
 
 The embedding provider is pluggable: an HTTP provider speaking an
 OpenAI-style /embeddings endpoint, or a deterministic offline mock that
-feature-hashes tokens into a fixed-dimension vector. The mock reuses the
-tokens a caller already holds for a text when the caller lends them
-through known_tokens (retrieve does, for its chunks); other texts are
-tokenized. Search is exact (full scan): per-claim candidate sets are a
-few thousand vectors at most, so approximate indexes would only add a
-dependency. VectorIndex owns validation and normalization: build checks
-and unit-normalizes a claim's vectors once, as one matrix, and knn and
-mmr_select read its rows without checking them again.
+feature-hashes tokens into a fixed-dimension vector. Search is exact
+(full scan): per-claim candidate sets are a few thousand vectors at
+most, so approximate indexes would only add a dependency. VectorIndex
+owns validation and normalization: build checks and unit-normalizes a
+claim's vectors once, as one matrix, and knn and mmr_select read its
+rows without checking them again.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -56,8 +52,8 @@ class EmbeddingProviderConfig:
             raise ConfigError(f"unknown embedding provider kind: {self.kind!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout_s must be positive")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ConfigError("timeout_s must be finite and positive")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
         if self.kind == "http" and not (self.base_url and self.model_name):
@@ -140,42 +136,21 @@ def mock_embed(text: str) -> np.ndarray:
     return _hashed_vectors([tokenize(text)], _TokenCodes())[0]
 
 
-# text -> tokenize(text), lent by the caller of the embed call in
-# progress. A ContextVar, so each thread sees only its own.
-_KNOWN_TOKENS: ContextVar[dict[str, list[str]] | None] = ContextVar(
-    "known_tokens", default=None
-)
-
-
-@contextmanager
-def known_tokens(tokens_by_text: dict[str, list[str]]) -> Iterator[None]:
-    """Let the mock embedder reuse these tokens inside the block.
-
-    Each value must be tokenize(key). The map is seen by the current
-    thread only and is gone once the block exits, raised or not.
-    """
-    reset = _KNOWN_TOKENS.set(tokens_by_text)
-    try:
-        yield
-    finally:
-        _KNOWN_TOKENS.reset(reset)
-
-
 class MockEmbeddingProvider:
     """Offline provider; deterministic across runs and platforms."""
 
     def __init__(self, cfg: EmbeddingProviderConfig):
         self.cfg = cfg
 
-    def embed(self, texts: list[str]) -> list[np.ndarray]:
+    def embed(
+        self, texts: list[str], tokens: list[list[str]] | None = None
+    ) -> list[np.ndarray]:
+        """tokens, when given, holds tokenize(text) for each text."""
+        if tokens is None:
+            tokens = [tokenize(text) for text in texts]
         # chunks of one claim share most of their vocabulary: hash each
         # distinct token once per call
-        known = _KNOWN_TOKENS.get() or {}
-        token_lists = []
-        for text in texts:
-            tokens = known.get(text)
-            token_lists.append(tokenize(text) if tokens is None else tokens)
-        return list(_hashed_vectors(token_lists, _TokenCodes()))
+        return list(_hashed_vectors(tokens, _TokenCodes()))
 
 
 class HttpEmbeddingProvider:
@@ -232,7 +207,10 @@ class HttpEmbeddingProvider:
             raise ProviderError("embeddings response is missing indices")
         return out  # type: ignore[return-value]
 
-    def embed(self, texts: list[str]) -> list[np.ndarray]:
+    def embed(
+        self, texts: list[str], tokens: list[list[str]] | None = None
+    ) -> list[np.ndarray]:
+        """tokens is ignored: the endpoint embeds the texts themselves."""
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.cfg.batch_size):
             vectors.extend(self._post_batch(texts[start : start + self.cfg.batch_size]))
@@ -245,11 +223,17 @@ def make_embedding_provider(cfg: EmbeddingProviderConfig):
     return HttpEmbeddingProvider(cfg)
 
 
-def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarray]:
-    """Embed texts in order, enforcing a uniform dimension across the batch."""
+def embed_batch(
+    texts: list[str], cfg: EmbeddingProviderConfig, tokens: list[list[str]] | None = None
+) -> list[np.ndarray]:
+    """Embed texts in order, enforcing a uniform dimension across the batch.
+
+    tokens, when given, holds tokenize(text) for each text, so the mock
+    embedder need not tokenize again.
+    """
     if not texts:
         raise ValidationError("embed_batch requires at least one text")
-    vectors = make_embedding_provider(cfg).embed(texts)
+    vectors = make_embedding_provider(cfg).embed(texts, tokens)
     dims = {v.shape[0] for v in vectors}
     if len(dims) > 1:
         raise ProviderError(f"embedding dimensions disagree within one batch: {sorted(dims)}")
@@ -257,18 +241,11 @@ def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> list[np.ndarr
 
 
 def _cache_entry(obj: dict) -> tuple[str, np.ndarray]:
-    """The key and vector of one cache line: "f64" bytes or legacy "values" list."""
-    if ("f64" in obj) == ("values" in obj):
-        raise ValueError("needs exactly one of the f64 and values fields")
+    """The key and vector of one {"key", "dim", "f64"} cache line."""
     key = str_field(obj, "key")
     dim = obj["dim"]
     if type(dim) is not int:
         raise ValidationError(f"dim must be an integer, got {dim!r}")
-    if "values" in obj:
-        values = np.asarray(obj["values"], dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] != dim:
-            raise ValueError("dim field disagrees with values length")
-        return key, values
     if not isinstance(obj["f64"], str):
         raise TypeError("f64 field is not a string")
     raw = base64.b64decode(obj["f64"], validate=True)
@@ -285,9 +262,7 @@ class EmbeddingCache:
     are persisted and reruns only embed what is missing. Each line is
     {"key", "dim", "f64"}, f64 being the base64 of the vector's
     little-endian float64 bytes, so vectors round-trip bit-exactly and
-    load without parsing float text. Lines of the older form
-    {"key", "dim", "values"} (a JSON float list) are still read, so an
-    old file needs no migration. A torn final line left by an
+    load without parsing float text. A torn final line left by an
     interrupted append is dropped (see appendlog), so its vector is
     embedded again.
     """
@@ -331,8 +306,12 @@ def embed_cached(
     claim_id: int,
     cfg: EmbeddingProviderConfig,
     cache: EmbeddingCache | None,
+    tokens: list[list[str]] | None = None,
 ) -> list[np.ndarray]:
     """Embed texts, serving repeats from the cache when one is given.
+
+    tokens, when given, holds tokenize(text) for each text (see
+    embed_batch).
 
     Every vector returned has one dimension: that of the vectors this
     call embedded, if any, else that of the first. A cached vector of
@@ -340,7 +319,7 @@ def embed_cached(
     of another size) is a ValidationError naming the cache file and key.
     """
     if cache is None:
-        return embed_batch(texts, cfg)
+        return embed_batch(texts, cfg, tokens)
     model = cfg.effective_model_name
     keys = [EmbeddingCache.key_for(claim_id, model, t) for t in texts]
     missing_positions = []
@@ -351,7 +330,11 @@ def embed_cached(
             seen_keys.add(key)
     dim = None
     if missing_positions:
-        fresh = embed_batch([texts[i] for i in missing_positions], cfg)
+        fresh = embed_batch(
+            [texts[i] for i in missing_positions],
+            cfg,
+            None if tokens is None else [tokens[i] for i in missing_positions],
+        )
         cache.put_many([(keys[i], vec) for i, vec in zip(missing_positions, fresh)])
         dim = fresh[0].shape[0]
     out = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -57,8 +58,12 @@ class GeneratorConfig:
             raise ConfigError("transport_retries must be >= 0")
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"unknown chat provider kind: {self.kind!r}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if self.temperature is not None and not (
+            math.isfinite(self.temperature) and self.temperature >= 0
+        ):
+            raise ConfigError("temperature must be finite and >= 0")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ConfigError("timeout_s must be finite and positive")
 
 
 @dataclass(frozen=True)

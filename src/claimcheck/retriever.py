@@ -18,7 +18,6 @@ from .dense import (
     VectorIndex,
     embed_cached,
     knn,
-    known_tokens,
     mmr_select,
 )
 from .errors import ConfigError
@@ -117,9 +116,9 @@ def retrieve(
         survivors.append(ordinal)
 
     texts = [claim.text] + [chunks[o].text for o in survivors]
-    # the mock embedder reuses the chunk tokens instead of tokenizing again
-    with known_tokens({chunks[o].text: tokenized[o] for o in survivors}):
-        vectors = embed_cached(texts, claim.id, embedding_cfg, cache)
+    # the mock embedder reuses these tokens instead of tokenizing again
+    tokens = [query_tokens] + [tokenized[o] for o in survivors]
+    vectors = embed_cached(texts, claim.id, embedding_cfg, cache, tokens)
 
     index_dense = VectorIndex.build(vectors[1:], survivors)
     pool = knn(index_dense, vectors[0], cfg.pool_size)

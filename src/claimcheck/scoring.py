@@ -19,8 +19,6 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import (
     Claim,
     VeracityLabel,
@@ -325,8 +323,7 @@ def meteor_lite(candidate: str | _Text, reference: str | _Text) -> float:
 def _solve_min_assignment(cost: list[list[float]]):
     """Shortest-augmenting-path assignment with potentials, O(n^3).
 
-    cost is a square matrix as nested lists: the loops read it one
-    element at a time, which on a numpy array makes a scalar per read.
+    cost is a square matrix as nested lists.
     Returns (col_to_row, u, v), all 1-indexed with a 0 sentinel slot.
     """
     n = len(cost)
@@ -396,31 +393,39 @@ def _can_complete(tight: list[list[bool]], start: int, used_cols: list[bool]) ->
 def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     """Maximum-total one-to-one assignment of rows to columns.
 
-    Rectangular input is zero-padded to square; the returned pairs
+    matrix is a list of equal-length rows of numbers (a 2-d numpy array
+    also serves). Rectangular input is zero-padded to square; the returned pairs
     cover min(rows, cols) real cells. Among optimal assignments the
     lexicographically smallest (by ascending row, then column) is
     returned, found by walking rows in order and keeping a column only
     if the remaining rows can still be matched within the tight
     subgraph of the optimal potentials.
     """
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
+    try:
+        arr = [[float(x) for x in row] for row in matrix]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix must be 2-d and of numbers: {exc}") from exc
+    if not arr or not arr[0]:
         raise ValidationError("matrix must be 2-d and nonempty")
-    if np.any(np.isnan(arr)):
+    rows, cols = len(arr), len(arr[0])
+    if any(len(row) != cols for row in arr):
+        raise ValidationError("matrix rows differ in length")
+    if any(math.isnan(x) for row in arr for x in row):
         raise ValidationError("matrix contains NaN")
-    if np.any(np.isinf(arr)):
+    if any(math.isinf(x) for row in arr for x in row):
         raise ValidationError("matrix contains infinity")
 
-    rows, cols = arr.shape
     n = max(rows, cols)
-    padded = np.zeros((n, n), dtype=np.float64)
-    padded[:rows, :cols] = arr
-    cost = -padded
+    # zero-padded to n x n, then negated (padding included, so it is -0.0)
+    cost = [[-x for x in row + [0.0] * (n - cols)] for row in arr]
+    cost += [[-0.0] * n for _ in range(n - rows)]
 
-    _p, u, v = _solve_min_assignment(cost.tolist())
-    eps = 1e-9 * max(1.0, float(np.abs(cost).max()))
-    reduced = cost - np.array(u[1:])[:, None] - np.array(v[1:])[None, :]
-    tight = (reduced <= eps).tolist()
+    _p, u, v = _solve_min_assignment(cost)
+    eps = 1e-9 * max(1.0, max(abs(x) for row in cost for x in row))
+    tight = [
+        [(x - ui) - vj <= eps for x, vj in zip(row, v[1:])]
+        for row, ui in zip(cost, u[1:])
+    ]
 
     assigned = [-1] * n
     used_cols = [False] * n
@@ -441,7 +446,7 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     ]
     total = 0.0
     for r, c in pairs:
-        total += float(arr[r, c])
+        total += arr[r][c]
     return pairs, total
 
 

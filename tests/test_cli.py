@@ -623,9 +623,9 @@ class TestVerify:
         embedded = []
         real_embed_batch = dense.embed_batch
 
-        def counting_embed_batch(texts, cfg):
+        def counting_embed_batch(texts, cfg, tokens=None):
             embedded.append(len(texts))
-            return real_embed_batch(texts, cfg)
+            return real_embed_batch(texts, cfg, tokens)
 
         monkeypatch.setattr(dense, "embed_batch", counting_embed_batch)
         assert run_cli(argv("second")) == 0
@@ -946,51 +946,20 @@ class TestCache:
                 warm / f"trace_{cid}.json"
             ).read_bytes()
 
-    def test_inspect_counts_legacy_and_f64_lines(self, tmp_path, capsys):
+    def test_inspect_rejects_values_line(self, tmp_path, capsys):
+        """A line of the JSON float list form, written before f64, is a bad entry."""
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         path = cache_dir / "emb_0.jsonl"
-        lines = [{"key": f"old{i}", "dim": 2, "values": [0.5, -float(i)]} for i in range(2)]
-        lines += [
+        lines = [
             {"key": f"new{i}", "dim": 2,
              "f64": base64.b64encode(np.array([1.0, i], dtype="<f8").tobytes()).decode()}
-            for i in range(3)
+            for i in range(2)
         ]
+        lines.append({"key": "old0", "dim": 2, "values": [0.5, -1.0]})
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert f"{path}: 5 vectors" in out
-        assert "1 cache files, 5 vectors total" in out
-
-    def test_cache_of_values_lines_reused_without_embedding(
-        self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
-        tmp_path, monkeypatch,
-    ):
-        """A cache written as JSON float lists, before the f64 form, is reused."""
-        cache_dir = tmp_path / "cache"
-        argv = ["--cache-dir", str(cache_dir)]
-        assert run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
-                                    echo_script_path, tmp_path / "cold") + argv) == 0
-        for path in cache_dir.glob("emb_*.jsonl"):
-            lines = []
-            for line in path.read_text().splitlines():
-                obj = json.loads(line)
-                raw = base64.b64decode(obj.pop("f64"))
-                obj["values"] = np.frombuffer(raw, dtype="<f8").tolist()
-                lines.append(json.dumps(obj) + "\n")
-            path.write_text("".join(lines))
-        before = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
-
-        def no_embedding(texts, cfg):
-            raise AssertionError(f"re-embedded {len(texts)} texts")
-
-        monkeypatch.setattr(dense, "embed_batch", no_embedding)
-        assert run_cli(_verify_argv(dataset_path, knowledge_store_path, train_set_path,
-                                    echo_script_path, tmp_path / "warm") + argv) == 0
-        assert (tmp_path / "warm" / "predictions.json").read_bytes() == (
-            tmp_path / "cold" / "predictions.json"
-        ).read_bytes()
-        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
+        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 2
+        assert f"{path}: line 3: bad cache entry" in capsys.readouterr().err
 
     def test_cache_requires_dir_config(self, capsys):
         assert run_cli(["cache", "inspect"]) == 2

@@ -242,6 +242,25 @@ class TestOverrideLayer:
         assert f"{key.split('.')[1]} must be >= 0" in str(exc.value)
         _load(overrides={key: "0"})
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("generator.timeout_s", "0", "timeout_s must be finite and positive"),
+            ("generator.timeout_s", "-1", "timeout_s must be finite and positive"),
+            ("generator.timeout_s", "nan", "timeout_s must be finite and positive"),
+            ("generator.timeout_s", "inf", "timeout_s must be finite and positive"),
+            ("embedding.timeout_s", "nan", "timeout_s must be finite and positive"),
+            ("embedding.timeout_s", "inf", "timeout_s must be finite and positive"),
+            ("generator.temperature", "nan", "temperature must be finite and >= 0"),
+            ("generator.temperature", "inf", "temperature must be finite and >= 0"),
+            ("generator.temperature", "-0.5", "temperature must be finite and >= 0"),
+        ],
+    )
+    def test_unusable_timeout_or_temperature_rejected(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
+            _load(overrides={key: value})
+        assert message in str(exc.value)
+
     def test_override_without_dot_rejected(self):
         with pytest.raises(ConfigError) as exc:
             _load(overrides={"omega": "1"})

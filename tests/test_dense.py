@@ -16,7 +16,6 @@ from claimcheck.dense import (
     EmbeddingProviderConfig,
     HttpEmbeddingProvider,
     knn,
-    known_tokens,
     make_embedding_provider,
     mmr_select,
     MOCK_DIM,
@@ -87,28 +86,24 @@ class TestMockEmbed:
     def test_distinguishes_texts(self):
         assert not np.array_equal(mock_embed("river bridge"), mock_embed("comet orbit"))
 
-    def test_known_tokens_reused_only_inside_block(self, monkeypatch):
+    def test_given_tokens_used_else_tokenized(self, monkeypatch):
         tokenized = []
         real = dense.tokenize
         monkeypatch.setattr(
             dense, "tokenize", lambda *a: tokenized.append(a[0]) or real(*a)
         )
         provider = MockEmbeddingProvider(EmbeddingProviderConfig())
-        texts = ["alpha beta alpha", "gamma, delta!"]
-        expected = [mock_embed(t) for t in texts]
+        texts = ["alpha beta alpha", "gamma, delta!", ""]
+        expected = [mock_embed(t).tobytes() for t in texts]
+        tokens = [tokenize(t) for t in texts]
         tokenized.clear()
 
-        with known_tokens({texts[0]: tokenize(texts[0])}):
-            inside = provider.embed(texts)
-        assert tokenized == [texts[1]]  # not in the map: tokenized as before
-        tokenized.clear()
-        with pytest.raises(RuntimeError):
-            with known_tokens({t: tokenize(t) for t in texts}):
-                raise RuntimeError("claim failed")
-        outside = provider.embed(texts)
+        given = provider.embed(texts, tokens)
+        assert tokenized == []
+        own = provider.embed(texts)
         assert tokenized == texts
-        for got in (inside, outside):
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        for got in (given, own):
+            assert [v.tobytes() for v in got] == expected
 
 
 class TestProviderConfig:
@@ -344,7 +339,7 @@ class TestEmbedBatch:
 
     def test_mixed_dimensions_are_provider_error(self, monkeypatch):
         class TwoDims:
-            def embed(self, texts):
+            def embed(self, texts, tokens=None):
                 return [np.ones(3), np.ones(4)]
 
         monkeypatch.setattr(dense, "make_embedding_provider", lambda cfg: TwoDims())
@@ -425,29 +420,11 @@ class TestEmbeddingCache:
         reloaded = EmbeddingCache(str(path))
         assert all(reloaded.get(k).tobytes() == v.tobytes() for k, v in items)
 
-    def test_legacy_values_lines_read_next_to_f64_lines(self, tmp_path):
-        rng = np.random.default_rng(99)
-        old = {f"old{i}": rng.standard_normal(6) for i in range(3)}
-        old["old0"][:3] = [-0.0, 5e-324, -1e308]
-        path = tmp_path / "emb_0.jsonl"
-        path.write_text("".join(
-            json.dumps({"key": k, "dim": 6, "values": v.tolist()}) + "\n"
-            for k, v in old.items()
-        ))
-        new = {f"new{i}": rng.standard_normal(6) for i in range(2)}
-        EmbeddingCache(str(path)).put_many(list(new.items()))
-        kinds = [set(json.loads(l)) - {"key", "dim"} for l in path.read_text().splitlines()]
-        assert kinds == [{"values"}] * 3 + [{"f64"}] * 2
-        reloaded = EmbeddingCache(str(path))
-        assert len(reloaded) == 5
-        for key, vec in {**old, **new}.items():
-            assert reloaded.get(key).tobytes() == vec.tobytes()
-
     @pytest.mark.parametrize(
         "entry",
         [
-            {"dim": 1, "values": [1.0], "f64": "AAAAAAAA8D8="},  # both fields
-            {"dim": 1},  # neither
+            {"dim": 1, "values": [1.0]},  # the JSON float list form, no f64
+            {"dim": 1},  # f64 missing
             {"dim": 1, "f64": "AAAA!AAA8D8="},  # not in the alphabet
             {"dim": 1, "f64": "AAAAAAAA8D8"},  # padding missing
             {"dim": 1, "f64": "AAAAAAAA\n8D8="},  # embedded newline
@@ -458,7 +435,7 @@ class TestEmbeddingCache:
             {"dim": 1, "f64": 5},
             {"dim": 1, "f64": ["AAAAAAAA8D8="]},
             {"f64": "AAAAAAAA8D8="},  # dim missing
-            {"dim": 1, "values": 1.0},  # legacy line with a bare number
+            {"dim": 1, "values": 1.0},  # the float list form with a bare number
         ],
     )
     def test_malformed_f64_line_rejected(self, tmp_path, entry):
@@ -482,7 +459,7 @@ class TestEmbeddingCache:
 
     def test_corrupt_line_rejected(self, tmp_path):
         path = tmp_path / "emb_0.jsonl"
-        path.write_text('{"key": "k", "dim": 3, "values": [1.0]}\n')
+        path.write_text('{"key": "k", "dim": 3, "f64": "AAAAAAAA8D8="}\n')
         with pytest.raises(ValidationError):
             EmbeddingCache(str(path))
 
@@ -514,7 +491,7 @@ class TestEmbeddingCache:
 
     def test_bad_line_before_others_rejected(self, tmp_path):
         path = tmp_path / "emb_0.jsonl"
-        good = '{"key": "k", "dim": 1, "values": [1.0]}\n'
+        good = '{"key": "k", "dim": 1, "f64": "AAAAAAAA8D8="}\n'
         path.write_text('{"key": "j", "dim": 1, "val\n' + good)
         with pytest.raises(ValidationError) as exc:
             EmbeddingCache(str(path))
@@ -528,9 +505,9 @@ class TestEmbedCached:
         calls = []
         real = dense.embed_batch
 
-        def counting(texts, c):
+        def counting(texts, c, tokens=None):
             calls.append(list(texts))
-            return real(texts, c)
+            return real(texts, c, tokens)
 
         monkeypatch.setattr(dense, "embed_batch", counting)
         texts = ["first text", "second text", "first text"]

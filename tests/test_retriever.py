@@ -249,8 +249,8 @@ class TestTokensOnce:
         calls = _count_tokenize(monkeypatch)
         retrieve(claim, docs, self.CFG, MOCK, cache=cache)
         assert Counter(calls["retriever"]) == Counter(chunk_texts + [claim.text])
-        # the mock embedder only tokenizes the claim, which is not a chunk
-        assert calls["dense"] == [claim.text]
+        # the claim's and the chunks' tokens are passed to the mock embedder
+        assert calls["dense"] == []
 
     def test_mock_sees_no_map_after_retrieve(
         self, knowledge_store_path, claims, monkeypatch
@@ -263,7 +263,7 @@ class TestTokensOnce:
         provider.embed(chunk_texts)
         assert calls["dense"] == chunk_texts
 
-        def failing(texts, cfg):
+        def failing(texts, cfg, tokens=None):
             raise ProviderError("embedding service down")
 
         monkeypatch.setattr(dense, "embed_batch", failing)
@@ -277,8 +277,13 @@ class TestTokensOnce:
         claim = claims[0]
         docs, chunk_texts = self._inputs(knowledge_store_path, claim)
         lent = []
-        real = retriever.known_tokens
-        monkeypatch.setattr(retriever, "known_tokens", lambda m: lent.append(m) or real(m))
+        real = retriever.embed_cached
+
+        def capturing(texts, claim_id, cfg, cache, tokens):
+            lent.append(dict(zip(texts[1:], tokens[1:])))
+            return real(texts, claim_id, cfg, cache, tokens)
+
+        monkeypatch.setattr(retriever, "embed_cached", capturing)
         retrieve(claim, docs, self.CFG, MOCK)
         (tokens_by_text,) = lent
         assert all(tokens == tokenize(text) for text, tokens in tokens_by_text.items())
@@ -297,8 +302,8 @@ class TestTokensOnce:
         real = dense.embed_batch
         vectors: dict[str, list] = {}
 
-        def recording(texts, cfg):
-            out = real(texts, cfg)
+        def recording(texts, cfg, tokens=None):
+            out = real(texts, cfg, tokens)
             vectors[texts[0]] = out  # texts[0] is the claim
             return out
 
@@ -309,9 +314,9 @@ class TestTokensOnce:
 
         barrier = threading.Barrier(len(jobs), timeout=10)
 
-        def meet_then_embed(texts, cfg):
-            barrier.wait()  # every claim's map is set before either embeds
-            return recording(texts, cfg)
+        def meet_then_embed(texts, cfg, tokens=None):
+            barrier.wait()  # both claims embed at once
+            return recording(texts, cfg, tokens)
 
         monkeypatch.setattr(dense, "embed_batch", meet_then_embed)
         calls = _count_tokenize(monkeypatch)
@@ -330,5 +335,5 @@ class TestTokensOnce:
         assert vectors.keys() == expected.keys()
         for text, want in expected.items():
             assert all(np.array_equal(g, w) for g, w in zip(vectors[text], want, strict=True))
-        # each thread found its own chunks' tokens: only the claims were tokenized
-        assert sorted(calls["dense"]) == sorted(c.text for c, _ in jobs)
+        # each thread passed its own tokens: the mock tokenized nothing
+        assert calls["dense"] == []

@@ -493,6 +493,8 @@ class TestHungarian:
             hungarian_max(np.zeros((0, 3)))
         with pytest.raises(ValidationError):
             hungarian_max([1.0, 2.0])
+        with pytest.raises(ValidationError):
+            hungarian_max([[1.0, 2.0], [3.0]])
 
 
 def _qa(q, a):
