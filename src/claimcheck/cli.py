@@ -33,7 +33,6 @@ from .retriever import RetrievalResult, retrieve
 from .scoring import averitec_score, load_predictions
 from .verdict import ensemble, final_label, likert_softmax, load_external_probs
 
-log = logging.getLogger(__name__)
 
 def _write_atomic(path: str, data: str) -> None:
     """Replace path with data; a crash leaves the old or the new content."""

@@ -30,8 +30,6 @@ from .errors import ValidationError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_CHARS = 2048
-
 
 class VeracityLabel(Enum):
     SUPPORTED = "Supported"
@@ -473,7 +471,7 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in sentences if s.strip()]
 
 
-def chunk_document(doc: Document, max_chars: int = DEFAULT_MAX_CHARS) -> list[Chunk]:
+def chunk_document(doc: Document, max_chars: int) -> list[Chunk]:
     """Pack sentences greedily into chunks of at most max_chars characters.
 
     Length is measured on sentences joined by single spaces. A lone

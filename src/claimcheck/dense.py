@@ -16,7 +16,6 @@ import base64
 import hashlib
 import itertools
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ from .lexical import tokenize
 
 if TYPE_CHECKING:
     from .retriever import RetrievalConfig
-
-log = logging.getLogger(__name__)
 
 MOCK_DIM = 64
 
@@ -157,29 +154,14 @@ class HttpEmbeddingProvider:
     """OpenAI-compatible embeddings endpoint client.
 
     The response's per-item "index" field, not array position, decides
-    output order. The API key is read from the configured environment
-    variable and never logged.
+    output order. The API key, optional, is read from the configured
+    environment variable at construction and never logged.
     """
 
     def __init__(self, cfg: EmbeddingProviderConfig):
-        if cfg.kind != "http":
-            raise ConfigError("HttpEmbeddingProvider requires kind=http")
         self.cfg = cfg
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
-    def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
-        url = self.cfg.base_url.rstrip("/") + "/embeddings"
-        body = {"model": self.cfg.model_name, "input": batch}
-        payload = post_json(
-            url, body, self._headers(), self.cfg.timeout_s, self.cfg.retries, "embeddings"
-        )
-        return self._parse_response(payload, len(batch))
+        # optional: a local endpoint may need no key
+        self._key = os.environ.get(cfg.api_key_env, "")
 
     @staticmethod
     def _parse_response(payload, expected: int) -> list[np.ndarray]:
@@ -213,7 +195,17 @@ class HttpEmbeddingProvider:
         """tokens is ignored: the endpoint embeds the texts themselves."""
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.cfg.batch_size):
-            vectors.extend(self._post_batch(texts[start : start + self.cfg.batch_size]))
+            batch = texts[start : start + self.cfg.batch_size]
+            payload = post_json(
+                self.cfg.base_url,
+                "/embeddings",
+                {"model": self.cfg.model_name, "input": batch},
+                self._key,
+                self.cfg.timeout_s,
+                self.cfg.retries,
+                "embeddings",
+            )
+            vectors.extend(self._parse_response(payload, len(batch)))
         return vectors
 
 

@@ -1,5 +1,5 @@
 """Exception types shared across the pipeline, which failures to retry,
-and the HTTP retry loop of the embedding and chat clients."""
+and the one HTTP exchange of the embedding and chat clients."""
 
 import time
 
@@ -41,17 +41,23 @@ def is_retryable_status(status: int) -> bool:
     return status in (408, 429) or 500 <= status <= 599
 
 
-def post_json(url: str, body: dict, headers: dict, timeout_s: float, retries: int, what: str):
-    """POST body as JSON and return the parsed JSON reply to a 200.
+def post_json(
+    base_url: str, path: str, body: dict, key: str, timeout_s: float, retries: int, what: str
+):
+    """POST body as JSON to base_url + path; return the parsed JSON reply to a 200.
 
-    Transport errors and retryable statuses are tried again up to
-    retries times, sleeping min(2**attempt, 8) seconds before each new
-    attempt; any other status fails at once. Raises ProviderError
+    The request carries "Authorization: Bearer {key}" when key is
+    non-empty. Transport errors and retryable statuses are tried again
+    up to retries times, sleeping min(2**attempt, 8) seconds before each
+    new attempt; any other status fails at once. Raises ProviderError
     "{what} request failed: ..." when no attempt succeeds, and
-    "{what} response is not JSON: ..." for a 200 reply that does not parse.
+    "{what} response is not JSON: ..." for a 200 reply that does not
+    parse, nesting too deep to decode included.
     """
     import requests
 
+    url = base_url.rstrip("/") + path
+    headers = {"Authorization": f"Bearer {key}"} if key else {}
     last_err = "no attempt made"
     for attempt in range(retries + 1):
         try:
@@ -62,7 +68,7 @@ def post_json(url: str, body: dict, headers: dict, timeout_s: float, retries: in
             if resp.status_code == 200:
                 try:
                     return resp.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ProviderError(f"{what} response is not JSON: {exc}") from exc
             last_err = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if not is_retryable_status(resp.status_code):

@@ -52,6 +52,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.l < 1:
             raise ConfigError("l must be >= 1")
+        if self.fewshot_count < 0:
+            raise ConfigError("fewshot_count must be >= 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.transport_retries < 0:
@@ -64,6 +66,8 @@ class GeneratorConfig:
             raise ConfigError("temperature must be finite and >= 0")
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ConfigError("timeout_s must be finite and positive")
+        if self.kind == "http" and not (self.base_url and self.model_name):
+            raise ConfigError("http chat provider requires base_url and model_name")
 
 
 @dataclass(frozen=True)
@@ -315,8 +319,6 @@ class HttpChatProvider:
     """
 
     def __init__(self, cfg: GeneratorConfig):
-        if not cfg.base_url or not cfg.model_name:
-            raise ConfigError("http chat provider requires base_url and model_name")
         key = os.environ.get(cfg.api_key_env, "")
         if not key:
             raise ConfigError(
@@ -326,7 +328,6 @@ class HttpChatProvider:
         self._key = key
 
     def complete(self, system_prompt: str, user_prompt: str, claim_id: int) -> str:
-        url = self.cfg.base_url.rstrip("/") + "/chat/completions"
         body = {
             "model": self.cfg.model_name,
             "messages": [
@@ -336,12 +337,14 @@ class HttpChatProvider:
         }
         if self.cfg.temperature is not None:
             body["temperature"] = self.cfg.temperature
-        headers = {
-            "Content-Type": "application/json",
-            "Authorization": f"Bearer {self._key}",
-        }
         payload = post_json(
-            url, body, headers, self.cfg.timeout_s, self.cfg.transport_retries, "chat"
+            self.cfg.base_url,
+            "/chat/completions",
+            body,
+            self._key,
+            self.cfg.timeout_s,
+            self.cfg.transport_retries,
+            "chat",
         )
         try:
             content = payload["choices"][0]["message"]["content"]
@@ -382,15 +385,18 @@ def _first_json_object(text: str) -> dict:
 
 
 def _reply_int(value) -> int | None:
-    """A reply's integer, read leniently: an int as is, a string's first
-    run of digits with its minus sign; None for anything else, booleans too,
-    and for a run too long for int() to convert (over 4,300 digits by default)."""
+    """A reply's integer, read leniently: an int as is, an integral float
+    as its int, a string's first run of digits with its minus sign; None for
+    anything else, booleans and fractional floats too, and for a run too long
+    for int() to convert (over 4,300 digits by default)."""
     if isinstance(value, str):
         digits = re.search(r"-?\d+", value)
         try:
             return int(digits.group()) if digits else None
         except ValueError:
             return None
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     return value if type(value) is int else None
 
 
@@ -407,8 +413,6 @@ def _read_ratings(raw_ratings: dict, warnings: list[str]) -> dict:
         except GenerationParseError:
             warnings.append(f"unknown rating key {key!r} ignored")
             continue
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
         ratings[label] = check_rating(label, _reply_int(value))
     validate_ratings(ratings)
     return ratings

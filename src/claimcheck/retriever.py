@@ -8,7 +8,6 @@ final k sources, trading relevance against redundancy.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .corpus import Chunk, Claim, Document, chunk_document
@@ -23,8 +22,6 @@ from .dense import (
 from .errors import ConfigError
 from .lexical import bm25_top, build_index, tokenize
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class RetrievalConfig:
@@ -37,9 +34,9 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.max_chars < 1:
             raise ConfigError("max_chars must be >= 1")
-        if not self.k <= self.pool_size <= self.omega:
+        if not 1 <= self.k <= self.pool_size <= self.omega:
             raise ConfigError(
-                f"need k <= pool_size <= omega, got k={self.k}, "
+                f"need 1 <= k <= pool_size <= omega, got k={self.k}, "
                 f"pool_size={self.pool_size}, omega={self.omega}"
             )
         if not 0.0 <= self.lambda_ <= 1.0:

@@ -266,6 +266,15 @@ class TestRetrieve:
         assert code == 2
         assert "retries must be >= 0" in capsys.readouterr().err
 
+    def test_k_zero_exits_2(self, dataset_path, knowledge_store_path, tmp_path, capsys):
+        code = run_cli(
+            ["retrieve", "--k", "0"]
+            + _common(dataset_path, knowledge_store_path, tmp_path / "out")
+        )
+        assert code == 2
+        assert "need 1 <= k <= pool_size <= omega" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_config_value_type_exits_2(
         self, dataset_path, knowledge_store_path, tmp_path, capsys
     ):
@@ -430,6 +439,32 @@ class TestVerify:
         ) == 0
         records = json.loads((out_dir / "predictions.json").read_text())
         assert [r["claim_id"] for r in records] == list(range(10))
+
+    def test_undecodable_chat_reply_recorded_for_claim(
+        self, dataset_path, knowledge_store_path, stub_server, tmp_path, monkeypatch, capsys,
+    ):
+        server, base_url = stub_server
+        server.app = lambda path, body, headers: (200, b"[" * 200_000)
+        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            ["verify", "--claims", "0"]
+            + _common(dataset_path, knowledge_store_path, out_dir)
+            + ["--set", "generator.kind=http",
+               "--set", f"generator.base_url={base_url}",
+               "--set", "generator.model_name=chat-1",
+               "--set", "generator.api_key_env=TEST_CHAT_KEY",
+               "--set", "generator.transport_retries=0"]
+        )
+        assert code == 1
+        assert "verified 0/1 claims, 1 failures" in capsys.readouterr().out
+        [entry] = [
+            json.loads(line)
+            for line in (out_dir / "verify_progress.jsonl").read_text().splitlines()
+        ]
+        assert entry["claim_id"] == 0
+        assert entry["status"] == "error"
+        assert entry["error"].startswith("chat response is not JSON: ")
 
     def test_overlong_number_reply_retried(
         self, dataset_path, knowledge_store_path, train_set_path,

@@ -5,7 +5,6 @@ import pytest
 
 from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.errors import ConfigError
-from claimcheck.generator import make_chat_provider
 from claimcheck.retriever import RetrievalConfig
 
 
@@ -138,17 +137,15 @@ class TestFileLayer:
         lam = _load(str(path)).retrieval.lambda_
         assert lam == 1.0 and isinstance(lam, float)
 
-    def test_null_leaves_optional_field_unset(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+    def test_null_leaves_optional_field_unset(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text(
-            "generator:\n  kind: http\n  base_url: null\n  model_name: m\n"
-            "  api_key_env: TEST_CHAT_KEY\n"
-        )
-        cfg = _load(str(path))
-        assert cfg.generator.base_url is None
+        path.write_text("generator:\n  temperature: 0.5\n")
+        assert _load(str(path)).generator.temperature == 0.5
+        path.write_text("generator:\n  temperature: null\n")
+        assert _load(str(path)).generator.temperature is None
+        path.write_text("generator:\n  kind: http\n  base_url: null\n  model_name: m\n")
         with pytest.raises(ConfigError) as exc:
-            make_chat_provider(cfg.generator)
+            _load(str(path))
         assert "requires base_url" in str(exc.value)
 
     def test_scoring_mode_is_unknown(self, tmp_path):
@@ -257,6 +254,19 @@ class TestOverrideLayer:
         ],
     )
     def test_unusable_timeout_or_temperature_rejected(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
+            _load(overrides={key: value})
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("retrieval.k", "0", "need 1 <= k <= pool_size <= omega"),
+            ("retrieval.k", "-3", "need 1 <= k <= pool_size <= omega"),
+            ("generator.fewshot_count", "-1", "fewshot_count must be >= 0"),
+        ],
+    )
+    def test_out_of_range_count_rejected(self, key, value, message):
         with pytest.raises(ConfigError) as exc:
             _load(overrides={key: value})
         assert message in str(exc.value)

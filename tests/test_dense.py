@@ -246,6 +246,7 @@ class TestHttpEmbeddingProvider:
         cfg = self._cfg(base_url, api_key_env="TEST_EMB_KEY")
         HttpEmbeddingProvider(cfg).embed(["x"])
         assert seen.get("Authorization") == "Bearer sk-super-secret"
+        assert seen["Content-Type"] == "application/json"
 
         # failures must not leak the key into the raised message
         server.app = lambda path, body, headers: (500, {"error": "boom"})
@@ -265,6 +266,7 @@ class TestHttpEmbeddingProvider:
         server.app = app
         HttpEmbeddingProvider(self._cfg(base_url, api_key_env="ABSENT_KEY_VAR")).embed(["x"])
         assert "Authorization" not in seen
+        assert seen["Content-Type"] == "application/json"
 
     def test_missing_index_rejected(self, stub_server):
         server, base_url = stub_server
@@ -285,6 +287,7 @@ class TestHttpEmbeddingProvider:
         "payload, message",
         [
             (b"<html>gateway</html>", "embeddings response is not JSON"),
+            (b"[" * 200_000, "embeddings response is not JSON"),
             ([{"index": 0, "embedding": [1.0]}], "has no items"),
             ({"data": [[1.0], "x"]}, "item is a list, not an object"),
             (
@@ -296,7 +299,14 @@ class TestHttpEmbeddingProvider:
                 "bad index True",
             ),
         ],
-        ids=["not-json", "json-array", "non-object-items", "false-index", "true-index"],
+        ids=[
+            "not-json",
+            "too-deep",
+            "json-array",
+            "non-object-items",
+            "false-index",
+            "true-index",
+        ],
     )
     def test_malformed_success_body(self, stub_server, payload, message):
         server, base_url = stub_server

@@ -504,13 +504,13 @@ class TestReplyReaders:
     def _source(self, source):
         return parse_output(_reply(questions=[dict(GOOD_QUESTION, source=source)]), 3, CFG)
 
-    @pytest.mark.parametrize("source, rank", [(2, 2), ("Source 3", 3)])
+    @pytest.mark.parametrize("source, rank", [(2, 2), ("Source 3", 3), (2.0, 2)])
     def test_source_read(self, source, rank):
         out = self._source(source)
         assert out.evidence[0].source_rank == rank
         assert out.parse_warnings == ()
 
-    @pytest.mark.parametrize("source", [True, 2.0, None, "x"])
+    @pytest.mark.parametrize("source", [True, None, "x"])
     def test_unparseable_source_warned_rank_zero(self, source):
         out = self._source(source)
         assert out.evidence[0].source_rank == 0
@@ -716,6 +716,7 @@ class TestHttpChatProvider:
             seen["path"] = path
             seen["body"] = body
             seen["auth"] = headers.get("Authorization")
+            seen["type"] = headers.get("Content-Type")
             return 200, {"choices": [{"message": {"content": "the reply"}}]}
 
         server.app = app
@@ -724,6 +725,7 @@ class TestHttpChatProvider:
         assert reply == "the reply"
         assert seen["path"].endswith("/chat/completions")
         assert seen["auth"] == "Bearer sk-chat-secret"
+        assert seen["type"] == "application/json"
         assert seen["body"]["messages"] == [
             {"role": "system", "content": "SYSTEM"},
             {"role": "user", "content": "USER"},
@@ -810,6 +812,14 @@ class TestHttpChatProvider:
         server.app = lambda path, body, headers: (200, {"choices": []})
         with pytest.raises(ProviderError):
             HttpChatProvider(self._cfg(base_url)).complete("s", "u", 0)
+
+    def test_too_deeply_nested_body_is_provider_error(self, stub_server, monkeypatch):
+        server, base_url = stub_server
+        monkeypatch.setenv("TEST_CHAT_KEY", "k")
+        server.app = lambda path, body, headers: (200, b"[" * 200_000)
+        with pytest.raises(ProviderError) as exc:
+            HttpChatProvider(self._cfg(base_url)).complete("s", "u", 0)
+        assert str(exc.value).startswith("chat response is not JSON: ")
 
     @pytest.mark.parametrize(
         "content, type_name", [(None, "NoneType"), (5, "int"), (0.5, "float")]

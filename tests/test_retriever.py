@@ -182,6 +182,20 @@ class TestPipeline:
                 plain.trace, sort_keys=True
             )
 
+    def test_embedder_failure_raises_provider_error(
+        self, stub_server, knowledge_store_path, claims
+    ):
+        server, base_url = stub_server
+        server.app = lambda path, body, headers: (200, b"[" * 200_000)
+        claim = claims[0]
+        docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+        cfg = EmbeddingProviderConfig(
+            kind="http", base_url=base_url, model_name="emb-1", retries=0
+        )
+        with pytest.raises(ProviderError) as exc:
+            retrieve(claim, docs, RetrievalConfig(), cfg)
+        assert str(exc.value).startswith("embeddings response is not JSON: ")
+
     def test_sim_values_are_cosine_to_claim(self, knowledge_store_path, claims):
         claim = claims[8]
         docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
@@ -251,27 +265,6 @@ class TestTokensOnce:
         assert Counter(calls["retriever"]) == Counter(chunk_texts + [claim.text])
         # the claim's and the chunks' tokens are passed to the mock embedder
         assert calls["dense"] == []
-
-    def test_mock_sees_no_map_after_retrieve(
-        self, knowledge_store_path, claims, monkeypatch
-    ):
-        claim = claims[0]
-        docs, chunk_texts = self._inputs(knowledge_store_path, claim)
-        provider = dense.MockEmbeddingProvider(MOCK)
-        retrieve(claim, docs, self.CFG, MOCK)
-        calls = _count_tokenize(monkeypatch)
-        provider.embed(chunk_texts)
-        assert calls["dense"] == chunk_texts
-
-        def failing(texts, cfg, tokens=None):
-            raise ProviderError("embedding service down")
-
-        monkeypatch.setattr(dense, "embed_batch", failing)
-        with pytest.raises(ProviderError):
-            retrieve(claim, docs, self.CFG, MOCK)
-        calls["dense"].clear()
-        provider.embed(chunk_texts)
-        assert calls["dense"] == chunk_texts
 
     def test_repeated_words_are_one_object(self, knowledge_store_path, claims, monkeypatch):
         claim = claims[0]
