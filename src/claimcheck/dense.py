@@ -7,28 +7,28 @@ feature-hashes tokens into a fixed-dimension vector. Search is exact
 most, so approximate indexes would only add a dependency. VectorIndex
 owns validation and normalization: build checks and unit-normalizes a
 claim's vectors once, as one matrix, and knn and mmr_select read its
-rows without checking them again.
+rows without checking them again. numpy is imported when an array is
+first computed, so a command that computes none (evaluate) loads none.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .appendlog import AppendLog
 from .corpus import json_record, str_field
 from .errors import ConfigError, ProviderError, ValidationError, post_json
-from .lexical import tokenize
+from .lexical import TokenIds, encode, tokenize
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .retriever import RetrievalConfig
 
 MOCK_DIM = 64
@@ -63,6 +63,8 @@ class EmbeddingProviderConfig:
 
 def _check_array(values, what: str, ndim: int) -> np.ndarray:
     """values as a non-empty float64 vector (ndim 1) or matrix (ndim 2), all finite."""
+    import numpy as np
+
     noun = "vector" if ndim == 1 else "matrix"
     try:
         arr = np.asarray(values, dtype=np.float64)
@@ -79,38 +81,33 @@ def _check_vector(values, what: str) -> np.ndarray:
     return _check_array(values, what, 1)
 
 
-class _TokenCodes(dict):
-    """token -> bucket, plus MOCK_DIM when the sign is negative.
+def _bucket_code(word: str) -> int:
+    """word's bucket, plus MOCK_DIM when its sign is negative.
 
-    A token is hashed on its first lookup only: the bucket is the first
-    four blake2b digest bytes mod MOCK_DIM, the sign the fifth byte's
-    parity.
+    The bucket is the first four blake2b digest bytes mod MOCK_DIM, the
+    sign the fifth byte's parity.
     """
-
-    def __missing__(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        code = int.from_bytes(digest[:4], "little") % MOCK_DIM + MOCK_DIM * (digest[4] & 1)
-        self[token] = code
-        return code
+    digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest[:4], "little") % MOCK_DIM + MOCK_DIM * (digest[4] & 1)
 
 
-def _hashed_vectors(token_lists: list[list[str]], codes: _TokenCodes) -> np.ndarray:
-    """mock_embed of each token list, as the rows of one (n, MOCK_DIM) array.
+def _hashed_vectors(table: TokenIds) -> np.ndarray:
+    """mock_embed of each row of table, as the rows of one (n, MOCK_DIM) array.
 
-    codes is a caller-owned token memo. All texts' bucket codes go
-    through one bincount, each text's shifted to its own row. Bucket
-    sums are integer counts, exact in any order, and so is each row's
-    sum of squares, so every row is bit-identical to adding +-1.0 token
-    by token and dividing by np.linalg.norm.
+    Each vocabulary word is hashed once. All rows' bucket codes go
+    through one bincount, each row's shifted to its own row of counts.
+    Bucket sums are integer counts, exact in any order, and so is each
+    row's sum of squares, so every row is bit-identical to adding +-1.0
+    token by token and dividing by np.linalg.norm.
     """
-    n = len(token_lists)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
-    flat = np.fromiter(
-        map(codes.__getitem__, itertools.chain.from_iterable(token_lists)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
-    )
-    flat += np.repeat(np.arange(0, n * 2 * MOCK_DIM, 2 * MOCK_DIM), lengths)
+    import numpy as np
+
+    n = len(table)
+    codes = np.fromiter(map(_bucket_code, table.words), np.intp, len(table.words))
+    flat = codes[table.ids]
+    # int32 row offsets: half the memory of an intp array per token
+    offsets = np.arange(0, n * 2 * MOCK_DIM, 2 * MOCK_DIM, dtype=np.int32)
+    flat += np.repeat(offsets, np.diff(table.starts))
     counts = np.bincount(flat, minlength=n * 2 * MOCK_DIM).reshape(n, 2 * MOCK_DIM)
     diff = counts[:, :MOCK_DIM] - counts[:, MOCK_DIM:]
     norms = np.sqrt((diff * diff).sum(axis=1).astype(np.float64))
@@ -130,7 +127,7 @@ def mock_embed(text: str) -> np.ndarray:
     a bucket and the fifth byte's parity picks the sign. Texts with no
     tokens map to the first basis vector so the result is never zero.
     """
-    return _hashed_vectors([tokenize(text)], _TokenCodes())[0]
+    return _hashed_vectors(encode([tokenize(text)]))[0]
 
 
 class MockEmbeddingProvider:
@@ -139,15 +136,11 @@ class MockEmbeddingProvider:
     def __init__(self, cfg: EmbeddingProviderConfig):
         self.cfg = cfg
 
-    def embed(
-        self, texts: list[str], tokens: list[list[str]] | None = None
-    ) -> list[np.ndarray]:
-        """tokens, when given, holds tokenize(text) for each text."""
+    def embed(self, texts: list[str], tokens: TokenIds | None = None) -> list[np.ndarray]:
+        """tokens, when given, holds tokenize(text) for each text, row by row."""
         if tokens is None:
-            tokens = [tokenize(text) for text in texts]
-        # chunks of one claim share most of their vocabulary: hash each
-        # distinct token once per call
-        return list(_hashed_vectors(tokens, _TokenCodes()))
+            tokens = encode(map(tokenize, texts))
+        return list(_hashed_vectors(tokens))
 
 
 class HttpEmbeddingProvider:
@@ -189,9 +182,7 @@ class HttpEmbeddingProvider:
             raise ProviderError("embeddings response is missing indices")
         return out  # type: ignore[return-value]
 
-    def embed(
-        self, texts: list[str], tokens: list[list[str]] | None = None
-    ) -> list[np.ndarray]:
+    def embed(self, texts: list[str], tokens: TokenIds | None = None) -> list[np.ndarray]:
         """tokens is ignored: the endpoint embeds the texts themselves."""
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.cfg.batch_size):
@@ -216,12 +207,12 @@ def make_embedding_provider(cfg: EmbeddingProviderConfig):
 
 
 def embed_batch(
-    texts: list[str], cfg: EmbeddingProviderConfig, tokens: list[list[str]] | None = None
+    texts: list[str], cfg: EmbeddingProviderConfig, tokens: TokenIds | None = None
 ) -> list[np.ndarray]:
     """Embed texts in order, enforcing a uniform dimension across the batch.
 
-    tokens, when given, holds tokenize(text) for each text, so the mock
-    embedder need not tokenize again.
+    tokens, when given, holds tokenize(text) for each text, row by row,
+    so the mock embedder need not tokenize again.
     """
     if not texts:
         raise ValidationError("embed_batch requires at least one text")
@@ -232,8 +223,9 @@ def embed_batch(
     return vectors
 
 
-def _cache_entry(obj: dict) -> tuple[str, np.ndarray]:
-    """The key and vector of one {"key", "dim", "f64"} cache line."""
+def _cache_entry(obj: dict) -> tuple[str, bytes]:
+    """The key and the vector's little-endian float64 bytes of one
+    {"key", "dim", "f64"} cache line."""
     key = str_field(obj, "key")
     dim = obj["dim"]
     if type(dim) is not int:
@@ -243,8 +235,7 @@ def _cache_entry(obj: dict) -> tuple[str, np.ndarray]:
     raw = base64.b64decode(obj["f64"], validate=True)
     if len(raw) != 8 * dim:
         raise ValueError(f"f64 field holds {len(raw)} bytes, dim {dim} needs {8 * dim}")
-    # copy out of the read-only bytes, in native byte order
-    return key, np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return key, raw
 
 
 class EmbeddingCache:
@@ -260,12 +251,15 @@ class EmbeddingCache:
     """
 
     def __init__(self, path: str):
+        import numpy as np
+
         self.path = path
         self._log = AppendLog(path)
         self._entries: dict[str, np.ndarray] = {}
         for lineno, obj in self._log.read():
-            key, vec = json_record(path, f"line {lineno}: bad cache entry", obj, _cache_entry)
-            self._entries[key] = vec
+            key, raw = json_record(path, f"line {lineno}: bad cache entry", obj, _cache_entry)
+            # copy out of the read-only bytes, in native byte order
+            self._entries[key] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
     @staticmethod
     def key_for(claim_id: int, model_name: str, text: str) -> str:
@@ -279,6 +273,8 @@ class EmbeddingCache:
         return self._entries.get(key)
 
     def put_many(self, items: list[tuple[str, np.ndarray]]) -> None:
+        import numpy as np
+
         fresh = [(k, v) for k, v in items if k not in self._entries]
         if not fresh:
             return
@@ -298,12 +294,12 @@ def embed_cached(
     claim_id: int,
     cfg: EmbeddingProviderConfig,
     cache: EmbeddingCache | None,
-    tokens: list[list[str]] | None = None,
+    tokens: TokenIds | None = None,
 ) -> list[np.ndarray]:
     """Embed texts, serving repeats from the cache when one is given.
 
-    tokens, when given, holds tokenize(text) for each text (see
-    embed_batch).
+    tokens, when given, holds tokenize(text) for each text, row by row
+    (see embed_batch).
 
     Every vector returned has one dimension: that of the vectors this
     call embedded, if any, else that of the first. A cached vector of
@@ -325,7 +321,7 @@ def embed_cached(
         fresh = embed_batch(
             [texts[i] for i in missing_positions],
             cfg,
-            None if tokens is None else [tokens[i] for i in missing_positions],
+            None if tokens is None else tokens.select(missing_positions),
         )
         cache.put_many([(keys[i], vec) for i, vec in zip(missing_positions, fresh)])
         dim = fresh[0].shape[0]
@@ -358,6 +354,8 @@ class VectorIndex:
 
         payload_ids must be distinct. The caller's vectors are not modified.
         """
+        import numpy as np
+
         if len(vectors) != len(payload_ids):
             raise ValidationError("vectors and payload_ids must be parallel lists")
         if len(set(payload_ids)) != len(payload_ids):
@@ -380,6 +378,8 @@ class VectorIndex:
 
 def knn(index: VectorIndex, query, p: int) -> list[tuple[object, float]]:
     """Exact top-p by cosine similarity; ties keep insertion order."""
+    import numpy as np
+
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
     if len(index) == 0:
@@ -413,6 +413,8 @@ def mmr_select(
     position. The running redundancy starts undefined rather than at
     zero so that negative similarities to selected items are preserved.
     """
+    import numpy as np
+
     if not pool:
         raise ValidationError("mmr_select requires at least one candidate")
     ids = [pid for pid, _sim in pool]

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     post_json,
 )
-from .lexical import Bm25Index, bm25_top, build_index, tokenize
+from .lexical import Bm25Index, TokenIds, bm25_top, build_index, encode, tokenize
 from .retriever import RetrievedSource
 from .verdict import check_rating, single_label_ratings, validate_ratings
 
@@ -126,23 +126,42 @@ class FewshotPool:
     The claims are tokenized and fully indexed on the first selection,
     under a lock, so every worker of a run shares one index. A full index
     scores a query's terms exactly as an index restricted to them would
-    (see Bm25Index).
+    (see Bm25Index). The pool also keeps the rows of each (id, text), so
+    a claim of the pool is found without a scan.
     """
 
     def __init__(self, claims=()):
         self.claims: tuple[Claim, ...] = tuple(claims)
         self._lock = threading.Lock()
         self._built = False
+        self._table: TokenIds | None = None
         self._index: Bm25Index | None = None
+        self._rows: dict[tuple[int, str], set[int]] = {}
 
-    def index(self) -> Bm25Index | None:
-        """The full index over the claims; None if no claim has a token."""
+    def index_without(
+        self, claim: Claim, query: list[str]
+    ) -> tuple[Bm25Index | None, tuple[Claim, ...]]:
+        """An index over the pool less claim's (id, text), and the claims
+        its ordinals stand for; None if no such claim has a token.
+
+        A claim not in the pool gets the full index. Excluding one changes
+        N, avgdl and df, so for a claim in the pool the rest is indexed
+        anew, restricted to query, from the pool's ids.
+        """
         with self._lock:
             if not self._built:
-                tokens = [tokenize(c.text) for c in self.claims]
-                self._index = build_index(tokens) if any(tokens) else None
+                self._table = encode(tokenize(c.text) for c in self.claims)
+                for row, c in enumerate(self.claims):
+                    self._rows.setdefault((c.id, c.text), set()).add(row)
+                self._index = build_index(self._table) if len(self._table.ids) else None
                 self._built = True
-            return self._index
+        excluded = self._rows.get((claim.id, claim.text))
+        if excluded is None:
+            return self._index, self.claims
+        rows = [row for row in range(len(self.claims)) if row not in excluded]
+        table = self._table.select(rows)
+        index = build_index(table, terms=query) if len(table.ids) else None
+        return index, tuple(self.claims[row] for row in rows)
 
 
 def select_fewshot(claim: Claim, pool: FewshotPool, count: int) -> list[Claim]:
@@ -158,15 +177,7 @@ def select_fewshot(claim: Claim, pool: FewshotPool, count: int) -> list[Claim]:
     query = tokenize(claim.text)
     if not query:
         return []
-    candidates = tuple(
-        c for c in pool.claims if not (c.id == claim.id and c.text == claim.text)
-    )
-    if len(candidates) == len(pool.claims):
-        index = pool.index()
-    else:
-        # Excluding a claim changes N, avgdl and df: index the rest anew.
-        tokenized = [tokenize(c.text) for c in candidates]
-        index = build_index(tokenized, terms=query) if any(tokenized) else None
+    index, candidates = pool.index_without(claim, query)
     if index is None:
         return []
     ranked = bm25_top(index, query, count)

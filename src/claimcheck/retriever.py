@@ -20,7 +20,7 @@ from .dense import (
     mmr_select,
 )
 from .errors import ConfigError
-from .lexical import bm25_top, build_index, tokenize
+from .lexical import bm25_top, build_index, encode, tokenize
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,15 @@ def retrieve(
     chunks: list[Chunk] = []
     for doc in docs:
         chunks.extend(chunk_document(doc, cfg.max_chars))
-    # one string object per distinct word: a claim's chunks repeat a few
-    # thousand words hundreds of thousands of times, and each duplicate
-    # from tokenize is dropped as soon as its list is mapped
-    canon: dict[str, str] = {}
-    share = canon.setdefault
-    tokenized = []
-    for c in chunks:
-        tokens = tokenize(c.text)
-        tokenized.append(list(map(share, tokens, tokens)))
-    query_tokens = tokenize(claim.text)
+    # Row 0 is the claim, row o + 1 chunk o. A claim's chunks repeat a few
+    # thousand words hundreds of thousands of times: as ids, each token
+    # is four bytes, and tokenize's strings are dropped row by row.
+    table = encode(map(tokenize, [claim.text] + [c.text for c in chunks]))
+    query_tokens = table.tokens(0)
     pruned = []
     # BM25 needs a query and at least one chunk with a token
-    if query_tokens and any(tokenized):
-        index = build_index(tokenized, terms=query_tokens)
+    if query_tokens and table.starts[-1] > table.starts[1]:
+        index = build_index(table.select(range(1, len(table))), terms=query_tokens)
         pruned = bm25_top(index, query_tokens, cfg.omega)
     if not pruned:
         return _empty_result(claim)
@@ -113,8 +108,11 @@ def retrieve(
         survivors.append(ordinal)
 
     texts = [claim.text] + [chunks[o].text for o in survivors]
-    # the mock embedder reuses these tokens instead of tokenizing again
-    tokens = [query_tokens] + [tokenized[o] for o in survivors]
+    # the mock embedder reuses these ids instead of tokenizing again; they
+    # are a copy, so the table is freed before the embedder's own arrays
+    # are made, which keeps the claim's peak memory down
+    tokens = table.select([0] + [o + 1 for o in survivors])
+    del table
     vectors = embed_cached(texts, claim.id, embedding_cfg, cache, tokens)
 
     index_dense = VectorIndex.build(vectors[1:], survivors)

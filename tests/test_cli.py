@@ -2,11 +2,15 @@ import base64
 import json
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import claimcheck
 import claimcheck.cli as cli
 import claimcheck.dense as dense
 from claimcheck.appendlog import AppendLog
@@ -785,6 +789,24 @@ class TestEvaluate:
         assert len(csv_lines) == 11
         assert csv_lines[1].startswith("0,")
         assert csv_lines[1].endswith(",1")
+
+    def test_loads_no_numpy(self, dataset_path, verified_dir):
+        # evaluate computes no arrays: numpy's import would be most of
+        # its start-up time
+        program = (
+            "import sys\n"
+            "from claimcheck.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.exit('evaluate loaded numpy' if 'numpy' in sys.modules else code)\n"
+        )
+        argv = ["evaluate", "--dataset", str(dataset_path), "--output-dir", str(verified_dir)]
+        env = dict(os.environ, PYTHONPATH=str(Path(claimcheck.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", program, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "AVeriTeC @ 0.25: 1.0000" in proc.stdout
 
     def test_multiple_thresholds(self, dataset_path, verified_dir, capsys):
         code = run_cli(

@@ -24,7 +24,7 @@ from claimcheck.dense import (
     VectorIndex,
 )
 from claimcheck.errors import ConfigError, ProviderError, ValidationError
-from claimcheck.lexical import tokenize
+from claimcheck.lexical import encode, tokenize
 from claimcheck.retriever import RetrievalConfig
 
 
@@ -78,6 +78,20 @@ class TestMockEmbed:
             assert mock_embed(text).tobytes() == expected, text
             assert vec.shape == (MOCK_DIM,) and vec.tobytes() == expected, text
 
+    def test_ids_from_a_larger_table_match_hash_oracle(self):
+        # rows picked out of a table whose vocabulary holds words the
+        # picked texts lack, in another order, each keep their own row
+        rng = random.Random(9021)
+        vocab = [f"w{i}" for i in range(300)]
+        texts = ["", "?!", "Ünïcode only ☃", "w3 w3 w3"] + [
+            " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 80))) for _ in range(60)
+        ]
+        table = encode(map(tokenize, texts))
+        rows = rng.sample(range(len(texts)), 30) + [0, 3, 3]
+        provider = MockEmbeddingProvider(EmbeddingProviderConfig())
+        vectors = provider.embed([texts[r] for r in rows], table.select(rows))
+        assert [v.tobytes() for v in vectors] == [_hash_oracle(texts[r]).tobytes() for r in rows]
+
     def test_no_tokens_maps_to_basis(self):
         v = mock_embed("?!...")
         assert v[0] == 1.0
@@ -95,7 +109,7 @@ class TestMockEmbed:
         provider = MockEmbeddingProvider(EmbeddingProviderConfig())
         texts = ["alpha beta alpha", "gamma, delta!", ""]
         expected = [mock_embed(t).tobytes() for t in texts]
-        tokens = [tokenize(t) for t in texts]
+        tokens = encode(tokenize(t) for t in texts)
         tokenized.clear()
 
         given = provider.embed(texts, tokens)

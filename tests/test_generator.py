@@ -284,6 +284,24 @@ class TestFewshotPoolOracle:
             got = select_fewshot(claim, FewshotPool(train), 10)
             assert got == _reference_select_fewshot(claim, train, 10)
 
+    def test_claim_out_of_pool_scans_no_claim(self):
+        class NoScan(tuple):
+            def __iter__(self):
+                raise AssertionError("pool.claims iterated")
+
+        rng = random.Random(3)
+        vocab = [f"w{i}" for i in range(30)]
+        train = [Claim(id=i, text=_random_text(rng, vocab)) for i in range(50)]
+        pool = FewshotPool(train)
+        select_fewshot(train[0], pool, 3)  # builds the shared index
+        pool.claims = NoScan(pool.claims)
+        for i in range(10):
+            claim = Claim(id=i, text=_random_text(rng, vocab) + " w0")
+            got = select_fewshot(claim, pool, 3)
+            assert [id(c) for c in got] == [
+                id(c) for c in _reference_select_fewshot(claim, train, 3)
+            ]
+
     def test_workers_share_one_index(self, monkeypatch):
         rng = random.Random(7)
         vocab = [f"w{i}" for i in range(40)]

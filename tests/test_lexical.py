@@ -2,13 +2,16 @@ import math
 import random
 import re
 import string
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from claimcheck.errors import ValidationError
 from claimcheck.lexical import (
     bm25_top,
     build_index,
+    encode,
     idf,
     tf_weight,
     tokenize,
@@ -53,6 +56,64 @@ class TestTokenize:
                 rng.choice(rng.choice(_SCRIPTS)) for _ in range(rng.randint(0, 40))
             )
             assert tokenize(text) == _regex_tokens(text), repr(text)
+
+
+class TestTokenIds:
+    def _texts(self):
+        rng = random.Random(3301)
+        texts = ["", "?!...", "", "Ünïcode ☃ only", "the the THE the", "a b a b a"]
+        for _ in range(50):
+            texts.append("".join(rng.choice(rng.choice(_SCRIPTS)) for _ in range(30)))
+        return texts
+
+    def test_rows_decode_to_tokenize(self):
+        texts = self._texts()
+        table = encode(map(tokenize, texts))
+        assert len(table) == len(texts)
+        assert [table.tokens(i) for i in range(len(texts))] == [tokenize(t) for t in texts]
+        # each distinct word once, ids given in order of first use
+        first_use = list(dict.fromkeys(w for t in texts for w in tokenize(t)))
+        assert table.words == tuple(first_use)
+        assert table.ids.dtype == np.int32 and table.starts.dtype == np.int64
+        assert table.starts[0] == 0 and table.starts[-1] == len(table.ids)
+
+    def test_select_keeps_rows_and_vocabulary(self):
+        texts = self._texts()
+        table = encode(map(tokenize, texts))
+        rng = random.Random(12)
+        everyone = range(len(texts))
+        for rows in ([], [0], [2, 0, 2], range(1, 9), everyone[::-1], rng.sample(everyone, 20)):
+            picked = table.select(rows)
+            assert picked.words is table.words
+            assert len(picked) == len(rows)
+            decoded = [picked.tokens(i) for i in range(len(rows))]
+            assert decoded == [tokenize(texts[r]) for r in rows]
+            assert picked.starts[0] == 0 and picked.starts[-1] == len(picked.ids)
+
+    def test_empty_input(self):
+        table = encode([])
+        assert len(table) == 0 and table.words == () and len(table.ids) == 0
+        assert len(table.select([])) == 0
+
+    def test_more_words_than_int16(self):
+        words = [f"w{i}" for i in range(70_500)]
+        texts = [" ".join(words[i::3]) for i in range(3)] + [" ".join(words[-5:] * 2)]
+        table = encode(map(tokenize, texts))
+        assert len(table.words) == 70_500
+        assert table.tokens(3) == words[-5:] * 2
+        assert table.select([3, 1]).tokens(1) == words[1::3]
+
+
+def _reference_index(docs, terms=None):
+    """Postings, lengths and avgdl counted per document with a Counter."""
+    postings = {}
+    for ordinal, doc in enumerate(docs):
+        counts = Counter(doc)
+        for term in counts:
+            if terms is None or term in terms:
+                postings.setdefault(term, []).append((ordinal, counts[term]))
+    lengths = tuple(len(d) for d in docs)
+    return postings, lengths, sum(lengths) / len(docs)
 
 
 def _naive_bm25(docs, query, k1=1.2, b=0.75):
@@ -129,6 +190,31 @@ class TestBm25:
             assert restricted.doc_lengths == full.doc_lengths
             assert restricted.avg_doc_length == full.avg_doc_length
             assert restricted.indexed_terms == frozenset(terms)
+
+    def test_index_of_ids_matches_counter_reference(self):
+        # a table selected out of a larger one holds words its rows lack,
+        # ids not in first-use order, and rows in another order
+        rng = random.Random(2024)
+        vocab = [f"t{i}" for i in range(20)]
+        for _ in range(100):
+            docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 15))] for _ in range(8)]
+            if not any(docs):
+                continue
+            extra = [[rng.choice(vocab + ["zz", "yy"]) for _ in range(5)] for _ in range(4)]
+            everything = extra + docs
+            order = list(range(len(everything)))
+            rng.shuffle(order)
+            shuffled = encode(everything[r] for r in order)
+            table = shuffled.select([order.index(len(extra) + i) for i in range(len(docs))])
+            for terms in (None, [rng.choice(vocab + ["zz"]) for _ in range(rng.randint(0, 6))]):
+                want = _reference_index(docs, terms)
+                for index in (build_index(docs, terms), build_index(table, terms)):
+                    assert index.postings == want[0]
+                    assert all(type(o) is int and type(tf) is int
+                               for plist in index.postings.values() for o, tf in plist)
+                    assert index.doc_lengths == want[1]
+                    assert index.avg_doc_length == want[2]
+                    assert index.doc_count == len(docs)
 
     def test_restricted_index_rejects_other_query_terms(self):
         index = build_index([["apple", "pear"], ["plum"]], terms=["apple"])

@@ -273,22 +273,19 @@ class TestTokensOnce:
         real = retriever.embed_cached
 
         def capturing(texts, claim_id, cfg, cache, tokens):
-            lent.append(dict(zip(texts[1:], tokens[1:])))
+            lent.append((texts, tokens))
             return real(texts, claim_id, cfg, cache, tokens)
 
         monkeypatch.setattr(retriever, "embed_cached", capturing)
         retrieve(claim, docs, self.CFG, MOCK)
-        (tokens_by_text,) = lent
-        assert all(tokens == tokenize(text) for text, tokens in tokens_by_text.items())
-        first: dict[str, str] = {}
-        occurrences = Counter()
-        for tokens in tokens_by_text.values():
-            for word in tokens:
-                assert first.setdefault(word, word) is word, word
-                occurrences[word] += 1
-        # single characters are shared by the interpreter anyway: make
-        # sure longer words repeat too, so the check above means something
-        assert sum(n - 1 for w, n in occurrences.items() if len(w) > 1) > 20
+        ((texts, table),) = lent
+        assert len(table) == len(texts)
+        assert [table.tokens(i) for i in range(len(texts))] == [tokenize(t) for t in texts]
+        # each distinct word is held once, as one id
+        assert len(set(table.words)) == len(table.words)
+        ids = table.ids.tolist()
+        # make sure words repeat, so the check above means something
+        assert len(ids) - len(set(ids)) > 20
 
     def test_threads_match_sequential_runs(self, knowledge_store_path, claims, monkeypatch):
         jobs = [(c, self._inputs(knowledge_store_path, c)[0]) for c in claims[:2]]
