@@ -7,6 +7,8 @@ file: reading drops it with a warning, so its record is redone, and the
 next append first cuts the file back to the last newline, so the new
 line is not glued to the fragment. Complete lines are decoded by
 corpus.json_line, so a bad one is corruption and raises ValidationError.
+A reader that already holds the first lines' content (an embedding
+cache's snapshot) starts reading after them.
 """
 
 from __future__ import annotations
@@ -24,15 +26,25 @@ class AppendLog:
     def __init__(self, path: str):
         self.path = path
         self._torn_at: int | None = None  # byte offset of a torn final line
+        # (byte offset, line count) just past the last complete line read
+        self.end = (0, 0)
 
-    def read(self) -> Iterator[tuple[int, dict]]:
-        """(line number, JSON object) of each complete, non-blank line."""
+    def read(self, start: int = 0, lines: int = 0, digest=None) -> Iterator[tuple[int, dict]]:
+        """(line number, JSON object) of each complete, non-blank line.
+
+        Reading begins at byte offset start, which must follow the file's
+        first `lines` lines, so line numbers, self.end and a torn line's
+        offset stay those of the whole file. digest, a hashlib object if
+        given, is updated with the bytes of each complete line read.
+        """
         self._torn_at = None
+        self.end = (start, lines)
         if not os.path.isfile(self.path):
             return
-        offset = 0
+        offset = start
         with open(self.path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+            fh.seek(start)
+            for lineno, raw in enumerate(fh, start=lines + 1):
                 if not raw.endswith(b"\n"):
                     log.warning(
                         "%s: line %d: dropping a torn final line (%d bytes)",
@@ -41,6 +53,9 @@ class AppendLog:
                     self._torn_at = offset
                     return
                 offset += len(raw)
+                if digest is not None:
+                    digest.update(raw)
+                self.end = (offset, lineno)
                 obj = json_line(self.path, f"line {lineno}", raw)
                 if obj is not None:
                     yield lineno, obj

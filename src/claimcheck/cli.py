@@ -71,7 +71,7 @@ def _select_claims(claims: list[Claim], spec: str | None) -> list[Claim]:
 
 def _retrieve_claim(cfg: AppConfig, claim: Claim) -> RetrievalResult:
     """Retrieve from the claim's documents, through its embedding cache if any."""
-    store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)
+    store = load_knowledge_store(cfg.paths.knowledge_store, claim.id, cfg.paths.cache_dir)
     cache = None
     if cfg.paths.cache_dir:
         os.makedirs(cfg.paths.cache_dir, exist_ok=True)
@@ -111,7 +111,9 @@ def cmd_ingest(args, cfg: AppConfig) -> int:
         dropped = 0
         sentences = 0
         for claim in selected:
-            store = load_knowledge_store(cfg.paths.knowledge_store, claim.id)
+            store = load_knowledge_store(
+                cfg.paths.knowledge_store, claim.id, cfg.paths.cache_dir
+            )
             docs += len(store.documents)
             dropped += store.dropped_empty
             sentences += sum(len(d.sentences) for d in store.documents)
@@ -270,19 +272,22 @@ def cmd_evaluate(args, cfg: AppConfig) -> int:
 def cmd_cache(args, cfg: AppConfig) -> int:
     if not cfg.paths.cache_dir:
         raise ConfigError("paths.cache_dir is not configured")
-    pattern = os.path.join(cfg.paths.cache_dir, "emb_*.jsonl")
-    files = sorted(glob.glob(pattern))
+    files = sorted(glob.glob(os.path.join(cfg.paths.cache_dir, "emb_*.jsonl")))
     if args.action == "inspect":
         total = 0
         for path in files:
-            count = len(EmbeddingCache(path))
+            count = len(EmbeddingCache(path, write_snapshot=False))
             total += count
             print(f"{path}: {count} vectors")
         print(f"{len(files)} cache files, {total} vectors total")
         return 0
-    # clear
+    # clear: the cache files, then the derived files (embedding snapshots
+    # and store indexes) and any temporary file a killed writer left
     for path in files:
         os.remove(path)
+    for pattern in ("emb_*.jsonl.snapshot*", "store_*.index*"):
+        for path in glob.glob(os.path.join(cfg.paths.cache_dir, pattern)):
+            os.remove(path)
     print(f"removed {len(files)} cache files")
     return 0
 
@@ -308,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--dataset", "paths.dataset", "dataset JSON file"),
         ("--knowledge-store", "paths.knowledge_store", "knowledge store file or directory"),
         ("--train-set", "paths.train_set", "training dataset for few-shot examples"),
-        ("--cache-dir", "paths.cache_dir", "embedding cache directory"),
+        ("--cache-dir", "paths.cache_dir",
+         "directory for embedding caches and the derived files that speed up reruns"),
         ("--output-dir", "paths.output_dir", "directory for traces, predictions, reports"),
         ("--omega", "retrieval.omega", "BM25 prune size"),
         ("--k", "retrieval.k", "number of sources to retrieve"),

@@ -10,15 +10,22 @@ question-answer evidence. A knowledge store is a JSON-lines file (or a
 directory of per-claim files) of pre-scraped documents, each already
 split into sentences. Documents are packed greedily into
 character-bounded chunks that carry their neighbours' text as context.
+
+A derived file (read_derived, write_derived) is a disposable binary
+file that a rerun reads instead of parsing JSON lines again: a combined
+store's offset index here, an embedding cache's snapshot in dense.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import heapq
 import json
 import logging
 import os
 import re
+import sys
 import threading
 from array import array
 from collections import Counter
@@ -215,6 +222,70 @@ def object_list(obj: dict, key: str) -> list[dict]:
     return items
 
 
+def count_field(obj: dict, key: str) -> int:
+    """obj[key], which must be a non-negative integer (not a boolean)."""
+    value = obj[key]
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"{key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def read_derived(path: str, fmt: str, parse):
+    """parse(header, payload) of the derived file at path, or None when
+    the file is missing or fails a check.
+
+    A derived file is one JSON header line, then a binary payload whose
+    sha256 the header's "payload_sha256" holds. A header that does not
+    decode or is not of format fmt, a payload that fails its checksum,
+    and any ValidationError, KeyError, TypeError or ValueError of parse
+    (which checks the header against the payload and against the file
+    it derives from) make the file ignored, with a logged reason: the
+    caller parses the source instead and writes the file again.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = json_line(path, "header", fh.readline())
+            payload = fh.read()
+        return json_record(path, "header", header, partial(_derived, fmt, payload, parse))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValidationError) as exc:
+        log.info("ignoring derived file %s: %s", path, exc)
+        return None
+
+
+def _derived(fmt: str, payload: bytes, parse, header: dict):
+    if header.get("format") != fmt:
+        raise ValidationError(f"format {header.get('format')!r}, not {fmt!r}")
+    if str_field(header, "payload_sha256") != hashlib.sha256(payload).hexdigest():
+        raise ValidationError(f"payload of {len(payload)} bytes fails its checksum")
+    return parse(header, payload)
+
+
+def write_derived(path: str, fmt: str, header: dict, payload: bytes) -> None:
+    """Replace the derived file at path (see read_derived) atomically.
+
+    A write that fails, say in a read-only directory, is logged and
+    leaves no temporary file: derived files only save time. They are
+    not synced to disk, since a torn one fails its checksum.
+    """
+    header = dict(header, format=fmt, payload_sha256=hashlib.sha256(payload).hexdigest())
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(header).encode("ascii") + b"\n")
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        log.info("not writing derived file %s: %s", path, exc)
+
+
 def claim_id_field(obj: dict, default: int | None = None) -> int:
     """obj["claim_id"], which must be an integer (not a boolean)."""
     claim_id = obj["claim_id"] if default is None else obj.get("claim_id", default)
@@ -284,15 +355,18 @@ def _store_file_for_claim(path: str, claim_id: int) -> str | None:
     return None
 
 
-def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
+def load_knowledge_store(
+    path: str, claim_id: int, index_dir: str | None = None
+) -> StoreLoadResult:
     """Load the documents for one claim from a knowledge store.
 
     `path` may be a single JSON-lines file holding many claims or a
     directory of per-claim files named {claim_id}.json(l). A line without
     a claim_id belongs to every claim. A combined file is offset-indexed
     by claim on its first load in the process (see _combined_store_lines),
-    so each later load parses only that claim's lines; a per-claim file
-    is read once, in full. Lines end at LF or CRLF. Lines with an empty
+    so each later load parses only that claim's lines; with index_dir
+    given, the index is kept there for later processes too. A per-claim
+    file is read once, in full. Lines end at LF or CRLF. Lines with an empty
     sentence list are dropped and counted rather than erroring: scraped
     stores routinely contain them. A line whose url2text is not an array
     of strings, or whose url or claim_id is present but not a string or
@@ -309,7 +383,7 @@ def load_knowledge_store(path: str, claim_id: int) -> StoreLoadResult:
         lines = _store_lines(target)
     else:
         target = path
-        lines = _combined_store_lines(path, claim_id)
+        lines = _combined_store_lines(path, claim_id, index_dir)
 
     parse = partial(_store_document, claim_id)
     parsed = [json_record(target, f"{where}: claim {claim_id}", obj, parse)
@@ -379,9 +453,17 @@ class _StoreIndex:
 # Combined-store offset indexes by resolved path. An entry is reused only
 # while the file's device, inode, size and mtime match, so a rewritten
 # store is indexed again; one built from a file with a bad line is never
-# stored.
+# stored, here or in an index directory.
 _store_indexes: dict[str, _StoreIndex] = {}
 _store_index_lock = threading.Lock()
+
+STORE_INDEX_FORMAT = "claimcheck-store-index/1"
+
+
+def store_index_path(index_dir: str, resolved: str) -> str:
+    """Where the index of the store at resolved path is kept in index_dir."""
+    digest = hashlib.sha256(resolved.encode("utf-8", "surrogateescape")).hexdigest()
+    return os.path.join(index_dir, f"store_{digest[:24]}.index")
 
 
 def _index_store(path: str, fh, file_key: tuple[int, int, int, int]) -> _StoreIndex:
@@ -398,12 +480,62 @@ def _index_store(path: str, fh, file_key: tuple[int, int, int, int]) -> _StoreIn
     return _StoreIndex(file_key=file_key, by_claim=by_claim, shared=shared)
 
 
-def _combined_store_lines(path: str, claim_id: int):
+def _save_store_index(path: str, resolved: str, index: _StoreIndex) -> None:
+    """Keep index in the derived file at path: the header names the store
+    and its file_key, the claims with their offset counts and the count
+    of shared offsets; the payload is every claim's offsets, then the
+    shared ones, as native int64."""
+    claims = list(index.by_claim)
+    header = {
+        "store": resolved,
+        "file_key": list(index.file_key),
+        "byteorder": sys.byteorder,
+        "claims": claims,
+        "counts": [len(index.by_claim[c]) for c in claims],
+        "shared": len(index.shared),
+    }
+    payload = b"".join(index.by_claim[c].tobytes() for c in claims) + index.shared.tobytes()
+    write_derived(path, STORE_INDEX_FORMAT, header, payload)
+
+
+def _load_store_index(path: str, resolved: str, file_key) -> _StoreIndex | None:
+    """The index kept at path, if it is of this store's file state."""
+
+    def parse(header: dict, payload: bytes) -> _StoreIndex:
+        if str_field(header, "store") != resolved:
+            raise ValidationError(f"indexes {header['store']!r}, not {resolved!r}")
+        if header["file_key"] != list(file_key):
+            raise ValidationError("store file changed since it was indexed")
+        if header["byteorder"] != sys.byteorder:
+            raise ValidationError(f"{header['byteorder']!r}-endian offsets")
+        claims, counts = header["claims"], header["counts"]
+        if not (isinstance(claims, list) and isinstance(counts, list)
+                and len(claims) == len(counts)):
+            raise ValidationError("claims and counts are not parallel arrays")
+        offsets = array("q")
+        offsets.frombytes(payload)
+        by_claim: dict[int, array] = {}
+        start = 0
+        for claim_id, count in zip(claims, counts):
+            if type(claim_id) is not int or type(count) is not int or count < 0:
+                raise ValidationError(f"bad offset count {count!r} of claim {claim_id!r}")
+            by_claim[claim_id] = offsets[start : start + count]
+            start += count
+        if start + count_field(header, "shared") != len(offsets):
+            raise ValidationError(f"counts do not add up to the {len(offsets)} offsets")
+        return _StoreIndex(file_key=file_key, by_claim=by_claim, shared=offsets[start:])
+
+    return read_derived(path, STORE_INDEX_FORMAT, parse)
+
+
+def _combined_store_lines(path: str, claim_id: int, index_dir: str | None = None):
     """("byte N", object) for claim_id's and the shared lines of a combined store.
 
-    The first load of a file state parses the whole file to build its
-    offset index, under a lock, so concurrent loads build it once; each
-    load then seeks to its claim's lines and parses only those.
+    The first load of a file state in the process reads its offset index
+    from index_dir, if kept there for this state, or else parses the
+    whole file to build it and keeps it there; under a lock, so
+    concurrent loads build it once. Each load then seeks to its claim's
+    lines and parses only those.
     """
     resolved = os.path.realpath(path)
     with open(path, "rb") as fh:
@@ -412,7 +544,12 @@ def _combined_store_lines(path: str, claim_id: int):
         with _store_index_lock:
             index = _store_indexes.get(resolved)
             if index is None or index.file_key != file_key:
-                index = _index_store(path, fh, file_key)
+                kept = None if index_dir is None else store_index_path(index_dir, resolved)
+                index = None if kept is None else _load_store_index(kept, resolved, file_key)
+                if index is None:
+                    index = _index_store(path, fh, file_key)
+                    if kept is not None:
+                        _save_store_index(kept, resolved, index)
                 _store_indexes[resolved] = index
         for offset in heapq.merge(index.by_claim.get(claim_id, ()), index.shared):
             fh.seek(offset)

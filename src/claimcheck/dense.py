@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .appendlog import AppendLog
-from .corpus import json_record, str_field
+from .corpus import count_field, json_record, read_derived, str_field, write_derived
 from .errors import ConfigError, ProviderError, ValidationError, post_json
 from .lexical import TokenIds, encode, tokenize
 
@@ -238,6 +238,9 @@ def _cache_entry(obj: dict) -> tuple[str, bytes]:
     return key, raw
 
 
+SNAPSHOT_FORMAT = "claimcheck-embedding-snapshot/1"
+
+
 class EmbeddingCache:
     """JSON-lines vector cache keyed by claim, model, and text hash.
 
@@ -248,18 +251,78 @@ class EmbeddingCache:
     load without parsing float text. A torn final line left by an
     interrupted append is dropped (see appendlog), so its vector is
     embedded again.
+
+    The JSON-lines file is the record; beside it, the snapshot file (a
+    derived file, see corpus.read_derived) holds the vectors of its first
+    lines as one array. An open takes those vectors when the snapshot's
+    covered bytes are still the file's first bytes (same length and
+    sha256), and parses only the lines after them. An open that parsed
+    any line writes a new snapshot covering every line it read, unless
+    write_snapshot is false.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, write_snapshot: bool = True):
         import numpy as np
 
         self.path = path
+        self.snapshot_path = path + ".snapshot"
         self._log = AppendLog(path)
-        self._entries: dict[str, np.ndarray] = {}
-        for lineno, obj in self._log.read():
+        snapshot = read_derived(self.snapshot_path, SNAPSHOT_FORMAT, self._snapshot)
+        start, lines, digest, self._entries = snapshot or (0, 0, hashlib.sha256(), {})
+        parsed = 0
+        for lineno, obj in self._log.read(start, lines, digest):
             key, raw = json_record(path, f"line {lineno}: bad cache entry", obj, _cache_entry)
             # copy out of the read-only bytes, in native byte order
             self._entries[key] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            parsed += 1
+        if parsed and write_snapshot:
+            self._write_snapshot(digest.hexdigest())
+
+    def _snapshot(self, header: dict, payload: bytes):
+        """(covered bytes, covered lines, sha256 object of the covered
+        bytes, entries) of a snapshot whose covered bytes begin the file."""
+        import numpy as np
+
+        covered = count_field(header, "covered_bytes")
+        lines = count_field(header, "covered_lines")
+        dim = count_field(header, "dim")
+        keys = header["keys"]
+        if not isinstance(keys, list) or set(map(type, keys)) - {str}:
+            raise ValidationError("'keys' must be an array of strings")
+        if len(payload) != 8 * dim * len(keys):
+            raise ValidationError(
+                f"payload holds {len(payload)} bytes, not {len(keys)} vectors of dim {dim}"
+            )
+        digest = hashlib.sha256()
+        with open(self.path, "rb") as fh:
+            # a block at a time: 6,000 vectors of dim 1536 take about 100 MB
+            left = covered
+            while left and (block := fh.read(min(left, 1 << 20))):
+                digest.update(block)
+                left -= len(block)
+        if digest.hexdigest() != str_field(header, "covered_sha256"):
+            raise ValidationError(f"does not match the first {covered} bytes of {self.path}")
+        vectors = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        return covered, lines, digest, dict(zip(keys, vectors.reshape(len(keys), dim)))
+
+    def _write_snapshot(self, covered_sha256: str) -> None:
+        """Snapshot the entries, those of the lines read so far, if they
+        share one dimension."""
+        import numpy as np
+
+        vectors = list(self._entries.values())
+        if len({v.shape[0] for v in vectors}) != 1:
+            return
+        covered, lines = self._log.end
+        header = {
+            "covered_bytes": covered,
+            "covered_lines": lines,
+            "covered_sha256": covered_sha256,
+            "dim": vectors[0].shape[0],
+            "keys": list(self._entries),
+        }
+        payload = np.stack(vectors).astype("<f8", copy=False).tobytes()
+        write_derived(self.snapshot_path, SNAPSHOT_FORMAT, header, payload)
 
     @staticmethod
     def key_for(claim_id: int, model_name: str, text: str) -> str:
@@ -318,11 +381,15 @@ def embed_cached(
             seen_keys.add(key)
     dim = None
     if missing_positions:
-        fresh = embed_batch(
-            [texts[i] for i in missing_positions],
-            cfg,
-            None if tokens is None else tokens.select(missing_positions),
-        )
+        if len(missing_positions) == len(texts):
+            # every text, in order: lend the caller's rows, not a copy
+            fresh = embed_batch(texts, cfg, tokens)
+        else:
+            fresh = embed_batch(
+                [texts[i] for i in missing_positions],
+                cfg,
+                None if tokens is None else tokens.select(missing_positions),
+            )
         cache.put_many([(keys[i], vec) for i, vec in zip(missing_positions, fresh)])
         dim = fresh[0].shape[0]
     out = []

@@ -70,10 +70,18 @@ class TokenIds:
         return [words[j] for j in self.ids[self.starts[i] : self.starts[i + 1]].tolist()]
 
     def select(self, rows: Sequence[int]) -> TokenIds:
-        """The given rows, in the given order, with the same vocabulary."""
+        """The given rows, in the given order, with the same vocabulary.
+
+        The ids of a run of consecutive rows, ascending, are a view of
+        this table's, not a copy.
+        """
         import numpy as np
 
         rows = np.asarray(rows, dtype=np.intp)
+        n = len(rows)
+        if n and 0 <= rows[0] <= len(self) - n and np.all(np.diff(rows) == 1):
+            starts = self.starts[rows[0] : rows[0] + n + 1]
+            return TokenIds(self.words, self.ids[starts[0] : starts[-1]], starts - starts[0])
         first, end = self.starts[rows], self.starts[rows + 1]
         starts = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(end - first, out=starts[1:])

@@ -109,8 +109,9 @@ def retrieve(
 
     texts = [claim.text] + [chunks[o].text for o in survivors]
     # the mock embedder reuses these ids instead of tokenizing again; they
-    # are a copy, so the table is freed before the embedder's own arrays
-    # are made, which keeps the claim's peak memory down
+    # are a copy (rows ranked by score rarely run consecutively), so the
+    # table is freed before the embedder's own arrays are made, which
+    # keeps the claim's peak memory down
     tokens = table.select([0] + [o + 1 for o in survivors])
     del table
     vectors = embed_cached(texts, claim.id, embedding_cfg, cache, tokens)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import claimcheck
+import claimcheck.appendlog as appendlog
 import claimcheck.cli as cli
+import claimcheck.corpus as corpus
 import claimcheck.dense as dense
 from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _overrides_from, _write_atomic, build_parser
@@ -47,6 +49,33 @@ class TestIngest:
         assert "claims: 10 (10 labeled)" in out
         assert re.search(r"documents: \d+ \(1 dropped as empty\)", out)
         assert re.search(r"sentences: \d+", out)
+
+    def test_kept_store_index_loads_no_numpy_yaml_or_requests(
+        self, dataset_path, knowledge_store_path, tmp_path
+    ):
+        # the first run builds the store index and keeps it in the cache
+        # dir, the second reads it: neither computes an array
+        program = (
+            "import sys\n"
+            "from claimcheck.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "loaded = sorted({'numpy', 'yaml', 'requests'} & set(sys.modules))\n"
+            "sys.exit(f'ingest loaded {loaded}' if loaded else code)\n"
+        )
+        cache_dir = tmp_path / "cache"
+        argv = ["ingest", "--cache-dir", str(cache_dir)] + _common(
+            dataset_path, knowledge_store_path, tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(claimcheck.__file__).parents[1]))
+        outputs = []
+        for _run in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-c", program, *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert [p.suffix for p in cache_dir.iterdir()] == [".index"]
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and "documents: " in outputs[0]
 
     def test_dataset_only(self, dataset_path, capsys):
         code = run_cli(["ingest", "--dataset", str(dataset_path)])
@@ -1002,6 +1031,57 @@ class TestCache:
             assert (cold / f"trace_{cid}.json").read_bytes() == (
                 warm / f"trace_{cid}.json"
             ).read_bytes()
+
+    def _verify(self, paths, cache_dir, out_dir, monkeypatch):
+        """verify in a new process's state: no store index in memory."""
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        assert run_cli(_verify_argv(*paths, out_dir) + ["--cache-dir", str(cache_dir)]) == 0
+        return (out_dir / "predictions.json").read_bytes()
+
+    def test_second_verify_reads_only_derived_files(
+        self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
+        tmp_path, monkeypatch,
+    ):
+        paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
+        cache_dir = tmp_path / "cache"
+        cold = self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
+        warm = self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
+        assert len(list(cache_dir.glob("emb_*.jsonl.snapshot"))) == 10
+        assert len(list(cache_dir.glob("store_*.index"))) == 1
+        cache_lines = []
+        real = appendlog.json_line
+
+        def counted(path, where, raw):
+            if os.path.basename(path).startswith("emb_"):
+                cache_lines.append((path, where))
+            return real(path, where, raw)
+
+        def no_index(*args):
+            raise AssertionError("the store was parsed to index it")
+
+        monkeypatch.setattr(appendlog, "json_line", counted)
+        monkeypatch.setattr(corpus, "_index_store", no_index)
+        again = self._verify(paths, cache_dir, tmp_path / "again", monkeypatch)
+        assert cache_lines == []
+        assert cold == warm == again
+        assert (tmp_path / "warm" / "verify_progress.jsonl").read_bytes() == (
+            tmp_path / "again" / "verify_progress.jsonl").read_bytes()
+
+    def test_inspect_writes_and_clear_removes_derived_files(
+        self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
+        tmp_path, monkeypatch, capsys,
+    ):
+        paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
+        cache_dir = tmp_path / "cache"
+        self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
+        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
+        assert not list(cache_dir.glob("emb_*.jsonl.snapshot"))
+        self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
+        (cache_dir / "emb_0.jsonl.snapshot.123-456.tmp").write_bytes(b"left by a killed writer")
+        capsys.readouterr()
+        assert run_cli(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert "removed 10 cache files" in capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
 
     def test_inspect_rejects_values_line(self, tmp_path, capsys):
         """A line of the JSON float list form, written before f64, is a bad entry."""

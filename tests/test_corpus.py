@@ -383,6 +383,119 @@ class TestCombinedStoreIndex:
         assert len(builds) == 1
         assert results == {cid: {expected[cid]} for cid in range(8)}
 
+    def test_index_kept_in_index_dir_serves_a_later_process(self, tmp_path, monkeypatch):
+        rng = random.Random(7)
+        path = tmp_path / "store.jsonl"
+        lines = _random_store_lines(rng, list(range(6)), 200)
+        _write_store(path, lines)
+        index_dir = tmp_path / "cache"
+        expected = {cid: _reference_load(path, cid) for cid in list(range(6)) + [99]}
+        for cid in expected:
+            result = load_knowledge_store(path, cid, str(index_dir))
+            assert (result.documents, result.dropped_empty) == expected[cid]
+        (kept,) = index_dir.iterdir()
+        assert kept.name.startswith("store_") and kept.name.endswith(".index")
+        # a later process: nothing in memory, the index read from index_dir
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        builds = _count_calls(monkeypatch, "_index_store")
+        parses = _count_calls(monkeypatch, "json_line")
+        for cid in expected:
+            result = load_knowledge_store(path, cid, str(index_dir))
+            assert (result.documents, result.dropped_empty) == expected[cid]
+        assert builds == []
+        # the index's header, then only each claim's own and the shared lines
+        assert parses[0] == (str(kept), "header", kept.read_bytes().split(b"\n")[0] + b"\n")
+        assert len(parses) == 1 + sum(
+            1 for cid in expected for o in lines if o.get("claim_id", cid) == cid
+        )
+
+    def test_concurrent_loads_read_the_kept_index_once(self, tmp_path, monkeypatch):
+        rng = random.Random(13)
+        path = tmp_path / "store.jsonl"
+        _write_store(path, _random_store_lines(rng, list(range(8)), 400))
+        index_dir = str(tmp_path / "cache")
+        load_knowledge_store(path, 0, index_dir)
+        expected = {cid: _reference_load(path, cid) for cid in range(8)}
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        builds = _count_calls(monkeypatch, "_index_store")
+        reads = _count_calls(monkeypatch, "_load_store_index")
+        barrier = threading.Barrier(8)
+        results, errors = {}, []
+
+        def load(cid):
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(5):
+                    r = load_knowledge_store(path, cid, index_dir)
+                    results.setdefault(cid, set()).add((r.documents, r.dropped_empty))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(cid,)) for cid in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert builds == [] and len(reads) == 1
+        assert results == {cid: {expected[cid]} for cid in range(8)}
+
+    def test_index_is_keyed_by_resolved_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        _write_store(path, _random_store_lines(random.Random(2), [1, 2], 30))
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(path)
+        index_dir = tmp_path / "cache"
+        load_knowledge_store(path, 1, str(index_dir))
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        builds = _count_calls(monkeypatch, "_index_store")
+        load_knowledge_store(link, 1, str(index_dir))
+        assert builds == [] and len(list(index_dir.iterdir())) == 1
+        other = tmp_path / "other.jsonl"
+        _write_store(other, [{"claim_id": 1, "url": "o", "url2text": ["x"]}])
+        assert [d.url for d in load_knowledge_store(other, 1, str(index_dir)).documents] == ["o"]
+        assert len(builds) == 1 and len(list(index_dir.iterdir())) == 2
+
+    def test_rewritten_store_is_indexed_again_in_index_dir(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        index_dir = tmp_path / "cache"
+        _write_store(path, [{"claim_id": 1, "url": "old", "url2text": ["x"]}])
+        load_knowledge_store(path, 1, str(index_dir))
+        _write_store(path, [{"claim_id": 2, "url": "two", "url2text": ["x"]},
+                            {"claim_id": 1, "url": "new", "url2text": ["x"]}])
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        builds = _count_calls(monkeypatch, "_index_store")
+        assert [d.url for d in load_knowledge_store(path, 1, str(index_dir)).documents] == ["new"]
+        assert len(builds) == 1
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        assert [d.url for d in load_knowledge_store(path, 2, str(index_dir)).documents] == ["two"]
+        assert len(builds) == 1  # the rebuilt index was kept
+
+    def test_failed_index_is_not_kept(self, tmp_path, monkeypatch):
+        """A bad line fails every claim's load, in this process and the next."""
+        path = tmp_path / "store.jsonl"
+        good = [json.dumps({"claim_id": i % 3, "url": f"u{i}", "url2text": ["x"]}).encode()
+                for i in range(6)]
+        path.write_bytes(b"\n".join(good[:4] + [b'{"claim_id": 1, "url":'] + good[4:]) + b"\n")
+        index_dir = tmp_path / "cache"
+        for _process in range(2):
+            monkeypatch.setattr(corpus, "_store_indexes", {})
+            for claim_id in (0, 1, 2):
+                with pytest.raises(ValidationError) as exc:
+                    load_knowledge_store(path, claim_id, str(index_dir))
+                assert f"{path}: line 5: " in str(exc.value)
+            assert not index_dir.exists() or not list(index_dir.iterdir())
+        path.write_bytes(b"\n".join(good) + b"\n")
+        assert [d.url for d in load_knowledge_store(path, 1, str(index_dir)).documents] == [
+            "u1", "u4"]
+        assert len(list(index_dir.iterdir())) == 1
+
     def test_directory_layout_reads_each_file_without_index(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         store_dir.mkdir()

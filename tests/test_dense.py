@@ -522,7 +522,123 @@ class TestEmbeddingCache:
         assert "line 1" in str(exc.value)
 
 
+def _count_cache_lines(monkeypatch):
+    """The cache lines AppendLog decodes from now on, as (path, where)."""
+    import claimcheck.appendlog as appendlog
+
+    parsed = []
+    real = appendlog.json_line
+
+    def counted(path, where, raw):
+        parsed.append((path, where))
+        return real(path, where, raw)
+
+    monkeypatch.setattr(appendlog, "json_line", counted)
+    return parsed
+
+
+def _filled_cache(path, n, dim=MOCK_DIM, seed=0):
+    """A cache file of n vectors put one line each; returns them by key."""
+    rng = np.random.default_rng(seed)
+    items = [(f"0:m:{seed}-{i}", rng.standard_normal(dim)) for i in range(n)]
+    EmbeddingCache(str(path)).put_many(items)
+    return dict(items)
+
+
+class TestEmbeddingSnapshot:
+    def test_second_open_parses_no_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb_0.jsonl"
+        vectors = _filled_cache(path, 5)
+        snapshot = tmp_path / "emb_0.jsonl.snapshot"
+        assert not snapshot.exists()  # the writer parsed nothing
+        parsed = _count_cache_lines(monkeypatch)
+        first = EmbeddingCache(str(path))
+        assert len(parsed) == 5 and snapshot.exists()
+        second = EmbeddingCache(str(path))
+        assert len(parsed) == 5
+        assert list(second._entries) == list(first._entries) == list(vectors)
+        for key, vec in vectors.items():
+            got = second.get(key)
+            assert got.tobytes() == vec.tobytes()
+            assert got.dtype == np.float64 and got.dtype.isnative and got.flags.writeable
+
+    def test_lines_after_the_snapshot_are_parsed_with_file_line_numbers(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "emb_0.jsonl"
+        _filled_cache(path, 3)
+        EmbeddingCache(str(path))  # snapshot of lines 1-3
+        more = {f"more{i}": np.full(MOCK_DIM, float(i)) for i in range(2)}
+        EmbeddingCache(str(path)).put_many(list(more.items()))
+        parsed = _count_cache_lines(monkeypatch)
+        grown = EmbeddingCache(str(path))  # parses lines 4-5, snapshots 1-5
+        assert parsed == [(str(path), "line 4"), (str(path), "line 5")]
+        assert len(grown) == 5 and grown.get("more1").tobytes() == more["more1"].tobytes()
+        assert len(EmbeddingCache(str(path))) == 5 and len(parsed) == 2
+        with path.open("ab") as fh:
+            fh.write(b'{"key": "bad", "dim": 2, "f64": "AAAAAAAA8D8="}\n')
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingCache(str(path))
+        assert str(exc.value).startswith(f"{path}: line 6: bad cache entry")
+
+    def test_rewritten_file_of_the_same_size_is_parsed_again(self, tmp_path):
+        path = tmp_path / "emb_0.jsonl"
+        vectors = _filled_cache(path, 4)
+        EmbeddingCache(str(path))  # snapshot
+        key = list(vectors)[2]
+        changed = vectors[key] * 2.0  # same length of base64, other bytes
+        old = base64.b64encode(vectors[key].astype("<f8").tobytes())
+        new = base64.b64encode(changed.astype("<f8").tobytes())
+        data = path.read_bytes()
+        path.write_bytes(data.replace(old, new))
+        assert path.stat().st_size == len(data)
+        assert EmbeddingCache(str(path)).get(key).tobytes() == changed.tobytes()
+
+    def test_torn_tail_stays_out_of_the_snapshot(self, tmp_path):
+        path = tmp_path / "emb_0.jsonl"
+        vectors = _filled_cache(path, 3)
+        intact = path.read_bytes()
+        path.write_bytes(intact[:-5])
+        torn = EmbeddingCache(str(path))  # snapshot of lines 1-2
+        last = list(vectors)[-1]
+        assert len(torn) == 2 and torn.get(last) is None
+        torn.put_many([(last, vectors[last])])
+        assert path.read_bytes() == intact
+        again = EmbeddingCache(str(path))
+        assert len(again) == 3 and again.get(last).tobytes() == vectors[last].tobytes()
+
+    def test_cold_opens_inspect_and_mixed_dimensions_write_none(self, tmp_path):
+        path = tmp_path / "emb_0.jsonl"
+        EmbeddingCache(str(path)).put_many([("a", np.ones(3)), ("b", np.ones(2))])
+        assert len(EmbeddingCache(str(path), write_snapshot=False)) == 2
+        assert len(EmbeddingCache(str(path))) == 2  # two dimensions: no one array
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb_0.jsonl"]
+
+
 class TestEmbedCached:
+    def test_all_missing_lends_the_callers_tokens(self, tmp_path, monkeypatch):
+        cfg = EmbeddingProviderConfig(kind="mock")
+        cache = EmbeddingCache(str(tmp_path / "emb_3.jsonl"))
+        lent = []
+        real = dense.embed_batch
+
+        def spying(texts, c, tokens=None):
+            lent.append(tokens)
+            return real(texts, c, tokens)
+
+        monkeypatch.setattr(dense, "embed_batch", spying)
+        texts = ["first text", "second text", "third text"]
+        tokens = encode(map(tokenize, texts))
+        out = embed_cached(texts, 3, cfg, cache, tokens)
+        assert lent == [tokens] and lent[0] is tokens
+        assert [v.tobytes() for v in out] == [mock_embed(t).tobytes() for t in texts]
+        # one text cached: the embedder gets the other rows
+        more = ["first text", "fourth text", "fifth text"]
+        embed_cached(more, 3, cfg, cache, encode(map(tokenize, more)))
+        assert [lent[1].tokens(i) for i in range(len(lent[1]))] == [
+            tokenize(t) for t in more[1:]
+        ]
+
     def test_second_run_hits_cache(self, tmp_path, monkeypatch):
         cfg = EmbeddingProviderConfig(kind="mock")
         cache = EmbeddingCache(str(tmp_path / "emb_3.jsonl"))

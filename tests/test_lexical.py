@@ -90,6 +90,21 @@ class TestTokenIds:
             assert decoded == [tokenize(texts[r]) for r in rows]
             assert picked.starts[0] == 0 and picked.starts[-1] == len(picked.ids)
 
+    def test_consecutive_rows_share_the_ids(self):
+        texts = self._texts()
+        table = encode(map(tokenize, texts))
+        for rows in (range(1, len(texts)), range(0, 9), [4, 5, 6], [len(texts) - 1]):
+            picked = table.select(rows)
+            assert np.shares_memory(picked.ids, table.ids)
+            assert picked.words is table.words
+            assert picked.starts[0] == 0 and picked.starts[-1] == len(picked.ids)
+            assert [picked.tokens(i) for i in range(len(rows))] == [tokenize(texts[r]) for r in rows]
+        # not a run of consecutive ascending rows: a copy, as before
+        for rows in ([5, 4], [0, 2], [3, 3]):
+            assert not np.shares_memory(table.select(rows).ids, table.ids)
+        with pytest.raises(IndexError):
+            table.select([len(texts)])
+
     def test_empty_input(self):
         table = encode([])
         assert len(table) == 0 and table.words == () and len(table.ids) == 0

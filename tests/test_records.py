@@ -9,10 +9,17 @@ it must exit 2. The faults here are the seed list for fuzzing these
 readers.
 """
 
+import base64
+import builtins
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import claimcheck.appendlog as appendlog
+import claimcheck.corpus as corpus
 from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _load_progress
 from claimcheck.corpus import load_dataset, load_knowledge_store
@@ -172,3 +179,201 @@ def test_progress_line_with_boolean_claim_id_writes_no_predictions(tmp_path, cap
     assert run_cli(_verify_argv(out_dir)) == 2
     assert f"{progress}: line 1: bad progress entry: " in capsys.readouterr().err
     assert not (out_dir / "predictions.json").exists()
+
+
+# Derived files (corpus.read_derived): a cache dir's embedding snapshots
+# and combined-store index only save time. A fault in one is ignored: the
+# reader parses the JSON lines instead and writes the file again. It must
+# never fail a command.
+
+
+def _split_derived(path):
+    header, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(header), payload
+
+
+def _rewrite_derived(path, header, payload):
+    """path holding header and payload, with a checksum that matches."""
+    header = dict(header, payload_sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def _replace_header(raw: bytes):
+    def fault(path, _cache_dir):
+        path.write_bytes(raw + b"\n" + _split_derived(path)[1])
+    return fault
+
+
+def _truncate_header(path, _cache_dir):
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index(b"\n") // 2])
+
+
+def _flip_payload_byte(path, _cache_dir):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _short_payload(path, _cache_dir):
+    header, payload = _split_derived(path)
+    _rewrite_derived(path, header, payload[:-8])
+
+
+def _edit_header(**fields):
+    def fault(path, _cache_dir):
+        header, payload = _split_derived(path)
+        _rewrite_derived(path, {**header, **{k: f(header[k]) for k, f in fields.items()}},
+                         payload)
+    return fault
+
+
+def _other_cache_snapshot(path, cache_dir):
+    path.write_bytes((cache_dir / "emb_0.jsonl.snapshot").read_bytes())
+
+
+def _cache_rewritten_same_size(_path, cache_dir):
+    cache = cache_dir / "emb_1.jsonl"
+    lines = cache.read_bytes().splitlines(keepends=True)
+    obj = json.loads(lines[1])
+    vector = base64.b64decode(obj["f64"])
+    obj["f64"] = base64.b64encode(vector[8:] + vector[:8]).decode()  # rotated: other vector
+    lines[1] = (json.dumps(obj) + "\n").encode()
+    size = cache.stat().st_size
+    cache.write_bytes(b"".join(lines))
+    assert cache.stat().st_size == size
+
+
+HEADER_FAULTS = {
+    "header_truncated": _truncate_header,
+    "header_not_an_object": _replace_header(b"[1]"),
+    "header_nested_too_deeply": _replace_header(b"[" * 50_000 + b"]" * 50_000),
+    "payload_checksum": _flip_payload_byte,
+    "payload_length": _short_payload,
+}
+DERIVED_CASES = [
+    *(("snapshot", name, fault) for name, fault in HEADER_FAULTS.items()),
+    ("snapshot", "keys_not_strings", _edit_header(keys=lambda keys: [1] + keys[1:])),
+    ("snapshot", "of_another_cache_file", _other_cache_snapshot),
+    ("snapshot", "cache_rewritten_to_the_same_size", _cache_rewritten_same_size),
+    *(("index", name, fault) for name, fault in HEADER_FAULTS.items()),
+    ("index", "stale_file_key", _edit_header(file_key=lambda key: key[:3] + [key[3] + 1])),
+    ("index", "of_another_store", _edit_header(store=lambda path: path + ".old")),
+]
+
+
+def _verify_cached(monkeypatch, tmp_path, cache_dir, out_name, echo_script_path):
+    """verify over the fixtures, through cache_dir, in a new process's
+    state: no store index in memory. Returns (exit code, predictions)."""
+    monkeypatch.setattr(corpus, "_store_indexes", {})
+    out_dir = tmp_path / out_name
+    code = run_cli([
+        "verify", "--dataset", str(FIXTURES / "dataset.json"),
+        "--knowledge-store", str(FIXTURES / "knowledge_store.jsonl"),
+        "--train-set", str(FIXTURES / "train_set.json"),
+        "--mock-script", str(echo_script_path), "--cache-dir", str(cache_dir),
+        "--output-dir", str(out_dir),
+    ])
+    predictions = out_dir / "predictions.json"
+    return code, predictions.read_bytes() if predictions.exists() else None
+
+
+def _jsonl_only(cache_dir, copy):
+    copy.mkdir()
+    for path in cache_dir.glob("emb_*.jsonl"):
+        (copy / path.name).write_bytes(path.read_bytes())
+    return copy
+
+
+@pytest.fixture
+def warm_cache(monkeypatch, tmp_path, echo_script_path):
+    """A cache dir after two verify runs: the first writes the caches and
+    the store index, the second the snapshots."""
+    cache_dir = tmp_path / "cache"
+    for run in ("cold", "warm"):
+        code, _ = _verify_cached(monkeypatch, tmp_path, cache_dir, run, echo_script_path)
+        assert code == 0
+    return cache_dir
+
+
+def _store_index_file(cache_dir):
+    store = os.path.realpath(FIXTURES / "knowledge_store.jsonl")
+    return Path(corpus.store_index_path(str(cache_dir), store))
+
+
+def _derived_files_serve(monkeypatch, cache_dir) -> bool:
+    """Whether cache 1 opens and the store loads without parsing what
+    the derived files cover."""
+    lines, builds = [], []
+    real_line, real_build = appendlog.json_line, corpus._index_store
+    monkeypatch.setattr(appendlog, "json_line", lambda *a: lines.append(a) or real_line(*a))
+    monkeypatch.setattr(corpus, "_index_store", lambda *a: builds.append(a) or real_build(*a))
+    monkeypatch.setattr(corpus, "_store_indexes", {})
+    try:
+        EmbeddingCache(str(cache_dir / "emb_1.jsonl"))
+        load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1, str(cache_dir))
+    finally:
+        monkeypatch.setattr(appendlog, "json_line", real_line)
+        monkeypatch.setattr(corpus, "_index_store", real_build)
+    return not lines and not builds
+
+
+@pytest.mark.parametrize("kind,fault,damage", DERIVED_CASES,
+                         ids=[f"{k}-{f}" for k, f, _ in DERIVED_CASES])
+def test_bad_derived_file_is_ignored_and_rebuilt(
+    monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache, kind, fault, damage
+):
+    cache_dir = warm_cache
+    assert _derived_files_serve(monkeypatch, cache_dir)
+    path = cache_dir / "emb_1.jsonl.snapshot" if kind == "snapshot" else _store_index_file(cache_dir)
+    damage(path, cache_dir)
+    # what a run over the same JSON lines without derived files writes
+    plain = _jsonl_only(cache_dir, tmp_path / "plain_cache")
+    code, expected = _verify_cached(monkeypatch, tmp_path, plain, "plain", echo_script_path)
+    assert code == 0
+    capsys.readouterr()
+
+    with caplog.at_level("INFO", logger="claimcheck.corpus"):
+        code, predictions = _verify_cached(monkeypatch, tmp_path, cache_dir, "out",
+                                           echo_script_path)
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert predictions == expected
+    if fault != "cache_rewritten_to_the_same_size":  # that snapshot is sound, but stale
+        assert f"ignoring derived file {path}: " in caplog.text
+    assert _derived_files_serve(monkeypatch, cache_dir)
+    cache = EmbeddingCache(str(cache_dir / "emb_1.jsonl"))
+    assert cache._entries.keys() == EmbeddingCache(str(plain / "emb_1.jsonl"))._entries.keys()
+    for key, vector in EmbeddingCache(str(plain / "emb_1.jsonl"))._entries.items():
+        assert cache.get(key).tobytes() == vector.tobytes()
+
+
+def test_read_only_cache_dir_writes_no_derived_file(
+    monkeypatch, tmp_path, capsys, echo_script_path, warm_cache
+):
+    """Where a cache dir cannot be written, runs read the caches and parse
+    the store as if no derived file had ever been kept."""
+    cache_dir = warm_cache
+    for path in [*cache_dir.glob("emb_*.jsonl.snapshot"), _store_index_file(cache_dir)]:
+        path.unlink()
+    expected = (tmp_path / "warm" / "predictions.json").read_bytes()
+
+    def read_only(file, mode="r", *args, **kwargs):
+        # root ignores the mode bits, so refuse writes here too
+        if any(c in mode for c in "wax+") and str(file).startswith(str(cache_dir)):
+            raise PermissionError(13, "Permission denied", str(file))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", read_only, raising=False)
+    cache_dir.chmod(0o555)
+    try:
+        code, predictions = _verify_cached(monkeypatch, tmp_path, cache_dir, "out",
+                                           echo_script_path)
+    finally:
+        cache_dir.chmod(0o755)
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "Traceback" not in err
+    assert predictions == expected
+    assert sorted(p.name for p in cache_dir.iterdir()) == [f"emb_{i}.jsonl" for i in range(10)]
