@@ -75,7 +75,7 @@ def _retrieve_claim(cfg: AppConfig, claim: Claim) -> RetrievalResult:
     cache = None
     if cfg.paths.cache_dir:
         os.makedirs(cfg.paths.cache_dir, exist_ok=True)
-        cache = EmbeddingCache(os.path.join(cfg.paths.cache_dir, f"emb_{claim.id}.jsonl"))
+        cache = EmbeddingCache(os.path.join(cfg.paths.cache_dir, f"emb_{claim.id}.cache"))
     return retrieve(claim, list(store.documents), cfg.retrieval, cfg.embedding, cache)
 
 
@@ -164,9 +164,10 @@ def _load_progress(progress: AppendLog) -> dict[int, dict]:
     The last status per claim wins; errored claims are retried on rerun.
     """
     last: dict[int, dict | None] = {}
-    for lineno, obj in progress.read():
-        where = f"line {lineno}: bad progress entry"
-        claim_id, record = json_record(progress.path, where, obj, _progress_entry)
+    for where, obj, _payload in progress.read():
+        claim_id, record = json_record(
+            progress.path, f"{where}: bad progress entry", obj, _progress_entry
+        )
         last[claim_id] = record
     return {claim_id: record for claim_id, record in last.items() if record is not None}
 
@@ -225,7 +226,7 @@ def cmd_verify(args, cfg: AppConfig) -> int:
             else:
                 done[claim.id] = record
                 entry = {"claim_id": claim.id, "status": "ok", "record": record}
-            progress.append([json.dumps(entry, sort_keys=True)])
+            progress.append(entry)
 
     ordered = [done[c.id] for c in claims if c.id in done]
     out_path = os.path.join(cfg.paths.output_dir, "predictions.json")
@@ -272,22 +273,21 @@ def cmd_evaluate(args, cfg: AppConfig) -> int:
 def cmd_cache(args, cfg: AppConfig) -> int:
     if not cfg.paths.cache_dir:
         raise ConfigError("paths.cache_dir is not configured")
-    files = sorted(glob.glob(os.path.join(cfg.paths.cache_dir, "emb_*.jsonl")))
     if args.action == "inspect":
+        files = sorted(glob.glob(os.path.join(cfg.paths.cache_dir, "emb_*.cache")))
         total = 0
         for path in files:
-            count = len(EmbeddingCache(path, write_snapshot=False))
+            count = len(EmbeddingCache(path))
             total += count
             print(f"{path}: {count} vectors")
         print(f"{len(files)} cache files, {total} vectors total")
         return 0
-    # clear: the cache files, then the derived files (embedding snapshots
-    # and store indexes) and any temporary file a killed writer left
-    for path in files:
+    # clear: the cache files, with any older emb_{id}.jsonl and the files
+    # derived from it, then the store indexes and any temporary file a
+    # killed index writer left
+    files = glob.glob(os.path.join(cfg.paths.cache_dir, "emb_*"))
+    for path in files + glob.glob(os.path.join(cfg.paths.cache_dir, "store_*.index*")):
         os.remove(path)
-    for pattern in ("emb_*.jsonl.snapshot*", "store_*.index*"):
-        for path in glob.glob(os.path.join(cfg.paths.cache_dir, pattern)):
-            os.remove(path)
     print(f"removed {len(files)} cache files")
     return 0
 

@@ -1,10 +1,9 @@
-"""JSON input reading, dataset and knowledge-store ingestion, sentence
-splitting, chunking.
+"""JSON input reading, dataset and knowledge-store ingestion, chunking.
 
 Every outside JSON record is read here: a JSON file through load_json,
-a line of a JSON-lines file (a knowledge store, an embedding cache,
-verify's progress) through json_line, and each record through
-json_record, so a bad one fails the same way whichever it is. A
+a line of a JSON-lines file (a knowledge store, verify's progress, an
+embedding cache batch's header) through json_line, and each record
+through json_record, so a bad one fails the same way whichever it is. A
 dataset file is a JSON array of claims with optional gold labels and
 question-answer evidence. A knowledge store is a JSON-lines file (or a
 directory of per-claim files) of pre-scraped documents, each already
@@ -12,8 +11,8 @@ split into sentences. Documents are packed greedily into
 character-bounded chunks that carry their neighbours' text as context.
 
 A derived file (read_derived, write_derived) is a disposable binary
-file that a rerun reads instead of parsing JSON lines again: a combined
-store's offset index here, an embedding cache's snapshot in dense.
+file that a rerun reads instead of parsing JSON lines again. A combined
+store's offset index is the one such file.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import heapq
 import json
 import logging
 import os
-import re
 import sys
 import threading
 from array import array
@@ -557,55 +555,6 @@ def _combined_store_lines(path: str, claim_id: int, index_dir: str | None = None
             obj = json_line(path, where, fh.readline())
             if obj is not None:
                 yield where, obj
-
-
-# Words that end with a period without ending a sentence.
-_ABBREVIATIONS = {
-    "Mr.", "Mrs.", "Ms.", "Dr.", "Prof.", "Sen.", "Rep.", "Gov.", "Gen.",
-    "St.", "Mt.", "Jr.", "Sr.", "vs.", "etc.", "e.g.", "i.e.", "cf.",
-    "U.S.", "U.K.", "U.N.", "No.", "Inc.", "Ltd.", "Co.", "Corp.", "Fig.",
-    "Jan.", "Feb.", "Mar.", "Apr.", "Jun.", "Jul.", "Aug.", "Sep.", "Sept.",
-    "Oct.", "Nov.", "Dec.", "approx.",
-}
-
-_BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9])")
-
-
-def _word_ending_at(text: str, end: int) -> str:
-    start = end
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    return text[start:end]
-
-
-def split_sentences(text: str) -> list[str]:
-    """Rule-based sentence segmentation.
-
-    Splits on terminal punctuation followed by whitespace and an
-    uppercase letter or digit, except after known abbreviations and
-    single-letter initials. Whitespace-normalized concatenation of the
-    output reproduces the input.
-    """
-    if not text or not text.strip():
-        return []
-    cut_points = []
-    for m in _BOUNDARY_RE.finditer(text):
-        if m.group(1).endswith("."):
-            word = _word_ending_at(text, m.end(1))
-            if word in _ABBREVIATIONS:
-                continue
-            # single-letter initials such as "J. Edgar"
-            if len(word) == 2 and word[0].isupper() and word[1] == ".":
-                continue
-        cut_points.append((m.end(1), m.end()))
-
-    sentences = []
-    start = 0
-    for sentence_end, next_start in cut_points:
-        sentences.append(text[start:sentence_end])
-        start = next_start
-    sentences.append(text[start:])
-    return [s.strip() for s in sentences if s.strip()]
 
 
 def chunk_document(doc: Document, max_chars: int) -> list[Chunk]:

@@ -4,7 +4,9 @@ The embedding provider is pluggable: an HTTP provider speaking an
 OpenAI-style /embeddings endpoint, or a deterministic offline mock that
 feature-hashes tokens into a fixed-dimension vector. Search is exact
 (full scan): per-claim candidate sets are a few thousand vectors at
-most, so approximate indexes would only add a dependency. VectorIndex
+most, so approximate indexes would only add a dependency. A claim's
+vectors are cached in one append-only file of checksummed float64
+batches (EmbeddingCache), so reruns embed only new texts. VectorIndex
 owns validation and normalization: build checks and unit-normalizes a
 claim's vectors once, as one matrix, and knn and mmr_select read its
 rows without checking them again. numpy is imported when an array is
@@ -13,16 +15,14 @@ first computed, so a command that computes none (evaluate) loads none.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .appendlog import AppendLog
-from .corpus import count_field, json_record, read_derived, str_field, write_derived
+from .corpus import json_record
 from .errors import ConfigError, ProviderError, ValidationError, post_json
 from .lexical import TokenIds, encode, tokenize
 
@@ -223,106 +223,47 @@ def embed_batch(
     return vectors
 
 
-def _cache_entry(obj: dict) -> tuple[str, bytes]:
-    """The key and the vector's little-endian float64 bytes of one
-    {"key", "dim", "f64"} cache line."""
-    key = str_field(obj, "key")
-    dim = obj["dim"]
-    if type(dim) is not int:
-        raise ValidationError(f"dim must be an integer, got {dim!r}")
-    if not isinstance(obj["f64"], str):
-        raise TypeError("f64 field is not a string")
-    raw = base64.b64decode(obj["f64"], validate=True)
-    if len(raw) != 8 * dim:
-        raise ValueError(f"f64 field holds {len(raw)} bytes, dim {dim} needs {8 * dim}")
-    return key, raw
-
-
-SNAPSHOT_FORMAT = "claimcheck-embedding-snapshot/1"
+def _batch_shape(header: dict) -> tuple[list[str], int]:
+    """The keys and dimension of a cache batch's header, checked against
+    its payload_bytes."""
+    keys = header["keys"]
+    if not isinstance(keys, list) or set(map(type, keys)) - {str}:
+        raise ValidationError("'keys' must be an array of strings")
+    dim = header["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    if header["payload_bytes"] != 8 * dim * len(keys):
+        raise ValidationError(
+            f"payload_bytes is {header['payload_bytes']}, {len(keys)} vectors of dim {dim}"
+            f" need {8 * dim * len(keys)}"
+        )
+    return keys, dim
 
 
 class EmbeddingCache:
-    """JSON-lines vector cache keyed by claim, model, and text hash.
+    """Vector cache file keyed by claim, model, and text hash.
 
     Real embedding runs are the expensive part of retrieval, so vectors
-    are persisted and reruns only embed what is missing. Each line is
-    {"key", "dim", "f64"}, f64 being the base64 of the vector's
-    little-endian float64 bytes, so vectors round-trip bit-exactly and
-    load without parsing float text. A torn final line left by an
-    interrupted append is dropped (see appendlog), so its vector is
-    embedded again.
-
-    The JSON-lines file is the record; beside it, the snapshot file (a
-    derived file, see corpus.read_derived) holds the vectors of its first
-    lines as one array. An open takes those vectors when the snapshot's
-    covered bytes are still the file's first bytes (same length and
-    sha256), and parses only the lines after them. An open that parsed
-    any line writes a new snapshot covering every line it read, unless
-    write_snapshot is false.
+    are persisted and reruns only embed what is missing. The file is an
+    append log (see appendlog) of one record per put_many call: a header
+    {"dim", "keys", "payload_bytes", "payload_sha256"}, then the batch's
+    vectors as little-endian float64, one row per key, so vectors
+    round-trip bit-exactly and load as one array per batch. A torn final
+    batch left by an interrupted append is dropped, so its vectors are
+    embedded again; a batch that fails a check is a ValidationError.
     """
 
-    def __init__(self, path: str, write_snapshot: bool = True):
+    def __init__(self, path: str):
         import numpy as np
 
         self.path = path
-        self.snapshot_path = path + ".snapshot"
-        self._log = AppendLog(path)
-        snapshot = read_derived(self.snapshot_path, SNAPSHOT_FORMAT, self._snapshot)
-        start, lines, digest, self._entries = snapshot or (0, 0, hashlib.sha256(), {})
-        parsed = 0
-        for lineno, obj in self._log.read(start, lines, digest):
-            key, raw = json_record(path, f"line {lineno}: bad cache entry", obj, _cache_entry)
+        self._log = AppendLog(path, "batch")
+        self._entries: dict[str, np.ndarray] = {}
+        for where, header, payload in self._log.read():
+            keys, dim = json_record(path, f"{where}: bad cache entry", header, _batch_shape)
             # copy out of the read-only bytes, in native byte order
-            self._entries[key] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-            parsed += 1
-        if parsed and write_snapshot:
-            self._write_snapshot(digest.hexdigest())
-
-    def _snapshot(self, header: dict, payload: bytes):
-        """(covered bytes, covered lines, sha256 object of the covered
-        bytes, entries) of a snapshot whose covered bytes begin the file."""
-        import numpy as np
-
-        covered = count_field(header, "covered_bytes")
-        lines = count_field(header, "covered_lines")
-        dim = count_field(header, "dim")
-        keys = header["keys"]
-        if not isinstance(keys, list) or set(map(type, keys)) - {str}:
-            raise ValidationError("'keys' must be an array of strings")
-        if len(payload) != 8 * dim * len(keys):
-            raise ValidationError(
-                f"payload holds {len(payload)} bytes, not {len(keys)} vectors of dim {dim}"
-            )
-        digest = hashlib.sha256()
-        with open(self.path, "rb") as fh:
-            # a block at a time: 6,000 vectors of dim 1536 take about 100 MB
-            left = covered
-            while left and (block := fh.read(min(left, 1 << 20))):
-                digest.update(block)
-                left -= len(block)
-        if digest.hexdigest() != str_field(header, "covered_sha256"):
-            raise ValidationError(f"does not match the first {covered} bytes of {self.path}")
-        vectors = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        return covered, lines, digest, dict(zip(keys, vectors.reshape(len(keys), dim)))
-
-    def _write_snapshot(self, covered_sha256: str) -> None:
-        """Snapshot the entries, those of the lines read so far, if they
-        share one dimension."""
-        import numpy as np
-
-        vectors = list(self._entries.values())
-        if len({v.shape[0] for v in vectors}) != 1:
-            return
-        covered, lines = self._log.end
-        header = {
-            "covered_bytes": covered,
-            "covered_lines": lines,
-            "covered_sha256": covered_sha256,
-            "dim": vectors[0].shape[0],
-            "keys": list(self._entries),
-        }
-        payload = np.stack(vectors).astype("<f8", copy=False).tobytes()
-        write_derived(self.snapshot_path, SNAPSHOT_FORMAT, header, payload)
+            rows = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+            self._entries.update(zip(keys, rows.reshape(len(keys), dim)))
 
     @staticmethod
     def key_for(claim_id: int, model_name: str, text: str) -> str:
@@ -336,19 +277,16 @@ class EmbeddingCache:
         return self._entries.get(key)
 
     def put_many(self, items: list[tuple[str, np.ndarray]]) -> None:
+        """Append the vectors, which share one dimension, of the keys not
+        cached yet, as one batch."""
         import numpy as np
 
         fresh = [(k, v) for k, v in items if k not in self._entries]
         if not fresh:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        # json.dumps of {"key", "dim", "f64"}, byte for byte, without a
-        # dict per vector: only the key can need escaping
-        self._log.append(
-            f'{{"key": {json.dumps(key)}, "dim": {vec.shape[0]}, "f64": "'
-            f'{base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")}"}}'
-            for key, vec in fresh
-        )
+        rows = np.stack([v for _k, v in fresh]).astype("<f8", copy=False)
+        self._log.append({"dim": rows.shape[1], "keys": [k for k, _v in fresh]}, rows.tobytes())
         self._entries.update(fresh)
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import hashlib
 import json
 import socket
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -12,6 +14,33 @@ from claimcheck.cli import main as cli_main
 from claimcheck.corpus import VeracityLabel, load_dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+F64_ONE = struct.pack("<d", 1.0)
+
+
+def cache_batch(payload=F64_ONE, drop=(), **fields) -> bytes:
+    """One embedding-cache record: a header for key "k" of dim 1, whose
+    payload_bytes and payload_sha256 match payload, then payload. fields
+    replace or add header fields; drop names fields to leave out."""
+    header = {"dim": 1, "keys": ["k"], "payload_bytes": len(payload),
+              "payload_sha256": hashlib.sha256(payload).hexdigest(), **fields}
+    for name in drop:
+        del header[name]
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def cache_batches(path) -> list[tuple[dict, bytes]]:
+    """(header, payload) of each record of an embedding-cache file, split
+    here without the package's reader."""
+    data = Path(path).read_bytes()
+    batches = []
+    while data:
+        line, _, data = data.partition(b"\n")
+        header = json.loads(line)
+        size = header["payload_bytes"]
+        batches.append((header, data[:size]))
+        data = data[size:]
+    return batches
 
 _real_connect = socket.socket.connect
 _LOCAL_HOSTS = {"127.0.0.1", "::1", "localhost"}

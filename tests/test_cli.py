@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 import re
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 import claimcheck
-import claimcheck.appendlog as appendlog
 import claimcheck.cli as cli
 import claimcheck.corpus as corpus
 import claimcheck.dense as dense
@@ -21,7 +19,7 @@ from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.corpus import VeracityLabel
 from claimcheck.errors import ValidationError
 
-from conftest import build_echo_script, echo_response_text, run_cli
+from conftest import build_echo_script, cache_batches, echo_response_text, run_cli
 
 
 @pytest.fixture(autouse=True)
@@ -673,8 +671,11 @@ class TestVerify:
 
     def test_torn_cache_line_reembeds_only_lost_vector(
         self, dataset_path, knowledge_store_path, train_set_path,
-        echo_script_path, tmp_path, monkeypatch,
+        echo_script_path, tmp_path, monkeypatch, caplog,
     ):
+        """A last cache batch cut in its header or in its payload is dropped
+        and only its texts are embedded again: the rerun writes what an
+        uninterrupted run wrote."""
         cache_dir = tmp_path / "cache"
 
         def argv(out_dir):
@@ -683,10 +684,18 @@ class TestVerify:
                 echo_script_path, tmp_path / out_dir,
             ) + ["--cache-dir", str(cache_dir)]
 
-        assert run_cli(argv("first")) == 0
-        cache = cache_dir / "emb_0.jsonl"
+        # claim 1's cache gets two batches: the claim and its best chunk,
+        # then the other chunks
+        assert run_cli(
+            ["retrieve", "--claims", "1", "--omega", "1", "--k", "1",
+             "--set", "retrieval.pool_size=1", "--cache-dir", str(cache_dir)]
+            + _common(dataset_path, knowledge_store_path, tmp_path / "traces")
+        ) == 0
+        assert run_cli(argv("uninterrupted")) == 0
+        cache = cache_dir / "emb_1.cache"
         intact = cache.read_bytes()
-        cache.write_bytes(intact[:-40])
+        (first, _), (last, _) = cache_batches(cache)
+        second_at = intact.index(b"\n") + 1 + first["payload_bytes"]
 
         embedded = []
         real_embed_batch = dense.embed_batch
@@ -696,12 +705,18 @@ class TestVerify:
             return real_embed_batch(texts, cfg, tokens)
 
         monkeypatch.setattr(dense, "embed_batch", counting_embed_batch)
-        assert run_cli(argv("second")) == 0
-        assert embedded == [1]
-        assert cache.read_bytes() == intact
-        assert (tmp_path / "first" / "predictions.json").read_bytes() == (
-            tmp_path / "second" / "predictions.json"
-        ).read_bytes()
+        for cut in ("mid_header", "mid_payload"):
+            cache.write_bytes(intact[: second_at + 10 if cut == "mid_header" else -8])
+            embedded.clear()
+            caplog.clear()
+            assert run_cli(argv(cut)) == 0
+            assert f"{cache}: batch 2: dropping a torn final batch" in caplog.text
+            assert embedded == [len(last["keys"])]
+            assert cache.read_bytes() == intact
+            for name in ("predictions.json", "verify_progress.jsonl"):
+                assert (tmp_path / cut / name).read_bytes() == (
+                    tmp_path / "uninterrupted" / name
+                ).read_bytes()
 
     def test_repeated_claim_id_exits_2_before_any_llm_call(
         self, dataset_path, knowledge_store_path, train_set_path, claims, tmp_path, capsys,
@@ -724,12 +739,12 @@ class TestVerify:
         assert run_cli(
             ["retrieve"] + _common(dataset_path, knowledge_store_path, tmp_path / "r") + flags
         ) == 0
-        # the last line holds a chunk's vector (the claim's is the first);
-        # keep only that key, with a valid 3-vector under the 64-dim model
-        path = cache_dir / "emb_0.jsonl"
-        key = json.loads(path.read_text().splitlines()[-1])["key"]
-        f64 = base64.b64encode(np.array([0.5, -1.0, 2.0], dtype="<f8").tobytes()).decode()
-        path.write_text(json.dumps({"key": key, "dim": 3, "f64": f64}) + "\n")
+        # the last key is a chunk's (the claim's is the first); keep only
+        # that key, with a valid 3-vector under the 64-dim model
+        path = cache_dir / "emb_0.cache"
+        key = cache_batches(path)[-1][0]["keys"][-1]
+        path.unlink()
+        dense.EmbeddingCache(str(path)).put_many([(key, np.array([0.5, -1.0, 2.0]))])
         capsys.readouterr()
 
         out_dir = tmp_path / "out"
@@ -994,6 +1009,11 @@ class TestInputFiles:
         assert not (out_dir / "report.json").exists()
 
 
+def _file_state(directory):
+    """Each file's bytes and st_mtime_ns, by name."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
 class TestCache:
     def test_inspect_and_clear(
         self, dataset_path, knowledge_store_path, tmp_path, capsys,
@@ -1003,7 +1023,7 @@ class TestCache:
             ["retrieve", "--cache-dir", str(cache_dir)]
             + _common(dataset_path, knowledge_store_path, tmp_path / "out")
         ) == 0
-        files = sorted(cache_dir.glob("emb_*.jsonl"))
+        files = sorted(cache_dir.glob("emb_*.cache"))
         assert len(files) == 10
 
         assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
@@ -1013,7 +1033,7 @@ class TestCache:
 
         assert run_cli(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 10 cache files" in capsys.readouterr().out
-        assert not list(cache_dir.glob("emb_*.jsonl"))
+        assert not list(cache_dir.glob("emb_*.cache"))
 
     def test_cached_rerun_matches_cold_run(
         self, dataset_path, knowledge_store_path, tmp_path,
@@ -1042,27 +1062,23 @@ class TestCache:
         self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
         tmp_path, monkeypatch,
     ):
+        """Warm runs read the caches and the store index and write nothing
+        in the cache dir."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         cold = self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
-        warm = self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        assert len(list(cache_dir.glob("emb_*.jsonl.snapshot"))) == 10
+        assert len(list(cache_dir.glob("emb_*.cache"))) == 10
         assert len(list(cache_dir.glob("store_*.index"))) == 1
-        cache_lines = []
-        real = appendlog.json_line
-
-        def counted(path, where, raw):
-            if os.path.basename(path).startswith("emb_"):
-                cache_lines.append((path, where))
-            return real(path, where, raw)
+        state = _file_state(cache_dir)
 
         def no_index(*args):
             raise AssertionError("the store was parsed to index it")
 
-        monkeypatch.setattr(appendlog, "json_line", counted)
         monkeypatch.setattr(corpus, "_index_store", no_index)
+        warm = self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
+        assert _file_state(cache_dir) == state
         again = self._verify(paths, cache_dir, tmp_path / "again", monkeypatch)
-        assert cache_lines == []
+        assert _file_state(cache_dir) == state
         assert cold == warm == again
         assert (tmp_path / "warm" / "verify_progress.jsonl").read_bytes() == (
             tmp_path / "again" / "verify_progress.jsonl").read_bytes()
@@ -1071,32 +1087,36 @@ class TestCache:
         self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
         tmp_path, monkeypatch, capsys,
     ):
+        """inspect writes nothing; clear removes the caches, the files of the
+        older JSON-lines form (never read), the store index and temporary
+        files."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
-        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
-        assert not list(cache_dir.glob("emb_*.jsonl.snapshot"))
-        self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        (cache_dir / "emb_0.jsonl.snapshot.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "emb_0.jsonl").write_text(
+            json.dumps({"key": "k", "dim": 1, "f64": "AAAAAAAA8D8="}) + "\n")
+        (cache_dir / "emb_0.jsonl.snapshot").write_bytes(b"derived from emb_0.jsonl")
+        (cache_dir / "store_0.index.123-456.tmp").write_bytes(b"left by a killed writer")
+        state = _file_state(cache_dir)
         capsys.readouterr()
+        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
+        assert "10 cache files" in capsys.readouterr().out
+        assert _file_state(cache_dir) == state
         assert run_cli(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
-        assert "removed 10 cache files" in capsys.readouterr().out
+        assert "removed 12 cache files" in capsys.readouterr().out
         assert list(cache_dir.iterdir()) == []
 
     def test_inspect_rejects_values_line(self, tmp_path, capsys):
-        """A line of the JSON float list form, written before f64, is a bad entry."""
+        """A line of an older form, the JSON float list, is a bad cache batch."""
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        path = cache_dir / "emb_0.jsonl"
-        lines = [
-            {"key": f"new{i}", "dim": 2,
-             "f64": base64.b64encode(np.array([1.0, i], dtype="<f8").tobytes()).decode()}
-            for i in range(2)
-        ]
-        lines.append({"key": "old0", "dim": 2, "values": [0.5, -1.0]})
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        path = cache_dir / "emb_0.cache"
+        cache = dense.EmbeddingCache(str(path))
+        for i in range(2):
+            cache.put_many([(f"new{i}", np.array([1.0, i]))])
+        with path.open("a") as fh:
+            fh.write(json.dumps({"key": "old0", "dim": 2, "values": [0.5, -1.0]}) + "\n")
         assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 2
-        assert f"{path}: line 3: bad cache entry" in capsys.readouterr().err
+        assert f"{path}: batch 3: bad cache entry" in capsys.readouterr().err
 
     def test_cache_requires_dir_config(self, capsys):
         assert run_cli(["cache", "inspect"]) == 2

@@ -16,7 +16,6 @@ from claimcheck.corpus import (
     load_knowledge_store,
     parse_answer_type,
     parse_label,
-    split_sentences,
 )
 from claimcheck.errors import ValidationError
 
@@ -508,39 +507,6 @@ class TestCombinedStoreIndex:
             expected = _reference_load(store_dir / f"{cid}.jsonl", cid)
             assert (result.documents, result.dropped_empty) == expected
         assert builds == []
-
-
-SPLIT_CASES = [
-    ("Plain sentence.", ["Plain sentence."]),
-    ("One. Two. Three.", ["One.", "Two.", "Three."]),
-    ("Really? Yes! Fine.", ["Really?", "Yes!", "Fine."]),
-    ("Mr. Smith arrived. He sat down.", ["Mr. Smith arrived.", "He sat down."]),
-    ("The U.S. economy grew. Rates held.", ["The U.S. economy grew.", "Rates held."]),
-    ("J. K. Rowling wrote it. It sold well.", ["J. K. Rowling wrote it.", "It sold well."]),
-    ("Costs hit 3.5 billion. Then fell.", ["Costs hit 3.5 billion.", "Then fell."]),
-    ("What happened?! Nobody knows.", ["What happened?!", "Nobody knows."]),
-    ("no capital after. this stays joined.", ["no capital after. this stays joined."]),
-    ("Ends without terminator", ["Ends without terminator"]),
-]
-
-
-class TestSplitSentences:
-    @pytest.mark.parametrize("text,expected", SPLIT_CASES)
-    def test_golden_cases(self, text, expected):
-        assert split_sentences(text) == expected
-
-    def test_round_trip_whitespace_normalized(self):
-        rng = random.Random(4021)
-        words = ["alpha", "beta", "Gamma", "delta", "Mr.", "U.S.", "12.5", "run"]
-        for _ in range(200):
-            n = rng.randint(1, 40)
-            text = " ".join(rng.choice(words) for _ in range(n))
-            parts = split_sentences(text)
-            assert " ".join(" ".join(p.split()) for p in parts) == " ".join(text.split())
-
-    def test_empty_input(self):
-        assert split_sentences("") == []
-        assert split_sentences("   ") == []
 
 
 def _doc(url, sentences):

@@ -1,9 +1,7 @@
-import base64
 import hashlib
 import json
 import random
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +24,8 @@ from claimcheck.dense import (
 from claimcheck.errors import ConfigError, ProviderError, ValidationError
 from claimcheck.lexical import encode, tokenize
 from claimcheck.retriever import RetrievalConfig
+
+from conftest import F64_ONE, cache_batch, cache_batches
 
 
 def _hash_oracle(text):
@@ -379,7 +379,7 @@ class TestEmbeddingCache:
         assert key == f"7:emb-1:{digest}"
 
     def test_round_trip_through_file(self, tmp_path):
-        path = str(tmp_path / "emb_0.jsonl")
+        path = str(tmp_path / "emb_0.cache")
         cache = EmbeddingCache(path)
         vec = np.array([0.5, -0.25, 1.0])
         cache.put_many([("k1", vec)])
@@ -404,12 +404,14 @@ class TestEmbeddingCache:
             vec[:4] = [-0.0, 5e-324, 1e308, -1e308]
         else:
             vec = np.array(values, dtype=np.float64)
-        path = tmp_path / "emb_0.jsonl"
+        path = tmp_path / "emb_0.cache"
         EmbeddingCache(str(path)).put_many([("k", vec)])
-        (line,) = path.read_text().splitlines()
-        obj = json.loads(line)
-        assert sorted(obj) == ["dim", "f64", "key"] and obj["dim"] == vec.size
-        assert base64.b64decode(obj["f64"]) == vec.astype("<f8").tobytes()
+        ((header, payload),) = cache_batches(path)
+        assert header == {
+            "dim": vec.size, "keys": ["k"], "payload_bytes": 8 * vec.size,
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        assert payload == vec.astype("<f8").tobytes()
         got = EmbeddingCache(str(path)).get("k")
         assert got.dtype == np.float64 and got.dtype.isnative
         assert got.flags.writeable
@@ -427,198 +429,131 @@ class TestEmbeddingCache:
         ids=["plain", "quotes", "backslashes", "non-ascii", "control"],
     )
     def test_lines_equal_json_dumps_of_the_record(self, tmp_path, key):
+        """A batch is its header as json.dumps gives it, keys sorted, on
+        one line, then its vectors' float64 bytes."""
         rng = np.random.default_rng(305)
-        vecs = [rng.standard_normal(64), np.array([-0.0, 5e-324, 1e308]), np.eye(MOCK_DIM)[0]]
-        path = tmp_path / "emb_0.jsonl"
+        special = np.full(MOCK_DIM, 5e-324)
+        special[:2] = [-0.0, 1e308]
+        vecs = [rng.standard_normal(MOCK_DIM), special, np.eye(MOCK_DIM)[0]]
+        path = tmp_path / "emb_0.cache"
         items = [(f"{key}:{i}", vec) for i, vec in enumerate(vecs)]
         EmbeddingCache(str(path)).put_many(items)
-        expected = [
-            json.dumps({
-                "key": k,
-                "dim": v.size,
-                "f64": base64.b64encode(v.astype("<f8").tobytes()).decode("ascii"),
-            })
-            for k, v in items
-        ]
-        assert path.read_bytes() == "".join(line + "\n" for line in expected).encode("ascii")
+        payload = np.stack(vecs).astype("<f8").tobytes()
+        header = {
+            "keys": [k for k, _v in items],
+            "dim": MOCK_DIM,
+            "payload_bytes": len(payload),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        expected = json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
+        assert path.read_bytes() == expected
         reloaded = EmbeddingCache(str(path))
         assert all(reloaded.get(k).tobytes() == v.tobytes() for k, v in items)
 
     @pytest.mark.parametrize(
         "entry",
         [
-            {"dim": 1, "values": [1.0]},  # the JSON float list form, no f64
-            {"dim": 1},  # f64 missing
-            {"dim": 1, "f64": "AAAA!AAA8D8="},  # not in the alphabet
-            {"dim": 1, "f64": "AAAAAAAA8D8"},  # padding missing
-            {"dim": 1, "f64": "AAAAAAAA\n8D8="},  # embedded newline
-            {"dim": 1, "f64": "AAAAAAAA8D8=AAAA"},  # data after padding
-            {"dim": 2, "f64": "AAAAAAAA8D8="},  # 8 bytes for dim 2
-            {"dim": 1, "f64": "AAAAAAAA"},  # 6 bytes
-            {"dim": 1, "f64": ""},
-            {"dim": 1, "f64": 5},
-            {"dim": 1, "f64": ["AAAAAAAA8D8="]},
-            {"f64": "AAAAAAAA8D8="},  # dim missing
-            {"dim": 1, "values": 1.0},  # the float list form with a bare number
+            # the older one-line-per-vector forms
+            {"key": "k", "f64": "AAAAAAAA8D8=", "payload": b"",
+             "drop": ("keys", "payload_bytes", "payload_sha256")},
+            {"key": "k", "values": [1.0], "payload": b"",
+             "drop": ("keys", "payload_bytes", "payload_sha256")},
+            {"keys": "k"},  # not an array
+            {"keys": [5]},
+            {"dim": True},
+            {"dim": 1.9},
+            {"dim": "1"},
+            {"dim": 0, "payload": b""},
+            {"drop": ("dim",)},
+            {"payload": F64_ONE * 2},  # 16 bytes for one vector of dim 1
+            {"payload_bytes": "8"},
+            {"drop": ("payload_sha256",)},
+            {"payload_sha256": hashlib.sha256(b"other").hexdigest()},
         ],
     )
     def test_malformed_f64_line_rejected(self, tmp_path, entry):
-        path = tmp_path / "emb_0.jsonl"
-        good = json.dumps({"key": "j", "dim": 1, "f64": "AAAAAAAA8D8="})
-        path.write_text(good + "\n")
+        path = tmp_path / "emb_0.cache"
+        good = cache_batch(keys=["j"])
+        path.write_bytes(good)
         assert EmbeddingCache(str(path)).get("j").tolist() == [1.0]
-        path.write_text(good + "\n" + json.dumps({"key": "k", **entry}) + "\n")
+        path.write_bytes(good + cache_batch(**entry))
         with pytest.raises(ValidationError) as exc:
             EmbeddingCache(str(path))
-        assert f"{path}: line 2: bad cache entry" in str(exc.value)
+        assert str(exc.value).startswith(f"{path}: batch 2: ")
 
     def test_append_only_no_duplicates(self, tmp_path):
-        path = str(tmp_path / "emb_0.jsonl")
-        cache = EmbeddingCache(path)
+        path = tmp_path / "emb_0.cache"
+        cache = EmbeddingCache(str(path))
         cache.put_many([("k1", np.array([1.0]))])
         cache.put_many([("k1", np.array([9.9])), ("k2", np.array([2.0]))])
-        lines = [l for l in Path(path).read_text().splitlines() if l]
-        assert len(lines) == 2
+        assert [header["keys"] for header, _ in cache_batches(path)] == [["k1"], ["k2"]]
         assert np.array_equal(cache.get("k1"), np.array([1.0]))
 
     def test_corrupt_line_rejected(self, tmp_path):
-        path = tmp_path / "emb_0.jsonl"
-        path.write_text('{"key": "k", "dim": 3, "f64": "AAAAAAAA8D8="}\n')
-        with pytest.raises(ValidationError):
+        path = tmp_path / "emb_0.cache"
+        path.write_bytes(cache_batch(dim=3))
+        with pytest.raises(ValidationError) as exc:
             EmbeddingCache(str(path))
+        assert str(exc.value).startswith(f"{path}: batch 1: bad cache entry: ")
 
     @pytest.mark.parametrize(
-        "bad", ['{"key": "k", "dim": ' + "9" * 5000 + "}", "[" * 50_000],
+        "bad", ['{"keys": ["k"], "dim": ' + "9" * 5000 + "}", "[" * 50_000],
         ids=["overlong_integer", "nested_too_deeply"],
     )
     def test_unconvertible_line_rejected_naming_it(self, tmp_path, bad):
-        path = tmp_path / "emb_0.jsonl"
-        good = json.dumps({"key": "j", "dim": 1, "f64": "AAAAAAAA8D8="})
-        path.write_text(good + "\n" + bad + "\n")
+        path = tmp_path / "emb_0.cache"
+        path.write_bytes(cache_batch(keys=["j"]) + bad.encode() + b"\n")
         with pytest.raises(ValidationError) as exc:
             EmbeddingCache(str(path))
-        assert str(exc.value).startswith(f"{path}: line 2: not valid JSON: ")
+        assert str(exc.value).startswith(f"{path}: batch 2: not valid JSON: ")
 
     def test_torn_final_line_dropped_then_cut_before_append(self, tmp_path, caplog):
-        path = tmp_path / "emb_0.jsonl"
+        """A last batch cut in its header line or in its payload is dropped."""
+        path = tmp_path / "emb_0.cache"
         cache = EmbeddingCache(str(path))
-        cache.put_many([("k1", np.array([1.0])), ("k2", np.array([2.0]))])
+        cache.put_many([("k1", np.array([1.0]))])
+        first = path.stat().st_size
+        more = [("k2", np.array([2.0])), ("k3", np.array([3.0]))]
+        cache.put_many(more)
         intact = path.read_bytes()
-        path.write_bytes(intact[:-5])
-        with caplog.at_level("WARNING"):
-            torn = EmbeddingCache(str(path))
-        assert "torn final line" in caplog.text
-        assert len(torn) == 1 and torn.get("k2") is None
-        torn.put_many([("k2", np.array([2.0]))])
-        assert path.read_bytes() == intact
-        assert len(EmbeddingCache(str(path))) == 2
+        for cut in (first + 10, len(intact) - 5):
+            caplog.clear()
+            path.write_bytes(intact[:cut])
+            with caplog.at_level("WARNING"):
+                torn = EmbeddingCache(str(path))
+            assert f"{path}: batch 2: dropping a torn final batch" in caplog.text
+            assert len(torn) == 1 and torn.get("k2") is None
+            torn.put_many(more)
+            assert path.read_bytes() == intact
+            assert len(EmbeddingCache(str(path))) == 3
 
     def test_bad_line_before_others_rejected(self, tmp_path):
-        path = tmp_path / "emb_0.jsonl"
-        good = '{"key": "k", "dim": 1, "f64": "AAAAAAAA8D8="}\n'
-        path.write_text('{"key": "j", "dim": 1, "val\n' + good)
+        path = tmp_path / "emb_0.cache"
+        path.write_bytes(b'{"keys": ["j"], "dim": 1, "val\n' + cache_batch())
         with pytest.raises(ValidationError) as exc:
             EmbeddingCache(str(path))
-        assert "line 1" in str(exc.value)
+        assert str(exc.value).startswith(f"{path}: batch 1: not valid JSON: ")
 
-
-def _count_cache_lines(monkeypatch):
-    """The cache lines AppendLog decodes from now on, as (path, where)."""
-    import claimcheck.appendlog as appendlog
-
-    parsed = []
-    real = appendlog.json_line
-
-    def counted(path, where, raw):
-        parsed.append((path, where))
-        return real(path, where, raw)
-
-    monkeypatch.setattr(appendlog, "json_line", counted)
-    return parsed
-
-
-def _filled_cache(path, n, dim=MOCK_DIM, seed=0):
-    """A cache file of n vectors put one line each; returns them by key."""
-    rng = np.random.default_rng(seed)
-    items = [(f"0:m:{seed}-{i}", rng.standard_normal(dim)) for i in range(n)]
-    EmbeddingCache(str(path)).put_many(items)
-    return dict(items)
-
-
-class TestEmbeddingSnapshot:
-    def test_second_open_parses_no_line(self, tmp_path, monkeypatch):
-        path = tmp_path / "emb_0.jsonl"
-        vectors = _filled_cache(path, 5)
-        snapshot = tmp_path / "emb_0.jsonl.snapshot"
-        assert not snapshot.exists()  # the writer parsed nothing
-        parsed = _count_cache_lines(monkeypatch)
-        first = EmbeddingCache(str(path))
-        assert len(parsed) == 5 and snapshot.exists()
-        second = EmbeddingCache(str(path))
-        assert len(parsed) == 5
-        assert list(second._entries) == list(first._entries) == list(vectors)
-        for key, vec in vectors.items():
-            got = second.get(key)
-            assert got.tobytes() == vec.tobytes()
-            assert got.dtype == np.float64 and got.dtype.isnative and got.flags.writeable
-
-    def test_lines_after_the_snapshot_are_parsed_with_file_line_numbers(
-        self, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "emb_0.jsonl"
-        _filled_cache(path, 3)
-        EmbeddingCache(str(path))  # snapshot of lines 1-3
-        more = {f"more{i}": np.full(MOCK_DIM, float(i)) for i in range(2)}
-        EmbeddingCache(str(path)).put_many(list(more.items()))
-        parsed = _count_cache_lines(monkeypatch)
-        grown = EmbeddingCache(str(path))  # parses lines 4-5, snapshots 1-5
-        assert parsed == [(str(path), "line 4"), (str(path), "line 5")]
-        assert len(grown) == 5 and grown.get("more1").tobytes() == more["more1"].tobytes()
-        assert len(EmbeddingCache(str(path))) == 5 and len(parsed) == 2
-        with path.open("ab") as fh:
-            fh.write(b'{"key": "bad", "dim": 2, "f64": "AAAAAAAA8D8="}\n')
-        with pytest.raises(ValidationError) as exc:
-            EmbeddingCache(str(path))
-        assert str(exc.value).startswith(f"{path}: line 6: bad cache entry")
-
-    def test_rewritten_file_of_the_same_size_is_parsed_again(self, tmp_path):
-        path = tmp_path / "emb_0.jsonl"
-        vectors = _filled_cache(path, 4)
-        EmbeddingCache(str(path))  # snapshot
-        key = list(vectors)[2]
-        changed = vectors[key] * 2.0  # same length of base64, other bytes
-        old = base64.b64encode(vectors[key].astype("<f8").tobytes())
-        new = base64.b64encode(changed.astype("<f8").tobytes())
-        data = path.read_bytes()
-        path.write_bytes(data.replace(old, new))
-        assert path.stat().st_size == len(data)
-        assert EmbeddingCache(str(path)).get(key).tobytes() == changed.tobytes()
-
-    def test_torn_tail_stays_out_of_the_snapshot(self, tmp_path):
-        path = tmp_path / "emb_0.jsonl"
-        vectors = _filled_cache(path, 3)
-        intact = path.read_bytes()
-        path.write_bytes(intact[:-5])
-        torn = EmbeddingCache(str(path))  # snapshot of lines 1-2
-        last = list(vectors)[-1]
-        assert len(torn) == 2 and torn.get(last) is None
-        torn.put_many([(last, vectors[last])])
-        assert path.read_bytes() == intact
-        again = EmbeddingCache(str(path))
-        assert len(again) == 3 and again.get(last).tobytes() == vectors[last].tobytes()
-
-    def test_cold_opens_inspect_and_mixed_dimensions_write_none(self, tmp_path):
-        path = tmp_path / "emb_0.jsonl"
-        EmbeddingCache(str(path)).put_many([("a", np.ones(3)), ("b", np.ones(2))])
-        assert len(EmbeddingCache(str(path), write_snapshot=False)) == 2
-        assert len(EmbeddingCache(str(path))) == 2  # two dimensions: no one array
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb_0.jsonl"]
+    def test_batches_of_two_dimensions_read_back_bit_exact(self, tmp_path):
+        """Two models' vectors, of two sizes, share a claim's file."""
+        path = tmp_path / "emb_0.cache"
+        rng = np.random.default_rng(2)
+        small = {EmbeddingCache.key_for(0, "small", t): rng.standard_normal(3) for t in "ab"}
+        large = {EmbeddingCache.key_for(0, "large", t): rng.standard_normal(1536) for t in "ab"}
+        cache = EmbeddingCache(str(path))
+        cache.put_many(list(small.items()))
+        cache.put_many(list(large.items()))
+        assert [header["dim"] for header, _ in cache_batches(path)] == [3, 1536]
+        reloaded = EmbeddingCache(str(path))
+        assert len(reloaded) == 4
+        for key, vec in {**small, **large}.items():
+            assert reloaded.get(key).tobytes() == vec.tobytes()
 
 
 class TestEmbedCached:
     def test_all_missing_lends_the_callers_tokens(self, tmp_path, monkeypatch):
         cfg = EmbeddingProviderConfig(kind="mock")
-        cache = EmbeddingCache(str(tmp_path / "emb_3.jsonl"))
+        cache = EmbeddingCache(str(tmp_path / "emb_3.cache"))
         lent = []
         real = dense.embed_batch
 
@@ -641,7 +576,7 @@ class TestEmbedCached:
 
     def test_second_run_hits_cache(self, tmp_path, monkeypatch):
         cfg = EmbeddingProviderConfig(kind="mock")
-        cache = EmbeddingCache(str(tmp_path / "emb_3.jsonl"))
+        cache = EmbeddingCache(str(tmp_path / "emb_3.cache"))
         calls = []
         real = dense.embed_batch
 
@@ -663,7 +598,7 @@ class TestEmbedCached:
     @pytest.mark.parametrize("embeds", [True, False])
     def test_cached_vector_of_other_dimension_rejected(self, tmp_path, embeds):
         cfg = EmbeddingProviderConfig(kind="mock")
-        cache = EmbeddingCache(str(tmp_path / "emb_3.jsonl"))
+        cache = EmbeddingCache(str(tmp_path / "emb_3.cache"))
         odd_key = EmbeddingCache.key_for(3, cfg.effective_model_name, "odd")
         cache.put_many([(odd_key, np.array([1.0, 2.0, 3.0]))])
         embed_cached(["first"], 3, cfg, cache)
@@ -683,7 +618,7 @@ class TestEmbedCached:
 
     def test_cache_keys_separate_claims(self, tmp_path):
         cfg = EmbeddingProviderConfig(kind="mock")
-        cache = EmbeddingCache(str(tmp_path / "emb.jsonl"))
+        cache = EmbeddingCache(str(tmp_path / "emb.cache"))
         embed_cached(["shared"], 1, cfg, cache)
         embed_cached(["shared"], 2, cfg, cache)
         assert len(cache) == 2

@@ -1,7 +1,7 @@
 """One contract for every reader of outside JSON records.
 
 A record is a dataset element, a knowledge-store line (one file per
-claim, or one combined file), an embedding-cache line or a verify
+claim, or one combined file), an embedding-cache batch or a verify
 progress line. Each case writes a file whose first record is good and
 whose second holds one fault. Reading it must raise a ValidationError
 naming the file and where the bad record is, and the command that reads
@@ -9,7 +9,6 @@ it must exit 2. The faults here are the seed list for fuzzing these
 readers.
 """
 
-import base64
 import builtins
 import hashlib
 import json
@@ -18,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-import claimcheck.appendlog as appendlog
 import claimcheck.corpus as corpus
 from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _load_progress
@@ -26,9 +24,7 @@ from claimcheck.corpus import load_dataset, load_knowledge_store
 from claimcheck.dense import EmbeddingCache
 from claimcheck.errors import ValidationError
 
-from conftest import FIXTURES, run_cli
-
-F64_ONE = "AAAAAAAA8D8="  # base64 of the float64 1.0
+from conftest import F64_ONE, FIXTURES, cache_batch, run_cli
 
 # faults that a line decoder rejects, the same for every kind
 DECODE_FAULTS = {
@@ -62,16 +58,6 @@ KINDS = {
         {"claim_id": 1, "url": "u", "url2text": ["Fine."]},
         {"claim_id_true": {"claim_id": True, "url": "u", "url2text": ["Fine."]}},
     ),
-    "cache": (
-        {"key": "j", "dim": 1, "f64": F64_ONE},
-        {
-            "key_number": {"key": 5, "dim": 1, "f64": F64_ONE},
-            "dim_true": {"key": "k", "dim": True, "f64": F64_ONE},
-            "dim_fraction": {"key": "k", "dim": 1.9, "f64": F64_ONE},
-            "dim_string": {"key": "k", "dim": "1", "f64": F64_ONE},
-            "missing_field": {"dim": 1, "f64": F64_ONE},
-        },
-    ),
     "progress": (
         {"claim_id": 0, "status": "error", "error": "x"},
         {
@@ -83,22 +69,48 @@ KINDS = {
     ),
 }
 
+# an embedding cache's records are batches: a header line, then a
+# payload of float64 vectors (see cache_batch)
+CACHE_GOOD = cache_batch(keys=["j"])
+CACHE_FAULTS = {
+    "key_number": cache_batch(keys=[5]),
+    "keys_not_array": cache_batch(keys="k"),
+    "dim_true": cache_batch(dim=True),
+    "dim_fraction": cache_batch(dim=1.9),
+    "dim_string": cache_batch(dim="1"),
+    "missing_field": cache_batch(drop=("payload_sha256",)),
+    "payload_bytes_not_8_dim_keys": cache_batch(payload=F64_ONE * 2),
+    # a complete batch, not the last one, whose payload fails its checksum
+    "payload_checksum": cache_batch(payload_sha256=hashlib.sha256(b"other").hexdigest())
+    + cache_batch(keys=["later"]),
+}
+
 CASES = [
-    (kind, fault, bad)
-    for kind, (_good, field_faults) in KINDS.items()
-    for fault, bad in [*DECODE_FAULTS.items(),
-                       *((name, _json(obj)) for name, obj in field_faults.items())]
+    *((kind, fault, bad + b"\n")
+      for kind in [*KINDS, "cache"]
+      for fault, bad in DECODE_FAULTS.items()),
+    *((kind, fault, _json(obj) + b"\n")
+      for kind, (_good, field_faults) in KINDS.items()
+      for fault, obj in field_faults.items()),
+    *(("cache", fault, bad) for fault, bad in CACHE_FAULTS.items()),
 ]
 
 
 def _write(tmp_path, kind, bad: bytes, decoder_rejects: bool):
-    """Write a file holding kind's good record, then bad.
+    """Write a file holding kind's good record, then bad, which ends with
+    its newline or payload.
 
     Returns the file, what the reader is given, where the bad record is
     and the CLI arguments that read it.
     """
+    if kind == "cache":
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        path = cache_dir / "emb_1.cache"
+        path.write_bytes(CACHE_GOOD + bad)
+        return path, path, "batch 2", ["cache", "inspect", "--cache-dir", str(cache_dir)]
     good = _json(KINDS[kind][0])
-    lines = good + b"\n" + bad + b"\n"
+    lines = good + b"\n" + bad
     if kind == "dataset":
         path = tmp_path / "dataset.json"
         path.write_bytes(b"[" + good + b",\n" + bad + b"]\n")
@@ -118,12 +130,6 @@ def _write(tmp_path, kind, bad: bytes, decoder_rejects: bool):
         # by every claim's load
         where = "line 2" if decoder_rejects else f"byte {len(good) + 1}"
         return path, path, where, store_argv + ["--knowledge-store", str(path)]
-    if kind == "cache":
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        path = cache_dir / "emb_1.jsonl"
-        path.write_bytes(lines)
-        return path, path, "line 2", ["cache", "inspect", "--cache-dir", str(cache_dir)]
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     path = out_dir / "verify_progress.jsonl"
@@ -181,10 +187,9 @@ def test_progress_line_with_boolean_claim_id_writes_no_predictions(tmp_path, cap
     assert not (out_dir / "predictions.json").exists()
 
 
-# Derived files (corpus.read_derived): a cache dir's embedding snapshots
-# and combined-store index only save time. A fault in one is ignored: the
-# reader parses the JSON lines instead and writes the file again. It must
-# never fail a command.
+# Derived files (corpus.read_derived): a cache dir's combined-store index
+# only saves time. A fault in one is ignored: the reader parses the JSON
+# lines instead and writes the file again. It must never fail a command.
 
 
 def _split_derived(path):
@@ -199,49 +204,33 @@ def _rewrite_derived(path, header, payload):
 
 
 def _replace_header(raw: bytes):
-    def fault(path, _cache_dir):
+    def fault(path):
         path.write_bytes(raw + b"\n" + _split_derived(path)[1])
     return fault
 
 
-def _truncate_header(path, _cache_dir):
+def _truncate_header(path):
     data = path.read_bytes()
     path.write_bytes(data[: data.index(b"\n") // 2])
 
 
-def _flip_payload_byte(path, _cache_dir):
+def _flip_payload_byte(path):
     data = bytearray(path.read_bytes())
     data[-1] ^= 0xFF
     path.write_bytes(bytes(data))
 
 
-def _short_payload(path, _cache_dir):
+def _short_payload(path):
     header, payload = _split_derived(path)
     _rewrite_derived(path, header, payload[:-8])
 
 
 def _edit_header(**fields):
-    def fault(path, _cache_dir):
+    def fault(path):
         header, payload = _split_derived(path)
         _rewrite_derived(path, {**header, **{k: f(header[k]) for k, f in fields.items()}},
                          payload)
     return fault
-
-
-def _other_cache_snapshot(path, cache_dir):
-    path.write_bytes((cache_dir / "emb_0.jsonl.snapshot").read_bytes())
-
-
-def _cache_rewritten_same_size(_path, cache_dir):
-    cache = cache_dir / "emb_1.jsonl"
-    lines = cache.read_bytes().splitlines(keepends=True)
-    obj = json.loads(lines[1])
-    vector = base64.b64decode(obj["f64"])
-    obj["f64"] = base64.b64encode(vector[8:] + vector[:8]).decode()  # rotated: other vector
-    lines[1] = (json.dumps(obj) + "\n").encode()
-    size = cache.stat().st_size
-    cache.write_bytes(b"".join(lines))
-    assert cache.stat().st_size == size
 
 
 HEADER_FAULTS = {
@@ -252,10 +241,6 @@ HEADER_FAULTS = {
     "payload_length": _short_payload,
 }
 DERIVED_CASES = [
-    *(("snapshot", name, fault) for name, fault in HEADER_FAULTS.items()),
-    ("snapshot", "keys_not_strings", _edit_header(keys=lambda keys: [1] + keys[1:])),
-    ("snapshot", "of_another_cache_file", _other_cache_snapshot),
-    ("snapshot", "cache_rewritten_to_the_same_size", _cache_rewritten_same_size),
     *(("index", name, fault) for name, fault in HEADER_FAULTS.items()),
     ("index", "stale_file_key", _edit_header(file_key=lambda key: key[:3] + [key[3] + 1])),
     ("index", "of_another_store", _edit_header(store=lambda path: path + ".old")),
@@ -278,21 +263,20 @@ def _verify_cached(monkeypatch, tmp_path, cache_dir, out_name, echo_script_path)
     return code, predictions.read_bytes() if predictions.exists() else None
 
 
-def _jsonl_only(cache_dir, copy):
+def _caches_only(cache_dir, copy):
     copy.mkdir()
-    for path in cache_dir.glob("emb_*.jsonl"):
+    for path in cache_dir.glob("emb_*.cache"):
         (copy / path.name).write_bytes(path.read_bytes())
     return copy
 
 
 @pytest.fixture
 def warm_cache(monkeypatch, tmp_path, echo_script_path):
-    """A cache dir after two verify runs: the first writes the caches and
-    the store index, the second the snapshots."""
+    """A cache dir after a verify run, which writes the caches and the
+    store index."""
     cache_dir = tmp_path / "cache"
-    for run in ("cold", "warm"):
-        code, _ = _verify_cached(monkeypatch, tmp_path, cache_dir, run, echo_script_path)
-        assert code == 0
+    code, _ = _verify_cached(monkeypatch, tmp_path, cache_dir, "cold", echo_script_path)
+    assert code == 0
     return cache_dir
 
 
@@ -301,21 +285,17 @@ def _store_index_file(cache_dir):
     return Path(corpus.store_index_path(str(cache_dir), store))
 
 
-def _derived_files_serve(monkeypatch, cache_dir) -> bool:
-    """Whether cache 1 opens and the store loads without parsing what
-    the derived files cover."""
-    lines, builds = [], []
-    real_line, real_build = appendlog.json_line, corpus._index_store
-    monkeypatch.setattr(appendlog, "json_line", lambda *a: lines.append(a) or real_line(*a))
+def _index_serves(monkeypatch, cache_dir) -> bool:
+    """Whether the store loads without indexing it again."""
+    builds = []
+    real_build = corpus._index_store
     monkeypatch.setattr(corpus, "_index_store", lambda *a: builds.append(a) or real_build(*a))
     monkeypatch.setattr(corpus, "_store_indexes", {})
     try:
-        EmbeddingCache(str(cache_dir / "emb_1.jsonl"))
         load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1, str(cache_dir))
     finally:
-        monkeypatch.setattr(appendlog, "json_line", real_line)
         monkeypatch.setattr(corpus, "_index_store", real_build)
-    return not lines and not builds
+    return not builds
 
 
 @pytest.mark.parametrize("kind,fault,damage", DERIVED_CASES,
@@ -324,11 +304,11 @@ def test_bad_derived_file_is_ignored_and_rebuilt(
     monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache, kind, fault, damage
 ):
     cache_dir = warm_cache
-    assert _derived_files_serve(monkeypatch, cache_dir)
-    path = cache_dir / "emb_1.jsonl.snapshot" if kind == "snapshot" else _store_index_file(cache_dir)
-    damage(path, cache_dir)
-    # what a run over the same JSON lines without derived files writes
-    plain = _jsonl_only(cache_dir, tmp_path / "plain_cache")
+    assert _index_serves(monkeypatch, cache_dir)
+    path = _store_index_file(cache_dir)
+    damage(path)
+    # what a run over the same caches without a store index writes
+    plain = _caches_only(cache_dir, tmp_path / "plain_cache")
     code, expected = _verify_cached(monkeypatch, tmp_path, plain, "plain", echo_script_path)
     assert code == 0
     capsys.readouterr()
@@ -340,13 +320,10 @@ def test_bad_derived_file_is_ignored_and_rebuilt(
     assert code == 0, err
     assert "Traceback" not in err
     assert predictions == expected
-    if fault != "cache_rewritten_to_the_same_size":  # that snapshot is sound, but stale
-        assert f"ignoring derived file {path}: " in caplog.text
-    assert _derived_files_serve(monkeypatch, cache_dir)
-    cache = EmbeddingCache(str(cache_dir / "emb_1.jsonl"))
-    assert cache._entries.keys() == EmbeddingCache(str(plain / "emb_1.jsonl"))._entries.keys()
-    for key, vector in EmbeddingCache(str(plain / "emb_1.jsonl"))._entries.items():
-        assert cache.get(key).tobytes() == vector.tobytes()
+    assert f"ignoring derived file {path}: " in caplog.text
+    assert _index_serves(monkeypatch, cache_dir)
+    for cache in plain.iterdir():
+        assert (cache_dir / cache.name).read_bytes() == cache.read_bytes()
 
 
 def test_read_only_cache_dir_writes_no_derived_file(
@@ -355,9 +332,8 @@ def test_read_only_cache_dir_writes_no_derived_file(
     """Where a cache dir cannot be written, runs read the caches and parse
     the store as if no derived file had ever been kept."""
     cache_dir = warm_cache
-    for path in [*cache_dir.glob("emb_*.jsonl.snapshot"), _store_index_file(cache_dir)]:
-        path.unlink()
-    expected = (tmp_path / "warm" / "predictions.json").read_bytes()
+    _store_index_file(cache_dir).unlink()
+    expected = (tmp_path / "cold" / "predictions.json").read_bytes()
 
     def read_only(file, mode="r", *args, **kwargs):
         # root ignores the mode bits, so refuse writes here too
@@ -376,4 +352,4 @@ def test_read_only_cache_dir_writes_no_derived_file(
     assert code == 0, err
     assert "Traceback" not in err
     assert predictions == expected
-    assert sorted(p.name for p in cache_dir.iterdir()) == [f"emb_{i}.jsonl" for i in range(10)]
+    assert sorted(p.name for p in cache_dir.iterdir()) == [f"emb_{i}.cache" for i in range(10)]

@@ -174,7 +174,7 @@ class TestPipeline:
         docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
         cfg = RetrievalConfig(max_chars=180, omega=40, pool_size=8, k=4)
         plain = retrieve(claim, docs, cfg, MOCK)
-        cache = EmbeddingCache(str(tmp_path / f"emb_{claim.id}.jsonl"))
+        cache = EmbeddingCache(str(tmp_path / f"emb_{claim.id}.cache"))
         cold = retrieve(claim, docs, cfg, MOCK, cache=cache)
         warm = retrieve(claim, docs, cfg, MOCK, cache=cache)
         for other in (cold, warm):
@@ -221,7 +221,7 @@ class TestOneMatrix:
 
         monkeypatch.setattr(dense, "_check_vector", counting)
         cfg = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=4)
-        cache = EmbeddingCache(str(tmp_path / "emb.jsonl"))
+        cache = EmbeddingCache(str(tmp_path / "emb.cache"))
         for claim in claims:
             docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
             for run_cache in (None, cache, cache):  # uncached, cold cache, warm cache
@@ -259,7 +259,7 @@ class TestTokensOnce:
         claim = claims[0]
         docs, chunk_texts = self._inputs(knowledge_store_path, claim)
         assert claim.text not in chunk_texts
-        cache = EmbeddingCache(str(tmp_path / "emb_0.jsonl")) if cached else None
+        cache = EmbeddingCache(str(tmp_path / "emb_0.cache")) if cached else None
         calls = _count_tokenize(monkeypatch)
         retrieve(claim, docs, self.CFG, MOCK, cache=cache)
         assert Counter(calls["retriever"]) == Counter(chunk_texts + [claim.text])
