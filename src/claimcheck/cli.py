@@ -283,12 +283,20 @@ def cmd_cache(args, cfg: AppConfig) -> int:
         print(f"{len(files)} cache files, {total} vectors total")
         return 0
     # clear: the cache files, with any older emb_{id}.jsonl and the files
-    # derived from it, then the store indexes and any temporary file a
-    # killed index writer left
-    files = glob.glob(os.path.join(cfg.paths.cache_dir, "emb_*"))
-    for path in files + glob.glob(os.path.join(cfg.paths.cache_dir, "store_*.index*")):
+    # derived from it, the token tables, the store indexes and any
+    # temporary file a killed writer of those two left (write_derived
+    # names it {path}.{pid}-{tid}.tmp); other files are not ours to remove
+    def matching(*patterns: str) -> list[str]:
+        return [p for pattern in patterns
+                for p in glob.glob(os.path.join(cfg.paths.cache_dir, pattern))]
+
+    caches = matching("emb_*")
+    tables = matching("tokens_*.table")
+    temporary = matching("store_*.index.*.tmp", "tokens_*.table.*.tmp")
+    for path in caches + tables + matching("store_*.index") + temporary:
         os.remove(path)
-    print(f"removed {len(files)} cache files")
+    print(f"removed {len(caches)} cache files, {len(tables)} token tables "
+          f"and {len(temporary)} temporary files")
     return 0
 
 
@@ -314,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--knowledge-store", "paths.knowledge_store", "knowledge store file or directory"),
         ("--train-set", "paths.train_set", "training dataset for few-shot examples"),
         ("--cache-dir", "paths.cache_dir",
-         "directory for embedding caches and the derived files that speed up reruns"),
+         "directory for embedding caches, and for the store index and token tables "
+         "that speed up warm reruns"),
         ("--output-dir", "paths.output_dir", "directory for traces, predictions, reports"),
         ("--omega", "retrieval.omega", "BM25 prune size"),
         ("--k", "retrieval.k", "number of sources to retrieve"),

@@ -267,7 +267,8 @@ class EmbeddingCache:
 
     @staticmethod
     def key_for(claim_id: int, model_name: str, text: str) -> str:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+        # a lone surrogate, which a JSON store can escape as \ud800, hashes as its own bytes
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:24]
         return f"{claim_id}:{model_name}:{digest}"
 
     def __len__(self) -> int:

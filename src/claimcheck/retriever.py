@@ -4,13 +4,21 @@ The stage order is fixed. Chunking covers every document; BM25 cuts the
 chunk set to omega before any embedding happens (embedding dominates
 cost); exact cosine search builds the relevance pool; MMR picks the
 final k sources, trading relevance against redundancy.
+
+A warm run, one whose embedding cache already holds vectors, keeps the
+chunks' token ids in a token table (lexical.parse_token_table) next to
+the cache, tokens_{claim id}.table, keyed by a digest of the chunk
+texts. A rerun over the same texts reads it and tokenizes only the
+claim. A cold run neither reads nor writes one.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
-from .corpus import Chunk, Claim, Document, chunk_document
+from .corpus import Chunk, Claim, Document, chunk_document, read_derived, write_derived
 from .dense import (
     EmbeddingCache,
     EmbeddingProviderConfig,
@@ -20,7 +28,17 @@ from .dense import (
     mmr_select,
 )
 from .errors import ConfigError
-from .lexical import bm25_top, build_index, encode, tokenize
+from .lexical import (
+    TOKEN_TABLE_FORMAT,
+    TokenIds,
+    bm25_top,
+    build_index,
+    encode,
+    parse_token_table,
+    texts_digest,
+    token_table_record,
+    tokenize,
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,29 @@ def _empty_result(claim: Claim) -> RetrievalResult:
     )
 
 
+def _token_ids(claim: Claim, chunks: list[Chunk], cache: EmbeddingCache | None) -> TokenIds:
+    """Row 0 the claim's tokens, row o + 1 chunk o's.
+
+    A claim's chunks repeat a few thousand words hundreds of thousands of
+    times: as ids, each token is four bytes, and tokenize's strings are
+    dropped row by row. With a warm cache the chunks' ids come from the
+    claim's token table, or are kept there for the next run.
+    """
+    texts = [c.text for c in chunks]
+    warm = cache is not None and len(cache) > 0
+    table = None
+    if warm:
+        digest = texts_digest(texts)
+        path = os.path.join(os.path.dirname(cache.path), f"tokens_{claim.id}.table")
+        parse = partial(parse_token_table, digest, len(texts))
+        table = read_derived(path, TOKEN_TABLE_FORMAT, parse)
+    if table is None:
+        table = encode(map(tokenize, texts))
+        if warm:
+            write_derived(path, TOKEN_TABLE_FORMAT, *token_table_record(table, digest))
+    return table.prepend(tokenize(claim.text))
+
+
 def retrieve(
     claim: Claim,
     docs: list[Document],
@@ -83,10 +124,7 @@ def retrieve(
     chunks: list[Chunk] = []
     for doc in docs:
         chunks.extend(chunk_document(doc, cfg.max_chars))
-    # Row 0 is the claim, row o + 1 chunk o. A claim's chunks repeat a few
-    # thousand words hundreds of thousands of times: as ids, each token
-    # is four bytes, and tokenize's strings are dropped row by row.
-    table = encode(map(tokenize, [claim.text] + [c.text for c in chunks]))
+    table = _token_ids(claim, chunks, cache)
     query_tokens = table.tokens(0)
     pruned = []
     # BM25 needs a query and at least one chunk with a token

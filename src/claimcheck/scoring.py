@@ -369,25 +369,56 @@ def _solve_min_assignment(cost: list[list[float]]):
     return p, u, v
 
 
-def _can_complete(tight: list[list[bool]], start: int, used_cols: list[bool]) -> bool:
-    """Can rows start..n-1 be perfectly matched into the unused columns?"""
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lexicographic_matching(tight: list[int], col_to_row: list[int]) -> list[int]:
+    """The lexicographically smallest perfect matching of the tight graph.
+
+    tight[r] has bit c set when edge (r, c) is tight; col_to_row is one
+    perfect matching of it. Row by row, the matching is kept perfect on
+    the rows not yet fixed: row i may take column j instead of its own
+    column c0 exactly when j's row can pass its column along an
+    alternating path whose last row takes c0. One search backward from
+    c0 finds every such j, so each row costs one pass over the graph.
+    Returns each row's column.
+    """
     n = len(tight)
-    match_col = [-1] * n
-
-    def try_row(r: int, visited: list[bool]) -> bool:
-        for c in range(n):
-            if used_cols[c] or visited[c] or not tight[r][c]:
-                continue
-            visited[c] = True
-            if match_col[c] == -1 or try_row(match_col[c], visited):
-                match_col[c] = r
-                return True
-        return False
-
-    for r in range(start, n):
-        if not try_row(r, [False] * n):
-            return False
-    return True
+    rows_of = [0] * n  # rows_of[c]: bit r set when edge (r, c) is tight
+    for r, mask in enumerate(tight):
+        for c in _bits(mask):
+            rows_of[c] |= 1 << r
+    col_of = [0] * n
+    for c, r in enumerate(col_to_row):
+        col_of[r] = c
+    for i in range(n):
+        c0 = col_of[i]
+        # next_col[a]: the column a's row moves to on a path that frees c0
+        next_col = {c0: -1}
+        reached = 1 << c0
+        unvisited = -1 << (i + 1)  # rows after i; earlier ones are fixed
+        queue = [c0]
+        for b in queue:
+            found = rows_of[b] & unvisited
+            unvisited ^= found
+            for r in _bits(found):
+                a = col_of[r]
+                next_col[a] = b
+                reached |= 1 << a
+                queue.append(a)
+        candidates = tight[i] & reached
+        j = (candidates & -candidates).bit_length() - 1
+        row, col = i, j
+        while col != -1:
+            moved = col_to_row[col]
+            col_to_row[col], col_of[row] = row, col
+            row, col = moved, next_col[col]
+    return col_of
 
 
 def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
@@ -397,9 +428,9 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     also serves). Rectangular input is zero-padded to square; the returned pairs
     cover min(rows, cols) real cells. Among optimal assignments the
     lexicographically smallest (by ascending row, then column) is
-    returned, found by walking rows in order and keeping a column only
-    if the remaining rows can still be matched within the tight
-    subgraph of the optimal potentials.
+    returned, found by walking rows in order and keeping the smallest
+    column with which the remaining rows can still be matched within
+    the tight subgraph of the optimal potentials.
     """
     try:
         arr = [[float(x) for x in row] for row in matrix]
@@ -420,26 +451,16 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     cost = [[-x for x in row + [0.0] * (n - cols)] for row in arr]
     cost += [[-0.0] * n for _ in range(n - rows)]
 
-    _p, u, v = _solve_min_assignment(cost)
+    p, u, v = _solve_min_assignment(cost)
     eps = 1e-9 * max(1.0, max(abs(x) for row in cost for x in row))
     tight = [
-        [(x - ui) - vj <= eps for x, vj in zip(row, v[1:])]
+        sum(1 << c for c, (x, vj) in enumerate(zip(row, v[1:])) if (x - ui) - vj <= eps)
         for row, ui in zip(cost, u[1:])
     ]
-
-    assigned = [-1] * n
-    used_cols = [False] * n
-    for i in range(n):
-        for j in range(n):
-            if used_cols[j] or not tight[i][j]:
-                continue
-            used_cols[j] = True
-            if _can_complete(tight, i + 1, used_cols):
-                assigned[i] = j
-                break
-            used_cols[j] = False
-        if assigned[i] == -1:
-            raise ValidationError("assignment extraction failed; matrix ill-formed")
+    col_to_row = [r - 1 for r in p[1:]]
+    if any(not tight[r] >> c & 1 for c, r in enumerate(col_to_row)):
+        raise ValidationError("assignment extraction failed; matrix ill-formed")
+    assigned = _lexicographic_matching(tight, col_to_row)
 
     pairs = [
         (r, assigned[r]) for r in range(n) if r < rows and assigned[r] < cols

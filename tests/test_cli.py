@@ -1062,13 +1062,15 @@ class TestCache:
         self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
         tmp_path, monkeypatch,
     ):
-        """Warm runs read the caches and the store index and write nothing
+        """The first warm run reads the caches and the store index and adds
+        only the token tables; the next reads them all and writes nothing
         in the cache dir."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         cold = self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
         assert len(list(cache_dir.glob("emb_*.cache"))) == 10
         assert len(list(cache_dir.glob("store_*.index"))) == 1
+        assert not list(cache_dir.glob("tokens_*"))
         state = _file_state(cache_dir)
 
         def no_index(*args):
@@ -1076,7 +1078,11 @@ class TestCache:
 
         monkeypatch.setattr(corpus, "_index_store", no_index)
         warm = self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        assert _file_state(cache_dir) == state
+        tables = {f"tokens_{i}.table" for i in range(10)}
+        written = _file_state(cache_dir)
+        assert set(written) == set(state) | tables
+        assert {name: written[name] for name in state} == state
+        state = written
         again = self._verify(paths, cache_dir, tmp_path / "again", monkeypatch)
         assert _file_state(cache_dir) == state
         assert cold == warm == again
@@ -1087,24 +1093,34 @@ class TestCache:
         self, dataset_path, knowledge_store_path, train_set_path, echo_script_path,
         tmp_path, monkeypatch, capsys,
     ):
-        """inspect writes nothing; clear removes the caches, the files of the
-        older JSON-lines form (never read), the store index and temporary
-        files."""
+        """inspect writes nothing and counts only the caches' vectors; clear
+        removes the caches, the files of the older JSON-lines form (never
+        read), the token tables, the store index and the temporary files
+        their writers left, and no other file."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
+        assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
+        vectors = capsys.readouterr().out.splitlines()[-1]
+        self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
+        assert len(list(cache_dir.glob("tokens_*.table"))) == 10
         (cache_dir / "emb_0.jsonl").write_text(
             json.dumps({"key": "k", "dim": 1, "f64": "AAAAAAAA8D8="}) + "\n")
         (cache_dir / "emb_0.jsonl.snapshot").write_bytes(b"derived from emb_0.jsonl")
         (cache_dir / "store_0.index.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "tokens_0.table.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "other.tmp").write_bytes(b"another program's")
         state = _file_state(cache_dir)
         capsys.readouterr()
         assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
-        assert "10 cache files" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "10 cache files" in out
+        assert out.splitlines()[-1] == vectors
         assert _file_state(cache_dir) == state
         assert run_cli(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
-        assert "removed 12 cache files" in capsys.readouterr().out
-        assert list(cache_dir.iterdir()) == []
+        assert capsys.readouterr().out == (
+            "removed 12 cache files, 10 token tables and 2 temporary files\n")
+        assert [p.name for p in cache_dir.iterdir()] == ["other.tmp"]
 
     def test_inspect_rejects_values_line(self, tmp_path, capsys):
         """A line of an older form, the JSON float list, is a bad cache batch."""

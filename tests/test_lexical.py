@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from claimcheck.errors import ValidationError
 from claimcheck.lexical import (
+    TOKENIZER_VERSION,
     bm25_top,
     build_index,
     encode,
@@ -34,6 +36,24 @@ _SCRIPTS = [
     "\u0300\u0301\u200b\u200d\ufeff\uff21\uff41\uff10",  # combining, zero-width, fullwidth
     _SPECIAL,
 ]
+
+
+# ASCII, digits, accented letters, CJK and punctuation
+_PINNED_SAMPLE = (
+    "The U.S. grew 3.5% in Q2! Caf\u00e9 d\u00e9j\u00e0 vu, na\u00efve \u00c5ngstr\u00f6m; "
+    "\u4e2d\u6587\u6d4b\u8bd5abc\u3002 x86_64 C++ e-mail \u00bfQu\u00e9? \u00a71.2 \u2014 [ok]"
+)
+
+
+def test_tokenizer_output_is_pinned():
+    """Token tables written by one tokenizer are read by later runs: a
+    change to tokenize's output must bump TOKENIZER_VERSION, and then
+    this digest, so that older tables are ignored."""
+    tokens = tokenize(_PINNED_SAMPLE)
+    assert tokens[:8] == ["the", "u", "s", "grew", "3", "5", "in", "q2"]
+    digest = hashlib.sha256(" ".join(tokens).encode("ascii")).hexdigest()
+    assert (TOKENIZER_VERSION, digest) == (
+        1, "7e83e0a6af71d9b72c19f8ffbd8a8b2fd0e4f10c75cc6b926650e9bac249bea6")
 
 
 class TestTokenize:

@@ -13,16 +13,20 @@ import builtins
 import hashlib
 import json
 import os
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import claimcheck.corpus as corpus
 from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _load_progress
-from claimcheck.corpus import load_dataset, load_knowledge_store
+from claimcheck.corpus import chunk_document, load_dataset, load_knowledge_store
 from claimcheck.dense import EmbeddingCache
 from claimcheck.errors import ValidationError
+from claimcheck.lexical import TOKEN_TABLE_FORMAT, parse_token_table, texts_digest
+from claimcheck.retriever import RetrievalConfig
 
 from conftest import F64_ONE, FIXTURES, cache_batch, run_cli
 
@@ -188,8 +192,9 @@ def test_progress_line_with_boolean_claim_id_writes_no_predictions(tmp_path, cap
 
 
 # Derived files (corpus.read_derived): a cache dir's combined-store index
-# only saves time. A fault in one is ignored: the reader parses the JSON
-# lines instead and writes the file again. It must never fail a command.
+# and token tables only save time. A fault in one is ignored: the reader
+# parses the JSON lines or tokenizes the chunks instead and writes the
+# file again. It must never fail a command.
 
 
 def _split_derived(path):
@@ -225,12 +230,47 @@ def _short_payload(path):
     _rewrite_derived(path, header, payload[:-8])
 
 
-def _edit_header(**fields):
+def _edit_derived(payload=lambda header, payload: payload, **fields):
+    """A fault that edits the payload, then the header's fields, and
+    writes them with a checksum that matches."""
     def fault(path):
-        header, payload = _split_derived(path)
+        header, data = _split_derived(path)
         _rewrite_derived(path, {**header, **{k: f(header[k]) for k, f in fields.items()}},
-                         payload)
+                         payload(header, data))
     return fault
+
+
+# a token table's payload: int64 row starts, int32 ids, then the words
+
+
+def _starts(header, payload):
+    return np.frombuffer(payload, "<i8", header["rows"] + 1).copy()
+
+
+def _with_starts(header, payload, starts):
+    return starts.astype("<i8").tobytes() + payload[8 * (header["rows"] + 1):]
+
+
+def _id_past_vocabulary(header, payload):
+    at = 8 * (header["rows"] + 1)
+    return payload[:at] + header["words"].to_bytes(4, "little") + payload[at + 4:]
+
+
+def _starts_decrease(header, payload):
+    starts = _starts(header, payload)
+    starts[1] = starts[2] + 1
+    return _with_starts(header, payload, starts)
+
+
+def _words_repeated(header, payload):
+    at = 8 * (header["rows"] + 1) + 4 * header["tokens"]
+    words = payload[at:].split(b" ")
+    return payload[:at] + b" ".join(words[:-1] + words[:1])
+
+
+def _extra_empty_row(header, payload):
+    starts = _starts(header, payload)
+    return _with_starts(header, payload, np.append(starts, starts[-1]))
 
 
 HEADER_FAULTS = {
@@ -241,9 +281,20 @@ HEADER_FAULTS = {
     "payload_length": _short_payload,
 }
 DERIVED_CASES = [
-    *(("index", name, fault) for name, fault in HEADER_FAULTS.items()),
-    ("index", "stale_file_key", _edit_header(file_key=lambda key: key[:3] + [key[3] + 1])),
-    ("index", "of_another_store", _edit_header(store=lambda path: path + ".old")),
+    *((kind, name, fault) for kind in ("index", "tokens") for name, fault in HEADER_FAULTS.items()),
+    ("index", "stale_file_key", _edit_derived(file_key=lambda key: key[:3] + [key[3] + 1])),
+    ("index", "of_another_store", _edit_derived(store=lambda path: path + ".old")),
+    ("tokens", "payload_truncated", _edit_derived(lambda header, payload: payload[:16])),
+    ("tokens", "token_count_disagrees", _edit_derived(tokens=lambda n: n - 1)),
+    ("tokens", "word_count_disagrees", _edit_derived(words=lambda n: n + 1)),
+    ("tokens", "id_past_vocabulary", _edit_derived(_id_past_vocabulary)),
+    ("tokens", "starts_decrease", _edit_derived(_starts_decrease)),
+    ("tokens", "words_repeated", _edit_derived(_words_repeated)),
+    ("tokens", "row_count_not_chunk_count",
+     _edit_derived(_extra_empty_row, rows=lambda n: n + 1)),
+    ("tokens", "of_other_texts",
+     _edit_derived(texts_sha256=lambda _: hashlib.sha256(b"other").hexdigest())),
+    ("tokens", "other_tokenizer_version", _edit_derived(tokenizer=lambda v: v + 1)),
 ]
 
 
@@ -298,16 +349,42 @@ def _index_serves(monkeypatch, cache_dir) -> bool:
     return not builds
 
 
+def _table_serves(cache_dir) -> bool:
+    """Whether claim 1's token table holds the tokens of its chunks."""
+    docs = load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1).documents
+    texts = [c.text for d in docs for c in chunk_document(d, RetrievalConfig().max_chars)]
+    parse = partial(parse_token_table, texts_digest(texts), len(texts))
+    return corpus.read_derived(str(cache_dir / "tokens_1.table"), TOKEN_TABLE_FORMAT,
+                               parse) is not None
+
+
+def _derived_file(kind, cache_dir):
+    return _store_index_file(cache_dir) if kind == "index" else cache_dir / "tokens_1.table"
+
+
+def _serves(kind, monkeypatch, cache_dir) -> bool:
+    return _index_serves(monkeypatch, cache_dir) if kind == "index" else _table_serves(cache_dir)
+
+
+def _keep_token_tables(monkeypatch, tmp_path, cache_dir, echo_script_path):
+    """A second verify, whose caches are warm, keeps the token tables."""
+    code, _ = _verify_cached(monkeypatch, tmp_path, cache_dir, "warm", echo_script_path)
+    assert code == 0
+    assert len(list(cache_dir.glob("tokens_*.table"))) == 10
+
+
 @pytest.mark.parametrize("kind,fault,damage", DERIVED_CASES,
                          ids=[f"{k}-{f}" for k, f, _ in DERIVED_CASES])
 def test_bad_derived_file_is_ignored_and_rebuilt(
     monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache, kind, fault, damage
 ):
     cache_dir = warm_cache
-    assert _index_serves(monkeypatch, cache_dir)
-    path = _store_index_file(cache_dir)
+    if kind == "tokens":
+        _keep_token_tables(monkeypatch, tmp_path, cache_dir, echo_script_path)
+    assert _serves(kind, monkeypatch, cache_dir)
+    path = _derived_file(kind, cache_dir)
     damage(path)
-    # what a run over the same caches without a store index writes
+    # what a run over the same caches without derived files writes
     plain = _caches_only(cache_dir, tmp_path / "plain_cache")
     code, expected = _verify_cached(monkeypatch, tmp_path, plain, "plain", echo_script_path)
     assert code == 0
@@ -321,17 +398,21 @@ def test_bad_derived_file_is_ignored_and_rebuilt(
     assert "Traceback" not in err
     assert predictions == expected
     assert f"ignoring derived file {path}: " in caplog.text
-    assert _index_serves(monkeypatch, cache_dir)
+    assert _serves(kind, monkeypatch, cache_dir)
     for cache in plain.iterdir():
         assert (cache_dir / cache.name).read_bytes() == cache.read_bytes()
 
 
 def test_read_only_cache_dir_writes_no_derived_file(
-    monkeypatch, tmp_path, capsys, echo_script_path, warm_cache
+    monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache
 ):
-    """Where a cache dir cannot be written, runs read the caches and parse
-    the store as if no derived file had ever been kept."""
+    """Where a cache dir cannot be written, warm runs read the caches,
+    parse the store and tokenize the chunks as if no derived file had
+    ever been kept."""
     cache_dir = warm_cache
+    _keep_token_tables(monkeypatch, tmp_path, cache_dir, echo_script_path)
+    for table in cache_dir.glob("tokens_*.table"):
+        table.unlink()
     _store_index_file(cache_dir).unlink()
     expected = (tmp_path / "cold" / "predictions.json").read_bytes()
 
@@ -344,8 +425,9 @@ def test_read_only_cache_dir_writes_no_derived_file(
     monkeypatch.setattr(corpus, "open", read_only, raising=False)
     cache_dir.chmod(0o555)
     try:
-        code, predictions = _verify_cached(monkeypatch, tmp_path, cache_dir, "out",
-                                           echo_script_path)
+        with caplog.at_level("INFO", logger="claimcheck.corpus"):
+            code, predictions = _verify_cached(monkeypatch, tmp_path, cache_dir, "out",
+                                               echo_script_path)
     finally:
         cache_dir.chmod(0o755)
     err = capsys.readouterr().err
@@ -353,3 +435,5 @@ def test_read_only_cache_dir_writes_no_derived_file(
     assert "Traceback" not in err
     assert predictions == expected
     assert sorted(p.name for p in cache_dir.iterdir()) == [f"emb_{i}.cache" for i in range(10)]
+    for kind in ("index", "tokens"):
+        assert f"not writing derived file {_derived_file(kind, cache_dir)}: " in caplog.text

@@ -327,3 +327,92 @@ class TestTokensOnce:
             assert all(np.array_equal(g, w) for g, w in zip(vectors[text], want, strict=True))
         # each thread passed its own tokens: the mock tokenized nothing
         assert calls["dense"] == []
+
+
+class TestTokenTable:
+    """A warm run keeps the chunks' token ids in tokens_{id}.table next to
+    the embedding cache, and the next warm run reads them."""
+
+    CFG = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=4)
+
+    def _runs(self, tmp_path, claim, docs, n=3):
+        """n retrievals through one cache: the first cold, the second
+        writing the token table, the rest reading it."""
+        cache = EmbeddingCache(str(tmp_path / f"emb_{claim.id}.cache"))
+        return cache, [retrieve(claim, docs, self.CFG, MOCK, cache) for _ in range(n)]
+
+    def test_second_warm_run_tokenizes_only_the_claim(
+        self, knowledge_store_path, claims, tmp_path, monkeypatch
+    ):
+        for claim in claims:
+            docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+            cache, _ = self._runs(tmp_path, claim, docs, 2)
+            assert (tmp_path / f"tokens_{claim.id}.table").exists()
+            calls = _count_tokenize(monkeypatch)
+            retrieve(claim, docs, self.CFG, MOCK, cache)
+            assert calls == {"retriever": [claim.text], "dense": []}
+            monkeypatch.undo()
+
+    def test_warm_runs_equal_the_cold_path(self, knowledge_store_path, claims, tmp_path):
+        for claim in claims:
+            docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+            plain = retrieve(claim, docs, self.CFG, MOCK)
+            _, runs = self._runs(tmp_path, claim, docs)
+            assert runs == [plain] * 3
+
+    def test_lone_surrogate_on_the_warm_path(self, tmp_path, monkeypatch):
+        docs = [
+            Document(url="u", sentences=("The bridge \ud800 spans the river.",)),
+            Document(url="v", sentences=("A river without a bridge.",)),
+        ]
+        claim = _claim("bridge over the river")
+        plain = retrieve(claim, docs, self.CFG, MOCK)
+        assert any("\ud800" in s.chunk.text for s in plain.sources)
+        cache, runs = self._runs(tmp_path, claim, docs, 2)
+        calls = _count_tokenize(monkeypatch)
+        assert retrieve(claim, docs, self.CFG, MOCK, cache) == plain
+        assert calls["retriever"] == [claim.text]
+        assert runs == [plain, plain]
+
+    def test_texts_that_concatenate_alike_do_not_share_a_table(self, tmp_path, monkeypatch):
+        """Chunks "bridge ri" + "ver span" and "bridge rive" + "r span"."""
+        split_a = [Document(url="a", sentences=("bridge ri",)),
+                   Document(url="b", sentences=("ver span",))]
+        split_b = [Document(url="a", sentences=("bridge rive",)),
+                   Document(url="b", sentences=("r span",))]
+        claim = _claim("bridge ri ver span rive r")
+        cache, _ = self._runs(tmp_path, claim, split_a, 2)
+        for docs in (split_b, split_a):
+            texts = [c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)]
+            calls = _count_tokenize(monkeypatch)
+            result = retrieve(claim, docs, self.CFG, MOCK, cache)
+            assert calls["retriever"] == texts + [claim.text]
+            monkeypatch.undo()
+            assert result == retrieve(claim, docs, self.CFG, MOCK)
+
+    def test_claim_words_outside_the_stored_vocabulary(
+        self, knowledge_store_path, claims, tmp_path, monkeypatch
+    ):
+        """The claim's text may change between runs: its new words take new
+        ids, and BM25 and the embedder see what the cold path sees."""
+        claim = claims[0]
+        docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+        cache, _ = self._runs(tmp_path, claim, docs, 2)
+        changed = _claim(claim.text + " zyxxyq qqzzyx", claim.id)
+        seen = []
+        for module, name in ((retriever, "bm25_top"), (dense, "embed_batch")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _real=real: seen.append(_real(*a)) or seen[-1])
+        cold = retrieve(changed, docs, self.CFG, MOCK)
+        cold_seen, seen[:] = list(seen), []
+        calls = _count_tokenize(monkeypatch)
+        warm = retrieve(changed, docs, self.CFG, MOCK, cache)
+        assert calls["retriever"] == [changed.text]
+        assert warm == cold
+        ranked, vectors = seen
+        assert ranked == cold_seen[0]
+        # the changed claim is the only text the cache lacks
+        assert len(vectors) == 1
+        assert np.array_equal(vectors[0], mock_embed(changed.text))
+        assert np.array_equal(vectors[0], cold_seen[1][0])

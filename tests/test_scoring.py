@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -483,6 +484,24 @@ class TestHungarian:
             want_pairs, want_total = _oracle_hungarian(arr)
             assert got_total == want_total, f"trial {trial}"
             assert got_pairs == want_pairs, f"trial {trial}"
+
+    def test_tall_column_needs_no_recursion(self):
+        """One column against many rows, with the stack limited to 100
+        frames: the first row of the greatest value, as the oracle picks."""
+        rng = np.random.default_rng(4471)
+        arr = rng.integers(0, 20, size=(150, 1)).astype(np.float64) / 4.0
+
+        def column_oracle(a):
+            return [(int(np.argmax(a[:, 0])), 0)], float(a.max())
+
+        assert column_oracle(arr[:7]) == _oracle_hungarian(arr[:7])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            got = hungarian_max(arr)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == column_oracle(arr)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
