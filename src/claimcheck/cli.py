@@ -283,20 +283,22 @@ def cmd_cache(args, cfg: AppConfig) -> int:
         print(f"{len(files)} cache files, {total} vectors total")
         return 0
     # clear: the cache files, with any older emb_{id}.jsonl and the files
-    # derived from it, the token tables, the store indexes and any
-    # temporary file a killed writer of those two left (write_derived
-    # names it {path}.{pid}-{tid}.tmp); other files are not ours to remove
+    # derived from it, the pruned orders, any older token tables, the store
+    # indexes and any temporary file a killed writer of those left
+    # (write_derived names it {path}.{pid}-{tid}.tmp); other files are not
+    # ours to remove
     def matching(*patterns: str) -> list[str]:
         return [p for pattern in patterns
                 for p in glob.glob(os.path.join(cfg.paths.cache_dir, pattern))]
 
     caches = matching("emb_*")
+    orders = matching("pruned_*.order")
     tables = matching("tokens_*.table")
-    temporary = matching("store_*.index.*.tmp", "tokens_*.table.*.tmp")
-    for path in caches + tables + matching("store_*.index") + temporary:
+    temporary = matching("store_*.index.*.tmp", "pruned_*.order.*.tmp", "tokens_*.table.*.tmp")
+    for path in caches + orders + tables + matching("store_*.index") + temporary:
         os.remove(path)
-    print(f"removed {len(caches)} cache files, {len(tables)} token tables "
-          f"and {len(temporary)} temporary files")
+    print(f"removed {len(caches)} cache files, {len(orders)} pruned orders, "
+          f"{len(tables)} older token tables and {len(temporary)} temporary files")
     return 0
 
 
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--knowledge-store", "paths.knowledge_store", "knowledge store file or directory"),
         ("--train-set", "paths.train_set", "training dataset for few-shot examples"),
         ("--cache-dir", "paths.cache_dir",
-         "directory for embedding caches, and for the store index and token tables "
+         "directory for embedding caches, and for the store index and pruned orders "
          "that speed up warm reruns"),
         ("--output-dir", "paths.output_dir", "directory for traces, predictions, reports"),
         ("--omega", "retrieval.omega", "BM25 prune size"),

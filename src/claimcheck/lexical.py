@@ -11,11 +11,10 @@ BM25 and the mock embedder count tokens with numpy instead of looking up
 each one in a dict. numpy is imported when a table is first built: the
 tokenizer alone, which scoring uses, loads none.
 
-A table also has a byte form, a token table (token_table_record,
-parse_token_table), which a warm retrieval keeps in a derived file
-(corpus.read_derived) so that a rerun over the same chunk texts reads
-their ids instead of tokenizing them again. It is keyed by texts_digest
-of the texts and by TOKENIZER_VERSION.
+BM25's pruned order, a claim's top-omega chunk ordinals, also has a byte
+form (pruned_order_record, parse_pruned), which a warm retrieval keeps in
+a derived file (corpus.read_derived) so that a rerun over the same claim,
+omega and chunk texts ranks nothing again. It is keyed by prune_key.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import string
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -48,11 +48,12 @@ def tokenize(text: str) -> list[str]:
     return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
-# Bump whenever tokenize's output changes, so that token tables written
-# by the older tokenizer are ignored (tests/test_lexical.py pins its output).
-TOKENIZER_VERSION = 1
+# Bump whenever tokenize's or bm25_top's output changes: the two decide
+# BM25's pruned order, so orders ranked by older code are then ignored
+# (tests/test_lexical.py pins the output of both).
+PRUNE_VERSION = 1
 
-TOKEN_TABLE_FORMAT = "claimcheck-token-table/1"
+PRUNED_ORDER_FORMAT = "claimcheck-pruned-order/1"
 
 
 class _Vocabulary(dict):
@@ -103,84 +104,6 @@ class TokenIds:
         ids = self.ids
         kept = [ids[a:b] for a, b in zip(first.tolist(), end.tolist())]
         return TokenIds(self.words, np.concatenate(kept or [ids[:0]]), starts)
-
-    def prepend(self, tokens: list[str]) -> TokenIds:
-        """This table with tokens as a new row 0; words not in the
-        vocabulary yet take the next ids."""
-        import numpy as np
-
-        vocabulary = _Vocabulary(zip(self.words, range(len(self.words))))
-        row = np.fromiter(map(vocabulary.__getitem__, tokens), np.int32, len(tokens))
-        starts = np.empty(len(self.starts) + 1, dtype=np.int64)
-        starts[0] = 0
-        np.add(self.starts, len(row), out=starts[1:])
-        return TokenIds(tuple(vocabulary), np.concatenate([row, self.ids]), starts)
-
-
-def texts_digest(texts: Sequence[str]) -> str:
-    """sha256 of texts, each one's length then its UTF-8 bytes, so texts
-    that concatenate alike but split differently differ. Lone surrogates,
-    which a JSON store's escapes can hold, hash as their own bytes."""
-    digest = hashlib.sha256(len(texts).to_bytes(8, "little"))
-    for text in texts:
-        data = text.encode("utf-8", "surrogatepass")
-        digest.update(len(data).to_bytes(8, "little"))
-        digest.update(data)
-    return digest.hexdigest()
-
-
-def token_table_record(table: TokenIds, texts_sha256: str) -> tuple[dict, bytes]:
-    """The header and payload of table's token table (see
-    parse_token_table); texts_sha256 is texts_digest of its rows' texts."""
-    header = {
-        "tokenizer": TOKENIZER_VERSION,
-        "texts_sha256": texts_sha256,
-        "rows": len(table),
-        "tokens": len(table.ids),
-        "words": len(table.words),
-    }
-    payload = (
-        table.starts.astype("<i8", copy=False).tobytes()
-        + table.ids.astype("<i4", copy=False).tobytes()
-        + " ".join(table.words).encode("ascii")
-    )
-    return header, payload
-
-
-def parse_token_table(texts_sha256: str, rows: int, header: dict, payload: bytes) -> TokenIds:
-    """The TokenIds of a token table, checked to hold this tokenizer's
-    tokens of rows texts whose texts_digest is texts_sha256.
-
-    The payload is the little-endian int64 row starts, the int32 ids,
-    then the vocabulary's words joined by spaces. Anything that does not
-    check out is a ValidationError.
-    """
-    import numpy as np
-
-    version = count_field(header, "tokenizer")
-    if version != TOKENIZER_VERSION:
-        raise ValidationError(f"tokenizer version {version}, not {TOKENIZER_VERSION}")
-    if str_field(header, "texts_sha256") != texts_sha256:
-        raise ValidationError("tokens of other texts")
-    n_rows, n_tokens, n_words = (count_field(header, k) for k in ("rows", "tokens", "words"))
-    if n_rows != rows:
-        raise ValidationError(f"{n_rows} rows, not {rows}")
-    ids_at = 8 * (n_rows + 1)
-    words_at = ids_at + 4 * n_tokens
-    if len(payload) < words_at:
-        raise ValidationError(f"payload of {len(payload)} bytes is shorter than its counts")
-    words = tuple(payload[words_at:].decode("ascii").split())
-    if len(words) != n_words:
-        raise ValidationError(f"{len(words)} words, not {n_words}")
-    if len(set(words)) != n_words:
-        raise ValidationError("a word is repeated in the vocabulary")
-    starts = np.frombuffer(payload, "<i8", n_rows + 1).astype(np.int64, copy=False)
-    ids = np.frombuffer(payload, "<i4", n_tokens, ids_at).astype(np.int32, copy=False)
-    if starts[0] != 0 or starts[-1] != n_tokens or np.any(np.diff(starts) < 0):
-        raise ValidationError("row starts do not rise from 0 to the token count")
-    if n_tokens and not 0 <= ids.min() <= ids.max() < n_words:
-        raise ValidationError(f"an id lies outside the {n_words} words")
-    return TokenIds(words, ids, starts)
 
 
 def encode(token_lists: Iterable[list[str]]) -> TokenIds:
@@ -314,3 +237,46 @@ def bm25_top(
 
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return [(ordinal, score) for ordinal, score in ranked if score > 0.0][:omega]
+
+
+def prune_key(claim_text: str, omega: int, texts: Sequence[str]) -> str:
+    """sha256 of what BM25's pruned order depends on: PRUNE_VERSION,
+    omega, the claim text and each chunk text.
+
+    Each part is hashed as its UTF-8 byte length, then its bytes, so
+    texts that concatenate alike but split differently differ. Lone
+    surrogates, which a JSON store's escapes can hold, hash as their own
+    bytes.
+    """
+    digest = hashlib.sha256()
+    for part in (str(PRUNE_VERSION), str(omega), claim_text, *texts):
+        data = part.encode("utf-8", "surrogatepass")
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def pruned_order_record(key: str, ordinals: Sequence[int]) -> tuple[dict, bytes]:
+    """The header and payload of a pruned order (see parse_pruned)."""
+    return {"key": key, "count": len(ordinals)}, struct.pack(f"<{len(ordinals)}i", *ordinals)
+
+
+def parse_pruned(key: str, chunk_count: int, header: dict, payload: bytes) -> list[int]:
+    """The ordinals of a pruned order, checked to be keyed by key (see
+    prune_key) and to index chunk_count chunks.
+
+    The payload is the ordinals in rank order as little-endian int32; an
+    empty order, when no chunk matched the claim, is valid. Anything that
+    does not check out is a ValidationError.
+    """
+    if str_field(header, "key") != key:
+        raise ValidationError("the order of another claim text, omega, chunk texts or version")
+    count = count_field(header, "count")
+    if len(payload) != 4 * count:
+        raise ValidationError(f"payload of {len(payload)} bytes, not {count} ordinals")
+    ordinals = list(struct.unpack(f"<{count}i", payload))
+    if len(set(ordinals)) != count:
+        raise ValidationError("an ordinal is repeated")
+    if ordinals and not 0 <= min(ordinals) <= max(ordinals) < chunk_count:
+        raise ValidationError(f"an ordinal lies outside the {chunk_count} chunks")
+    return ordinals

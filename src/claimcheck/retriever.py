@@ -5,11 +5,12 @@ chunk set to omega before any embedding happens (embedding dominates
 cost); exact cosine search builds the relevance pool; MMR picks the
 final k sources, trading relevance against redundancy.
 
-A warm run, one whose embedding cache already holds vectors, keeps the
-chunks' token ids in a token table (lexical.parse_token_table) next to
-the cache, tokens_{claim id}.table, keyed by a digest of the chunk
-texts. A rerun over the same texts reads it and tokenizes only the
-claim. A cold run neither reads nor writes one.
+A warm run, one whose embedding cache already holds vectors, keeps BM25's
+pruned order (lexical.parse_pruned) next to the cache, pruned_{claim
+id}.order, keyed by the claim text, omega and the chunk texts. A rerun
+with the same key reads it and neither tokenizes nor ranks; the vectors
+of the chunks it names are cached already. A cold run neither reads nor
+writes one.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from .dense import (
 )
 from .errors import ConfigError
 from .lexical import (
-    TOKEN_TABLE_FORMAT,
+    PRUNED_ORDER_FORMAT,
     TokenIds,
     bm25_top,
     build_index,
     encode,
-    parse_token_table,
-    texts_digest,
-    token_table_record,
+    parse_pruned,
+    prune_key,
+    pruned_order_record,
     tokenize,
 )
 
@@ -90,27 +91,35 @@ def _empty_result(claim: Claim) -> RetrievalResult:
     )
 
 
-def _token_ids(claim: Claim, chunks: list[Chunk], cache: EmbeddingCache | None) -> TokenIds:
-    """Row 0 the claim's tokens, row o + 1 chunk o's.
+def _pruned(
+    claim: Claim, texts: list[str], omega: int, cache: EmbeddingCache | None
+) -> tuple[TokenIds | None, list[int]]:
+    """The ordinals of BM25's top-omega chunks, in rank order, and the
+    token ids they were ranked by: row 0 the claim's, row o + 1 chunk o's.
 
     A claim's chunks repeat a few thousand words hundreds of thousands of
     times: as ids, each token is four bytes, and tokenize's strings are
-    dropped row by row. With a warm cache the chunks' ids come from the
-    claim's token table, or are kept there for the next run.
+    dropped row by row. With a warm cache the order is read from the
+    claim's pruned-order file, and then no ids are built (None), or is
+    kept there for the next run.
     """
-    texts = [c.text for c in chunks]
     warm = cache is not None and len(cache) > 0
-    table = None
     if warm:
-        digest = texts_digest(texts)
-        path = os.path.join(os.path.dirname(cache.path), f"tokens_{claim.id}.table")
-        parse = partial(parse_token_table, digest, len(texts))
-        table = read_derived(path, TOKEN_TABLE_FORMAT, parse)
-    if table is None:
-        table = encode(map(tokenize, texts))
-        if warm:
-            write_derived(path, TOKEN_TABLE_FORMAT, *token_table_record(table, digest))
-    return table.prepend(tokenize(claim.text))
+        key = prune_key(claim.text, omega, texts)
+        path = os.path.join(os.path.dirname(cache.path), f"pruned_{claim.id}.order")
+        order = read_derived(path, PRUNED_ORDER_FORMAT, partial(parse_pruned, key, len(texts)))
+        if order is not None:
+            return None, order
+    table = encode(map(tokenize, [claim.text, *texts]))
+    query_tokens = table.tokens(0)
+    order = []
+    # BM25 needs a query and at least one chunk with a token
+    if query_tokens and table.starts[-1] > table.starts[1]:
+        index = build_index(table.select(range(1, len(table))), terms=query_tokens)
+        order = [ordinal for ordinal, _score in bm25_top(index, query_tokens, omega)]
+    if warm:
+        write_derived(path, PRUNED_ORDER_FORMAT, *pruned_order_record(key, order))
+    return table, order
 
 
 def retrieve(
@@ -124,13 +133,7 @@ def retrieve(
     chunks: list[Chunk] = []
     for doc in docs:
         chunks.extend(chunk_document(doc, cfg.max_chars))
-    table = _token_ids(claim, chunks, cache)
-    query_tokens = table.tokens(0)
-    pruned = []
-    # BM25 needs a query and at least one chunk with a token
-    if query_tokens and table.starts[-1] > table.starts[1]:
-        index = build_index(table.select(range(1, len(table))), terms=query_tokens)
-        pruned = bm25_top(index, query_tokens, cfg.omega)
+    table, pruned = _pruned(claim, [c.text for c in chunks], cfg.omega, cache)
     if not pruned:
         return _empty_result(claim)
 
@@ -138,7 +141,7 @@ def retrieve(
     # hand back the same evidence twice; keep the best-ranked copy only.
     survivors: list[int] = []
     seen_texts: set[str] = set()
-    for ordinal, _score in pruned:
+    for ordinal in pruned:
         text = chunks[ordinal].text
         if text in seen_texts:
             continue
@@ -146,11 +149,12 @@ def retrieve(
         survivors.append(ordinal)
 
     texts = [claim.text] + [chunks[o].text for o in survivors]
-    # the mock embedder reuses these ids instead of tokenizing again; they
-    # are a copy (rows ranked by score rarely run consecutively), so the
-    # table is freed before the embedder's own arrays are made, which
-    # keeps the claim's peak memory down
-    tokens = table.select([0] + [o + 1 for o in survivors])
+    # the mock embedder reuses these ids instead of tokenizing again (a
+    # warm run that read its order has none, and tokenizes only the texts
+    # the cache lacks); they are a copy (rows ranked by score rarely run
+    # consecutively), so the table is freed before the embedder's own
+    # arrays are made, which keeps the claim's peak memory down
+    tokens = None if table is None else table.select([0] + [o + 1 for o in survivors])
     del table
     vectors = embed_cached(texts, claim.id, embedding_cfg, cache, tokens)
 

@@ -321,18 +321,19 @@ def meteor_lite(candidate: str | _Text, reference: str | _Text) -> float:
 
 
 def _solve_min_assignment(cost: list[list[float]]):
-    """Shortest-augmenting-path assignment with potentials, O(n^3).
+    """Shortest-augmenting-path assignment with potentials, O(k^2 n).
 
-    cost is a square matrix as nested lists.
-    Returns (col_to_row, u, v), all 1-indexed with a 0 sentinel slot.
+    cost is a k x n matrix as nested lists, k <= n; every row is matched.
+    Returns (col_to_row, u, v), all 1-indexed with a 0 sentinel slot; a
+    column left unmatched has row 0.
     """
-    n = len(cost)
+    k, n = len(cost), len(cost[0])
     inf = float("inf")
-    u = [0.0] * (n + 1)
+    u = [0.0] * (k + 1)
     v = [0.0] * (n + 1)
     p = [0] * (n + 1)
     way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         p[0] = i
         j0 = 0
         minv = [inf] * (n + 1)
@@ -425,12 +426,16 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     """Maximum-total one-to-one assignment of rows to columns.
 
     matrix is a list of equal-length rows of numbers (a 2-d numpy array
-    also serves). Rectangular input is zero-padded to square; the returned pairs
-    cover min(rows, cols) real cells. Among optimal assignments the
-    lexicographically smallest (by ascending row, then column) is
-    returned, found by walking rows in order and keeping the smallest
-    column with which the remaining rows can still be matched within
-    the tight subgraph of the optimal potentials.
+    also serves). Rectangular input is taken as zero-padded to square;
+    the returned pairs cover min(rows, cols) real cells. Among optimal
+    assignments the lexicographically smallest (by ascending row, then
+    column) is returned, found by walking rows in order and keeping the
+    smallest column with which the remaining rows can still be matched
+    within the tight subgraph of the optimal potentials.
+
+    The solve runs over the smaller side (the matrix transposed when it
+    has more rows than columns), so it costs O(k^2 n) for k <= n, not
+    O(n^3); the padding's missing rows join only the tight subgraph.
     """
     try:
         arr = [[float(x) for x in row] for row in matrix]
@@ -446,20 +451,28 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     if any(math.isinf(x) for row in arr for x in row):
         raise ValidationError("matrix contains infinity")
 
+    transposed = rows > cols
     n = max(rows, cols)
-    # zero-padded to n x n, then negated (padding included, so it is -0.0)
-    cost = [[-x for x in row + [0.0] * (n - cols)] for row in arr]
-    cost += [[-0.0] * n for _ in range(n - rows)]
-
+    # k x n with k <= n, negated
+    cost = [[-x for x in row] for row in (zip(*arr) if transposed else arr)]
     p, u, v = _solve_min_assignment(cost)
     eps = 1e-9 * max(1.0, max(abs(x) for row in cost for x in row))
     tight = [
         sum(1 << c for c, (x, vj) in enumerate(zip(row, v[1:])) if (x - ui) - vj <= eps)
         for row, ui in zip(cost, u[1:])
     ]
-    col_to_row = [r - 1 for r in p[1:]]
+    # a missing row of the padded square costs 0 everywhere; potential 0
+    # keeps it feasible, as v only decreases, and the columns the solve
+    # left unmatched (v = 0) are tight there
+    missing = range(len(cost), n)
+    tight += [sum(1 << c for c, vj in enumerate(v[1:]) if -vj <= eps)] * len(missing)
+    unmatched = iter(missing)
+    col_to_row = [r - 1 if r else next(unmatched) for r in p[1:]]
     if any(not tight[r] >> c & 1 for c, r in enumerate(col_to_row)):
         raise ValidationError("assignment extraction failed; matrix ill-formed")
+    if transposed:
+        tight = [sum((mask >> r & 1) << c for c, mask in enumerate(tight)) for r in range(n)]
+        col_to_row = sorted(range(n), key=col_to_row.__getitem__)  # the inverse
     assigned = _lexicographic_matching(tight, col_to_row)
 
     pairs = [

@@ -1063,14 +1063,14 @@ class TestCache:
         tmp_path, monkeypatch,
     ):
         """The first warm run reads the caches and the store index and adds
-        only the token tables; the next reads them all and writes nothing
+        only the pruned orders; the next reads them all and writes nothing
         in the cache dir."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         cold = self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
         assert len(list(cache_dir.glob("emb_*.cache"))) == 10
         assert len(list(cache_dir.glob("store_*.index"))) == 1
-        assert not list(cache_dir.glob("tokens_*"))
+        assert not list(cache_dir.glob("pruned_*"))
         state = _file_state(cache_dir)
 
         def no_index(*args):
@@ -1078,9 +1078,9 @@ class TestCache:
 
         monkeypatch.setattr(corpus, "_index_store", no_index)
         warm = self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        tables = {f"tokens_{i}.table" for i in range(10)}
+        orders = {f"pruned_{i}.order" for i in range(10)}
         written = _file_state(cache_dir)
-        assert set(written) == set(state) | tables
+        assert set(written) == set(state) | orders
         assert {name: written[name] for name in state} == state
         state = written
         again = self._verify(paths, cache_dir, tmp_path / "again", monkeypatch)
@@ -1094,20 +1094,22 @@ class TestCache:
         tmp_path, monkeypatch, capsys,
     ):
         """inspect writes nothing and counts only the caches' vectors; clear
-        removes the caches, the files of the older JSON-lines form (never
-        read), the token tables, the store index and the temporary files
-        their writers left, and no other file."""
+        removes the caches, the files of the older JSON-lines form and the
+        older token tables (never read), the pruned orders, the store index
+        and the temporary files their writers left, and no other file."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
         assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
         vectors = capsys.readouterr().out.splitlines()[-1]
         self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        assert len(list(cache_dir.glob("tokens_*.table"))) == 10
+        assert len(list(cache_dir.glob("pruned_*.order"))) == 10
         (cache_dir / "emb_0.jsonl").write_text(
             json.dumps({"key": "k", "dim": 1, "f64": "AAAAAAAA8D8="}) + "\n")
         (cache_dir / "emb_0.jsonl.snapshot").write_bytes(b"derived from emb_0.jsonl")
         (cache_dir / "store_0.index.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "pruned_0.order.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "tokens_0.table").write_bytes(b"kept by an older version")
         (cache_dir / "tokens_0.table.123-456.tmp").write_bytes(b"left by a killed writer")
         (cache_dir / "other.tmp").write_bytes(b"another program's")
         state = _file_state(cache_dir)
@@ -1119,7 +1121,8 @@ class TestCache:
         assert _file_state(cache_dir) == state
         assert run_cli(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert capsys.readouterr().out == (
-            "removed 12 cache files, 10 token tables and 2 temporary files\n")
+            "removed 12 cache files, 10 pruned orders, 1 older token tables "
+            "and 3 temporary files\n")
         assert [p.name for p in cache_dir.iterdir()] == ["other.tmp"]
 
     def test_inspect_rejects_values_line(self, tmp_path, capsys):

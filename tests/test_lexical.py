@@ -10,7 +10,7 @@ import pytest
 
 from claimcheck.errors import ValidationError
 from claimcheck.lexical import (
-    TOKENIZER_VERSION,
+    PRUNE_VERSION,
     bm25_top,
     build_index,
     encode,
@@ -46,14 +46,19 @@ _PINNED_SAMPLE = (
 
 
 def test_tokenizer_output_is_pinned():
-    """Token tables written by one tokenizer are read by later runs: a
-    change to tokenize's output must bump TOKENIZER_VERSION, and then
-    this digest, so that older tables are ignored."""
+    """Pruned orders ranked by one tokenizer and bm25_top are read by later
+    runs: a change to the output of either must bump PRUNE_VERSION, and
+    then these digests, so that older orders are ignored."""
     tokens = tokenize(_PINNED_SAMPLE)
     assert tokens[:8] == ["the", "u", "s", "grew", "3", "5", "in", "q2"]
     digest = hashlib.sha256(" ".join(tokens).encode("ascii")).hexdigest()
-    assert (TOKENIZER_VERSION, digest) == (
-        1, "7e83e0a6af71d9b72c19f8ffbd8a8b2fd0e4f10c75cc6b926650e9bac249bea6")
+    # documents of the sample's words with repeats, so scores tie and differ
+    docs = [tokens[i % 7 :: 1 + i % 5] + tokens[: i % 3] for i in range(40)]
+    ranked = bm25_top(build_index(docs, terms=tokens[:6]), tokens[:6], omega=25)
+    ranked_digest = hashlib.sha256(repr(ranked).encode("ascii")).hexdigest()
+    assert (PRUNE_VERSION, digest, ranked_digest) == (
+        1, "7e83e0a6af71d9b72c19f8ffbd8a8b2fd0e4f10c75cc6b926650e9bac249bea6",
+        "d365c475f4c8571697d6b0cb397d16fd079661188912d98d86cda38e64747708")
 
 
 class TestTokenize:

@@ -15,17 +15,18 @@ import json
 import os
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
-import numpy as np
 import pytest
 
 import claimcheck.corpus as corpus
+import claimcheck.lexical as lexical
 from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _load_progress
 from claimcheck.corpus import chunk_document, load_dataset, load_knowledge_store
 from claimcheck.dense import EmbeddingCache
 from claimcheck.errors import ValidationError
-from claimcheck.lexical import TOKEN_TABLE_FORMAT, parse_token_table, texts_digest
+from claimcheck.lexical import PRUNED_ORDER_FORMAT, parse_pruned, prune_key
 from claimcheck.retriever import RetrievalConfig
 
 from conftest import F64_ONE, FIXTURES, cache_batch, run_cli
@@ -192,9 +193,9 @@ def test_progress_line_with_boolean_claim_id_writes_no_predictions(tmp_path, cap
 
 
 # Derived files (corpus.read_derived): a cache dir's combined-store index
-# and token tables only save time. A fault in one is ignored: the reader
-# parses the JSON lines or tokenizes the chunks instead and writes the
-# file again. It must never fail a command.
+# and pruned orders only save time. A fault in one is ignored: the reader
+# parses the JSON lines or tokenizes and ranks the chunks instead and
+# writes the file again. It must never fail a command.
 
 
 def _split_derived(path):
@@ -240,37 +241,31 @@ def _edit_derived(payload=lambda header, payload: payload, **fields):
     return fault
 
 
-# a token table's payload: int64 row starts, int32 ids, then the words
+def _order_inputs():
+    """What claim 1's pruned order is keyed by: its text, the default
+    omega and its chunk texts."""
+    claim = load_dataset(str(FIXTURES / "dataset.json"))[1]
+    docs = load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1).documents
+    cfg = RetrievalConfig()
+    return claim.text, cfg.omega, [c.text for d in docs for c in chunk_document(d, cfg.max_chars)]
 
 
-def _starts(header, payload):
-    return np.frombuffer(payload, "<i8", header["rows"] + 1).copy()
+def _other_key(claim_text=None, omega=None, texts=None, version=lexical.PRUNE_VERSION):
+    """A fault giving claim 1's pruned order the key of other inputs."""
+    def key(_):
+        text, default_omega, chunk_texts = _order_inputs()
+        with mock.patch.object(lexical, "PRUNE_VERSION", version):
+            return prune_key(claim_text or text, omega or default_omega, texts or chunk_texts)
+    return _edit_derived(key=key)
 
 
-def _with_starts(header, payload, starts):
-    return starts.astype("<i8").tobytes() + payload[8 * (header["rows"] + 1):]
-
-
-def _id_past_vocabulary(header, payload):
-    at = 8 * (header["rows"] + 1)
-    return payload[:at] + header["words"].to_bytes(4, "little") + payload[at + 4:]
-
-
-def _starts_decrease(header, payload):
-    starts = _starts(header, payload)
-    starts[1] = starts[2] + 1
-    return _with_starts(header, payload, starts)
-
-
-def _words_repeated(header, payload):
-    at = 8 * (header["rows"] + 1) + 4 * header["tokens"]
-    words = payload[at:].split(b" ")
-    return payload[:at] + b" ".join(words[:-1] + words[:1])
-
-
-def _extra_empty_row(header, payload):
-    starts = _starts(header, payload)
-    return _with_starts(header, payload, np.append(starts, starts[-1]))
+def _set_first_ordinal(ordinal):
+    """A pruned order's payload (little-endian int32 ordinals) whose first
+    ordinal is ordinal(chunk count)."""
+    def payload(header, data):
+        first = ordinal(len(_order_inputs()[2]))
+        return first.to_bytes(4, "little", signed=True) + data[4:]
+    return payload
 
 
 HEADER_FAULTS = {
@@ -281,20 +276,18 @@ HEADER_FAULTS = {
     "payload_length": _short_payload,
 }
 DERIVED_CASES = [
-    *((kind, name, fault) for kind in ("index", "tokens") for name, fault in HEADER_FAULTS.items()),
+    *((kind, name, fault) for kind in ("index", "order") for name, fault in HEADER_FAULTS.items()),
     ("index", "stale_file_key", _edit_derived(file_key=lambda key: key[:3] + [key[3] + 1])),
     ("index", "of_another_store", _edit_derived(store=lambda path: path + ".old")),
-    ("tokens", "payload_truncated", _edit_derived(lambda header, payload: payload[:16])),
-    ("tokens", "token_count_disagrees", _edit_derived(tokens=lambda n: n - 1)),
-    ("tokens", "word_count_disagrees", _edit_derived(words=lambda n: n + 1)),
-    ("tokens", "id_past_vocabulary", _edit_derived(_id_past_vocabulary)),
-    ("tokens", "starts_decrease", _edit_derived(_starts_decrease)),
-    ("tokens", "words_repeated", _edit_derived(_words_repeated)),
-    ("tokens", "row_count_not_chunk_count",
-     _edit_derived(_extra_empty_row, rows=lambda n: n + 1)),
-    ("tokens", "of_other_texts",
-     _edit_derived(texts_sha256=lambda _: hashlib.sha256(b"other").hexdigest())),
-    ("tokens", "other_tokenizer_version", _edit_derived(tokenizer=lambda v: v + 1)),
+    ("order", "of_another_claim_text", _other_key(claim_text="another claim")),
+    ("order", "of_another_omega", _other_key(omega=RetrievalConfig().omega - 1)),
+    ("order", "of_other_texts", _other_key(texts=["other chunk"])),
+    ("order", "of_another_version", _other_key(version=lexical.PRUNE_VERSION + 1)),
+    ("order", "count_disagrees", _edit_derived(count=lambda n: n + 1)),
+    ("order", "payload_not_whole_ordinals", _edit_derived(lambda header, data: data[:-1])),
+    ("order", "ordinal_past_chunks", _edit_derived(_set_first_ordinal(lambda n: n))),
+    ("order", "ordinal_negative", _edit_derived(_set_first_ordinal(lambda n: -1))),
+    ("order", "ordinal_repeated", _edit_derived(lambda header, data: data[:4] * 2 + data[8:])),
 ]
 
 
@@ -349,28 +342,27 @@ def _index_serves(monkeypatch, cache_dir) -> bool:
     return not builds
 
 
-def _table_serves(cache_dir) -> bool:
-    """Whether claim 1's token table holds the tokens of its chunks."""
-    docs = load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1).documents
-    texts = [c.text for d in docs for c in chunk_document(d, RetrievalConfig().max_chars)]
-    parse = partial(parse_token_table, texts_digest(texts), len(texts))
-    return corpus.read_derived(str(cache_dir / "tokens_1.table"), TOKEN_TABLE_FORMAT,
+def _order_serves(cache_dir) -> bool:
+    """Whether claim 1's pruned order is read for its text, omega and chunks."""
+    text, omega, texts = _order_inputs()
+    parse = partial(parse_pruned, prune_key(text, omega, texts), len(texts))
+    return corpus.read_derived(str(cache_dir / "pruned_1.order"), PRUNED_ORDER_FORMAT,
                                parse) is not None
 
 
 def _derived_file(kind, cache_dir):
-    return _store_index_file(cache_dir) if kind == "index" else cache_dir / "tokens_1.table"
+    return _store_index_file(cache_dir) if kind == "index" else cache_dir / "pruned_1.order"
 
 
 def _serves(kind, monkeypatch, cache_dir) -> bool:
-    return _index_serves(monkeypatch, cache_dir) if kind == "index" else _table_serves(cache_dir)
+    return _index_serves(monkeypatch, cache_dir) if kind == "index" else _order_serves(cache_dir)
 
 
-def _keep_token_tables(monkeypatch, tmp_path, cache_dir, echo_script_path):
-    """A second verify, whose caches are warm, keeps the token tables."""
+def _keep_pruned_orders(monkeypatch, tmp_path, cache_dir, echo_script_path):
+    """A second verify, whose caches are warm, keeps the pruned orders."""
     code, _ = _verify_cached(monkeypatch, tmp_path, cache_dir, "warm", echo_script_path)
     assert code == 0
-    assert len(list(cache_dir.glob("tokens_*.table"))) == 10
+    assert len(list(cache_dir.glob("pruned_*.order"))) == 10
 
 
 @pytest.mark.parametrize("kind,fault,damage", DERIVED_CASES,
@@ -379,8 +371,8 @@ def test_bad_derived_file_is_ignored_and_rebuilt(
     monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache, kind, fault, damage
 ):
     cache_dir = warm_cache
-    if kind == "tokens":
-        _keep_token_tables(monkeypatch, tmp_path, cache_dir, echo_script_path)
+    if kind == "order":
+        _keep_pruned_orders(monkeypatch, tmp_path, cache_dir, echo_script_path)
     assert _serves(kind, monkeypatch, cache_dir)
     path = _derived_file(kind, cache_dir)
     damage(path)
@@ -407,12 +399,12 @@ def test_read_only_cache_dir_writes_no_derived_file(
     monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache
 ):
     """Where a cache dir cannot be written, warm runs read the caches,
-    parse the store and tokenize the chunks as if no derived file had
-    ever been kept."""
+    parse the store and rank the chunks as if no derived file had ever
+    been kept."""
     cache_dir = warm_cache
-    _keep_token_tables(monkeypatch, tmp_path, cache_dir, echo_script_path)
-    for table in cache_dir.glob("tokens_*.table"):
-        table.unlink()
+    _keep_pruned_orders(monkeypatch, tmp_path, cache_dir, echo_script_path)
+    for order in cache_dir.glob("pruned_*.order"):
+        order.unlink()
     _store_index_file(cache_dir).unlink()
     expected = (tmp_path / "cold" / "predictions.json").read_bytes()
 
@@ -435,5 +427,5 @@ def test_read_only_cache_dir_writes_no_derived_file(
     assert "Traceback" not in err
     assert predictions == expected
     assert sorted(p.name for p in cache_dir.iterdir()) == [f"emb_{i}.cache" for i in range(10)]
-    for kind in ("index", "tokens"):
+    for kind in ("index", "order"):
         assert f"not writing derived file {_derived_file(kind, cache_dir)}: " in caplog.text

@@ -329,36 +329,65 @@ class TestTokensOnce:
         assert calls["dense"] == []
 
 
-class TestTokenTable:
-    """A warm run keeps the chunks' token ids in tokens_{id}.table next to
-    the embedding cache, and the next warm run reads them."""
+class TestPrunedOrder:
+    """A warm run keeps BM25's pruned order in pruned_{id}.order next to
+    the embedding cache; the next warm run with the same claim text,
+    omega and chunk texts reads it instead of tokenizing and ranking."""
 
     CFG = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=4)
 
     def _runs(self, tmp_path, claim, docs, n=3):
         """n retrievals through one cache: the first cold, the second
-        writing the token table, the rest reading it."""
+        writing the pruned order, the rest reading it."""
         cache = EmbeddingCache(str(tmp_path / f"emb_{claim.id}.cache"))
         return cache, [retrieve(claim, docs, self.CFG, MOCK, cache) for _ in range(n)]
 
-    def test_second_warm_run_tokenizes_only_the_claim(
+    @staticmethod
+    def _count(monkeypatch) -> dict[str, list]:
+        """_count_tokenize's texts, and the arguments of each bm25_top call
+        through retriever's name."""
+        calls = _count_tokenize(monkeypatch)
+        ranked = calls["bm25_top"] = []
+        real = retriever.bm25_top
+        monkeypatch.setattr(retriever, "bm25_top", lambda *a: ranked.append(a) or real(*a))
+        return calls
+
+    def test_second_warm_run_neither_tokenizes_nor_ranks(
         self, knowledge_store_path, claims, tmp_path, monkeypatch
     ):
         for claim in claims:
             docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
             cache, _ = self._runs(tmp_path, claim, docs, 2)
-            assert (tmp_path / f"tokens_{claim.id}.table").exists()
-            calls = _count_tokenize(monkeypatch)
+            assert (tmp_path / f"pruned_{claim.id}.order").exists()
+            calls = self._count(monkeypatch)
             retrieve(claim, docs, self.CFG, MOCK, cache)
-            assert calls == {"retriever": [claim.text], "dense": []}
+            assert calls == {"retriever": [], "dense": [], "bm25_top": []}
             monkeypatch.undo()
 
     def test_warm_runs_equal_the_cold_path(self, knowledge_store_path, claims, tmp_path):
+        """Sources and traces alike."""
         for claim in claims:
             docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
             plain = retrieve(claim, docs, self.CFG, MOCK)
             _, runs = self._runs(tmp_path, claim, docs)
             assert runs == [plain] * 3
+
+    def test_changed_claim_text_or_omega_is_ranked_again(
+        self, knowledge_store_path, claims, tmp_path, monkeypatch
+    ):
+        claim = claims[0]
+        docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+        texts = [c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)]
+        cache, _ = self._runs(tmp_path, claim, docs, 2)
+        changed = _claim(claim.text + " zyxxyq bridge", claim.id)
+        narrow = RetrievalConfig(max_chars=200, omega=8, pool_size=8, k=4)
+        for rerun, cfg in ((changed, self.CFG), (claim, narrow), (claim, self.CFG)):
+            cold = retrieve(rerun, docs, cfg, MOCK)
+            calls = self._count(monkeypatch)
+            assert retrieve(rerun, docs, cfg, MOCK, cache) == cold
+            assert calls["retriever"] == [rerun.text] + texts
+            assert len(calls["bm25_top"]) == 1
+            monkeypatch.undo()
 
     def test_lone_surrogate_on_the_warm_path(self, tmp_path, monkeypatch):
         docs = [
@@ -369,12 +398,12 @@ class TestTokenTable:
         plain = retrieve(claim, docs, self.CFG, MOCK)
         assert any("\ud800" in s.chunk.text for s in plain.sources)
         cache, runs = self._runs(tmp_path, claim, docs, 2)
-        calls = _count_tokenize(monkeypatch)
+        calls = self._count(monkeypatch)
         assert retrieve(claim, docs, self.CFG, MOCK, cache) == plain
-        assert calls["retriever"] == [claim.text]
+        assert calls["retriever"] == [] and calls["bm25_top"] == []
         assert runs == [plain, plain]
 
-    def test_texts_that_concatenate_alike_do_not_share_a_table(self, tmp_path, monkeypatch):
+    def test_texts_that_concatenate_alike_do_not_share_an_order(self, tmp_path, monkeypatch):
         """Chunks "bridge ri" + "ver span" and "bridge rive" + "r span"."""
         split_a = [Document(url="a", sentences=("bridge ri",)),
                    Document(url="b", sentences=("ver span",))]
@@ -384,35 +413,45 @@ class TestTokenTable:
         cache, _ = self._runs(tmp_path, claim, split_a, 2)
         for docs in (split_b, split_a):
             texts = [c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)]
-            calls = _count_tokenize(monkeypatch)
+            calls = self._count(monkeypatch)
             result = retrieve(claim, docs, self.CFG, MOCK, cache)
-            assert calls["retriever"] == texts + [claim.text]
+            assert calls["retriever"] == [claim.text] + texts
             monkeypatch.undo()
             assert result == retrieve(claim, docs, self.CFG, MOCK)
 
-    def test_claim_words_outside_the_stored_vocabulary(
+    def test_empty_order_round_trips(self, tmp_path, monkeypatch):
+        """A warm claim that matches no chunk keeps an order of no ordinals,
+        and the next run reads it."""
+        claim = _claim("bridge over the river")
+        unmatched = [Document(url="v", sentences=("Nothing here is alike.",))]
+        plain = retrieve(claim, unmatched, self.CFG, MOCK)
+        assert plain.sources == () and plain.trace["pruned_count"] == 0
+        # one cold run over a matching chunk caches its vectors
+        matching = [Document(url="u", sentences=("The bridge spans the river.",))]
+        cache, _ = self._runs(tmp_path, claim, matching, 1)
+        path = tmp_path / f"pruned_{claim.id}.order"
+        assert not path.exists()
+        assert retrieve(claim, unmatched, self.CFG, MOCK, cache) == plain
+        header, _, payload = path.read_bytes().partition(b"\n")
+        assert json.loads(header)["count"] == 0 and payload == b""
+        calls = self._count(monkeypatch)
+        assert retrieve(claim, unmatched, self.CFG, MOCK, cache) == plain
+        assert calls == {"retriever": [], "dense": [], "bm25_top": []}
+
+    def test_warm_order_with_a_cold_embedding_model(
         self, knowledge_store_path, claims, tmp_path, monkeypatch
     ):
-        """The claim's text may change between runs: its new words take new
-        ids, and BM25 and the embedder see what the cold path sees."""
+        """The order is read, and the embedder, lent no token ids, tokenizes
+        the texts the cache holds no vectors of this model for."""
         claim = claims[0]
         docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+        texts = {c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)}
         cache, _ = self._runs(tmp_path, claim, docs, 2)
-        changed = _claim(claim.text + " zyxxyq qqzzyx", claim.id)
-        seen = []
-        for module, name in ((retriever, "bm25_top"), (dense, "embed_batch")):
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda *a, _real=real: seen.append(_real(*a)) or seen[-1])
-        cold = retrieve(changed, docs, self.CFG, MOCK)
-        cold_seen, seen[:] = list(seen), []
-        calls = _count_tokenize(monkeypatch)
-        warm = retrieve(changed, docs, self.CFG, MOCK, cache)
-        assert calls["retriever"] == [changed.text]
-        assert warm == cold
-        ranked, vectors = seen
-        assert ranked == cold_seen[0]
-        # the changed claim is the only text the cache lacks
-        assert len(vectors) == 1
-        assert np.array_equal(vectors[0], mock_embed(changed.text))
-        assert np.array_equal(vectors[0], cold_seen[1][0])
+        other = EmbeddingProviderConfig(kind="mock", model_name="mock-other")
+        cold = retrieve(claim, docs, self.CFG, other)
+        calls = self._count(monkeypatch)
+        assert retrieve(claim, docs, self.CFG, other, cache) == cold
+        assert calls["retriever"] == [] and calls["bm25_top"] == []
+        embedded = calls["dense"]
+        assert embedded[0] == claim.text and set(embedded[1:]) <= texts
+        assert len(embedded) == len(set(embedded)) > len(cold.sources)

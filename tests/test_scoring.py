@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -502,6 +503,24 @@ class TestHungarian:
         finally:
             sys.setrecursionlimit(limit)
         assert got == column_oracle(arr)
+
+    def test_one_column_or_row_solves_over_the_smaller_side(self):
+        """400 rows against one column, and one row against 400 columns,
+        each cost well under a second: the solve is not padded to 400 x 400.
+        The answer is the first cell of the greatest value, as the oracle
+        picks, whatever the sign of the values."""
+        rng = np.random.default_rng(5521)
+        column = rng.integers(-20, 20, size=(400, 1)).astype(np.float64) / 4.0
+        oracles = [
+            (column, lambda a: ([(int(np.argmax(a[:, 0])), 0)], float(a.max()))),
+            (column.T, lambda a: ([(0, int(np.argmax(a[0])))], float(a.max()))),
+        ]
+        for arr, oracle in oracles:
+            assert oracle(arr[:7, :7]) == _oracle_hungarian(arr[:7, :7])
+            start = time.perf_counter()
+            got = hungarian_max(arr)
+            assert time.perf_counter() - start < 1.0
+            assert got == oracle(arr)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
