@@ -58,6 +58,10 @@ class ScoringConfig:
         for t in self.thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValidationError(f"threshold {t} outside (0, 1]")
+        # each threshold is one report column and key, labelled as below
+        repeated = repeated_ids(f"{t:g}" for t in self.thresholds)
+        if repeated:
+            raise ValidationError(f"thresholds repeated: {', '.join(repeated)}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +124,12 @@ def _group_alignments(surfaces: list[tuple[list[int], list[int]]]):
 
 
 def _chunk_count(pairs: list[tuple[int, int]]) -> int:
+    """The runs of consecutive pairs (c, r), (c + 1, r + 1) in pairs, which
+    are sorted, as align_tokens returns them."""
     if not pairs:
         return 0
-    ordered = sorted(pairs)
     chunks = 1
-    for (c1, r1), (c2, r2) in zip(ordered, ordered[1:]):
+    for (c1, r1), (c2, r2) in zip(pairs, pairs[1:]):
         if not (c2 == c1 + 1 and r2 == r1 + 1):
             chunks += 1
     return chunks
@@ -190,6 +195,21 @@ def _stem_groups(cand: list[str], ref: list[str]) -> list[list[tuple[list[int], 
     return groups
 
 
+def _prices(edges, options, m: int) -> list[int]:
+    """The _price of edges paired with each option's edges, per option."""
+    prices = []
+    for option in options:
+        price = 0
+        for c2, r2 in option:
+            for c, r in edges:
+                if (c < c2) != (r < r2):
+                    price += m
+                elif c2 - c == r2 - r and (c2 - c == 1 or c - c2 == 1):
+                    price -= 1
+        prices.append(price)
+    return prices
+
+
 def _price(edge_pairs, m: int) -> int:
     """crossings * m - adjacencies over pairs of position-disjoint edges.
 
@@ -198,64 +218,96 @@ def _price(edge_pairs, m: int) -> int:
     counts sum over edge pairs, and adjacencies < m, so ordering
     alignments by their summed price orders them by (crossings, chunks).
     """
-    price = 0
-    for (c1, r1), (c2, r2) in edge_pairs:
-        if (c1 < c2) != (r1 < r2):
-            price += m
-        elif c2 - c1 == r2 - r1 and (c2 - c1 == 1 or c1 - c2 == 1):
-            price -= 1
-    return price
+    return sum(_prices((e1,), ((e2,),), m)[0] for e1, e2 in edge_pairs)
+
+
+def _search(own, options, later) -> list[tuple[int, int]]:
+    """The cheapest choice of one option per group of one component.
+
+    own[d][b] is the price of group d's option b against the fixed edges
+    and within itself, options[d][b] its sorted edges; later[e] holds
+    (f, table) for each later group f that e interacts with, table[a][b]
+    being the price between e's option a and f's option b. A depth-first
+    search visits every combination. Choosing an option adds its row of
+    each table to that later group's prices, so the deepest groups, whose
+    options are visited most often, take the fewest additions, and the
+    last group's cheapest option is read off its prices. The sorted pair
+    lists of the cheapest combinations are compared at the end, where the
+    lexicographic tie-break decides.
+    """
+    n = len(own)
+    prices = [list(row) for row in own]  # plus the prices against the options chosen
+    chosen = [0] * n
+    best_price = math.inf
+    ties: list[tuple[int, ...]] = []
+
+    def visit(d: int, price: int) -> None:
+        nonlocal best_price, ties
+        if d + 1 == n:
+            low = price + min(prices[d])
+            if low <= best_price:
+                if low < best_price:
+                    best_price, ties = low, []
+                ties += [(*chosen[:d], b) for b, x in enumerate(prices[d]) if price + x == low]
+            return
+        saved = [prices[f] for f, _table in later[d]]
+        for b, x in enumerate(prices[d]):
+            chosen[d] = b
+            for f, table in later[d]:
+                prices[f] = [y + z for y, z in zip(prices[f], table[b])]
+            visit(d + 1, price + x)
+            for (f, _table), row in zip(later[d], saved):
+                prices[f] = row
+
+    visit(0, 0)
+    return min(
+        sorted(edge for d, b in enumerate(choice) for edge in options[d][b]) for choice in ties
+    )
 
 
 def _cheapest(
-    fixed: list[tuple[int, int]], groups: list[list[tuple[list[int], list[int]]]]
+    fixed: list[tuple[int, int]], groups: list[list[tuple[tuple[int, int], ...]]]
 ) -> list[tuple[int, int]]:
-    """The edges to add to fixed, one alignment per ambiguous group, that
+    """The edges to add to fixed, one option per ambiguous group, that
     minimize (crossings, chunks, sorted pairs) of the whole.
 
-    Each group's alignments are priced once within themselves, and each
-    distinct edge once against the fixed edges. A depth-first search
-    visits every combination, as many as the product of the groups'
-    counts, and adds each chosen alignment's price against the ones
-    chosen before it once per branch instead of rescoring every whole
-    alignment. Pair lists are compared only between equal prices, which
-    is where the lexicographic tie-break decides.
+    Each option is a group's alignment as sorted edges, priced once
+    against the fixed edges and within itself. A lone group takes its
+    cheapest option. Otherwise every two groups' options are priced
+    against each other; where that price is the same for every pair of
+    options, the two groups do not interact. Groups use disjoint
+    positions, so comparing one group's sorted pairs orders the merged
+    pair lists the same way: the tie-break splits as the price does, and
+    each component of interacting groups is searched apart from the
+    others (_search), its groups by ascending option count.
     """
-    options = [list(_group_alignments(s)) for s in groups]
-    m = len(fixed) + sum(len(group[0]) for group in options)
-    distinct = {edge for group in options for edges in group for edge in edges}
-    against_fixed = {edge: _price(((edge, f) for f in fixed), m) for edge in distinct}
-    priced = [
-        [
-            (sum(map(against_fixed.__getitem__, edges))
-             + _price(itertools.combinations(edges, 2), m), edges)
-            for edges in group
-        ]
-        for group in options
-    ]
-    best_price = math.inf
+    m = len(fixed) + sum(len(options[0]) for options in groups)
+    groups = sorted(groups, key=len)
+    own = [_prices(fixed, options, m) for options in groups]
+    for prices, options in zip(own, groups):
+        if len(options[0]) > 1:
+            # an edge's price against itself is 0 and each other pair counts twice
+            prices[:] = [x + _prices(e, (e,), m)[0] // 2 for x, e in zip(prices, options)]
+    if len(groups) == 1:
+        return list(min(zip(own[0], groups[0]))[1])
+    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in groups]
+    component = list(range(len(groups)))  # each group's lowest linked group
+    for d, options in enumerate(groups):
+        for e in range(d):
+            table = [_prices(a, options, m) for a in groups[e]]
+            if any(x != table[0][0] for row in table for x in row):
+                later[e].append((d, table))
+                low, high = sorted((component[d], component[e]))
+                component = [low if x == high else x for x in component]
     best: list[tuple[int, int]] = []
-    placed: list[tuple[int, int]] = []  # the edges chosen for groups before d
-
-    def visit(d: int, price: int) -> None:
-        nonlocal best_price, best
-        for own, edges in priced[d]:
-            total = price + own + _price(itertools.product(placed, edges), m)
-            if d + 1 < len(priced):
-                mark = len(placed)
-                placed.extend(edges)
-                visit(d + 1, total)
-                del placed[mark:]
-            elif total < best_price:
-                best_price = total
-                best = placed + edges  # sorted only if a tie needs it
-            elif total == best_price:  # the smaller sorted pair list wins
-                best.sort()
-                pairs = sorted(placed + edges)
-                if pairs < best:
-                    best = pairs
-
-    visit(0, 0)
+    for root in set(component):
+        members = [d for d, x in enumerate(component) if x == root]
+        index = {d: i for i, d in enumerate(members)}
+        best += _search(
+            [own[d] for d in members],
+            [groups[d] for d in members],
+            [[(index[f], table) for f, table in later[d]] for d in members],
+        )
     return best
 
 
@@ -266,23 +318,49 @@ def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
     leftovers; among maximal alignments the result minimizes crossings,
     then chunk count, then compares pair lists lexicographically. The
     match counts themselves are forced by token multiplicities, so the
-    search is only over which duplicate positions pair up, and only
-    stem groups with more than one alignment take part in it: see
-    _cheapest. Past _ALIGN_BUDGET alignments in all, counted before any
-    is enumerated, the first one enumerated is returned, with a warning.
+    search is only over which duplicate positions pair up.
+
+    Each stem group common to both sides takes the cheapest path for its
+    shape. A group with one spelling on each side (the same, or two that
+    share a stem) pairs in order when both sides hold it equally often,
+    and is a choice among single edges when one side holds it once. Any
+    other group is enumerated (_group_alignments), and fixed when it has
+    one alignment. The groups left with a choice are then searched
+    (_cheapest). Past _ALIGN_BUDGET alignments in all, the product of
+    those groups' counts taken before any is enumerated, each group's
+    first alignment is taken instead, with a warning.
     """
+    stems_r = _text(ref).by_stem
     fixed: list[tuple[int, int]] = []
-    ambiguous = []
+    choices = []  # choice groups' options, single edges in enumeration order
+    general = []  # the surfaces of the other ambiguous groups
     total = 1
-    for surfaces in _stem_groups(cand, ref):
-        if len(surfaces) == 1 and len(surfaces[0][0]) == 1 == len(surfaces[0][1]):
-            fixed.append((surfaces[0][0][0], surfaces[0][1][0]))  # one word once each side
+    for s, words_c in _text(cand).by_stem.items():
+        words_r = stems_r.get(s)
+        if words_r is None:
             continue
+        if len(words_c) == 1 == len(words_r):
+            # one spelling on each side: the positions pair as one
+            # spelling's would, by exact match or, if they differ, by stem
+            [pc], [pr] = words_c.values(), words_r.values()
+            if len(pc) == len(pr):
+                fixed += zip(pc, pr)
+                continue
+            if len(pc) == 1 or len(pr) == 1:
+                choices.append([((c, r),) for c in pc for r in pr])
+                total *= len(choices[-1])
+                continue
+            surfaces = [(pc, pr)]
+        else:
+            surfaces = [
+                (words_c.get(w, []), words_r.get(w, []))
+                for w in sorted(words_c.keys() | words_r.keys())
+            ]
         count = _group_alignment_count(surfaces)
         if count == 1:
             fixed += next(_group_alignments(surfaces))
         else:
-            ambiguous.append(surfaces)
+            general.append(surfaces)
             total *= count
     if total > _ALIGN_BUDGET:
         log.warning(
@@ -290,10 +368,15 @@ def align_tokens(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
             " choices; using the first-occurrence greedy alignment",
             len(cand), len(ref), _ALIGN_BUDGET,
         )
-        fixed += (edge for s in ambiguous for edge in next(_group_alignments(s)))
-    elif ambiguous:
-        fixed += _cheapest(fixed, ambiguous)
-    return sorted(fixed)
+        fixed += (options[0][0] for options in choices)
+        fixed += (edge for s in general for edge in next(_group_alignments(s)))
+    elif choices or general:
+        fixed += _cheapest(
+            fixed,
+            choices + [[tuple(sorted(edges)) for edges in _group_alignments(s)] for s in general],
+        )
+    fixed.sort()
+    return fixed
 
 
 def meteor_lite(candidate: str | _Text, reference: str | _Text) -> float:
@@ -378,47 +461,101 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _lexicographic_matching(tight: list[int], col_to_row: list[int]) -> list[int]:
-    """The lexicographically smallest perfect matching of the tight graph.
+def _lexicographic_rows(tight, col_of, pad_tight: int, pad_cols: int) -> list[int]:
+    """The real rows' columns in the lexicographically smallest perfect
+    matching of the tight graph of a square padded with rows.
 
-    tight[r] has bit c set when edge (r, c) is tight; col_to_row is one
-    perfect matching of it. Row by row, the matching is kept perfect on
-    the rows not yet fixed: row i may take column j instead of its own
-    column c0 exactly when j's row can pass its column along an
-    alternating path whose last row takes c0. One search backward from
-    c0 finds every such j, so each row costs one pass over the graph.
-    Returns each row's column.
+    tight[r] has bit c set when edge (r, c) is tight. The padding rows
+    come after the real rows and are all tight with pad_tight's columns,
+    so they act as one row holding many columns. col_of[r] and the
+    bitmask pad_cols give the columns of one perfect matching. Row by
+    row, row i may take column j instead of its own column c0 exactly
+    when j's holder can pass its column along an alternating path whose
+    last holder takes c0; one search backward from c0 finds every such
+    j. The padding's rows need no turn: they come last and are not
+    returned.
     """
-    n = len(tight)
-    rows_of = [0] * n  # rows_of[c]: bit r set when edge (r, c) is tight
+    rows_of: dict[int, int] = {}  # column -> bit r set when edge (r, c) is tight
     for r, mask in enumerate(tight):
         for c in _bits(mask):
-            rows_of[c] |= 1 << r
-    col_of = [0] * n
-    for c, r in enumerate(col_to_row):
-        col_of[r] = c
-    for i in range(n):
-        c0 = col_of[i]
-        # next_col[a]: the column a's row moves to on a path that frees c0
+            rows_of[c] = rows_of.get(c, 0) | 1 << r
+    col_to_row = {c: r for r, c in enumerate(col_of)}  # the real rows' columns
+    for i, c0 in enumerate(col_of):
+        # next_col[a]: the column a's row moves to on a path that frees c0;
+        # the padding's columns move to pad_next
         next_col = {c0: -1}
+        pad_next = -1
         reached = 1 << c0
         unvisited = -1 << (i + 1)  # rows after i; earlier ones are fixed
         queue = [c0]
         for b in queue:
-            found = rows_of[b] & unvisited
+            found = rows_of.get(b, 0) & unvisited
             unvisited ^= found
             for r in _bits(found):
                 a = col_of[r]
                 next_col[a] = b
                 reached |= 1 << a
                 queue.append(a)
+            if pad_next < 0 and pad_tight >> b & 1:
+                pad_next = b
+                reached |= pad_cols
+                queue += _bits(pad_cols)
         candidates = tight[i] & reached
         j = (candidates & -candidates).bit_length() - 1
-        row, col = i, j
+        row, col = i, j  # row takes col; col's holder moves on
         while col != -1:
-            moved = col_to_row[col]
-            col_to_row[col], col_of[row] = row, col
-            row, col = moved, next_col[col]
+            if pad_cols >> col & 1:
+                moved, following = None, pad_next
+                pad_cols ^= 1 << col
+            else:
+                moved, following = col_to_row.pop(col), next_col[col]
+            if row is None:
+                pad_cols |= 1 << col
+            else:
+                col_to_row[col], col_of[row] = row, col
+            row, col = moved, following
+    return col_of
+
+
+def _lexicographic_columns(rows_of, col_of, pad_rows: int) -> list[int]:
+    """Each row's column in the lexicographically smallest perfect
+    matching of the tight graph of a square padded with columns.
+
+    rows_of[c] has bit r set when edge (r, c) is tight, for the k real
+    columns. The padding columns, numbered k here, come after the real
+    ones and are all tight with pad_rows's rows, so they act as one
+    column held by many rows. col_of[r] gives one perfect matching,
+    padding as k. Row by row, as in _lexicographic_rows, each row takes
+    its smallest column that an alternating path can free, the padding
+    last.
+    """
+    k = len(rows_of)
+    rows_of = [*rows_of, pad_rows]
+    pad_holders = sum(1 << r for r, c in enumerate(col_of) if c == k)
+    for i, c0 in enumerate(col_of):
+        # via[a]: (the column a's row moves to on a path that frees c0,
+        # that row); for the padding, one of the rows that hold it
+        via = {c0: (-1, i)}
+        unvisited = -1 << (i + 1)  # rows after i; earlier ones are fixed
+        queue = [c0]
+        for b in queue:
+            found = rows_of[b] & unvisited
+            unvisited ^= found
+            padding = found & pad_holders
+            if padding and k not in via:
+                via[k] = (b, (padding & -padding).bit_length() - 1)
+                queue.append(k)
+            for r in _bits(found & ~pad_holders):
+                via[col_of[r]] = (b, r)
+                queue.append(col_of[r])
+        j = min(c for c in via if rows_of[c] >> i & 1)
+        row, col = i, j  # row takes col; col's holder moves on
+        while col != -1:
+            following, moved = via[col]
+            if (col_of[row] == k) != (col == k):
+                pad_holders ^= 1 << row
+            col_of[row] = col
+            row, col = moved, following
     return col_of
 
 
@@ -435,7 +572,9 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
 
     The solve runs over the smaller side (the matrix transposed when it
     has more rows than columns), so it costs O(k^2 n) for k <= n, not
-    O(n^3); the padding's missing rows join only the tight subgraph.
+    O(n^3). The padded square's n - k missing lines are interchangeable:
+    they join only the tight subgraph, as one class, so picking the
+    smallest assignment costs no more than the solve.
     """
     try:
         arr = [[float(x) for x in row] for row in matrix]
@@ -452,7 +591,6 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
         raise ValidationError("matrix contains infinity")
 
     transposed = rows > cols
-    n = max(rows, cols)
     # k x n with k <= n, negated
     cost = [[-x for x in row] for row in (zip(*arr) if transposed else arr)]
     p, u, v = _solve_min_assignment(cost)
@@ -464,20 +602,23 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     # a missing row of the padded square costs 0 everywhere; potential 0
     # keeps it feasible, as v only decreases, and the columns the solve
     # left unmatched (v = 0) are tight there
-    missing = range(len(cost), n)
-    tight += [sum(1 << c for c, vj in enumerate(v[1:]) if -vj <= eps)] * len(missing)
-    unmatched = iter(missing)
-    col_to_row = [r - 1 if r else next(unmatched) for r in p[1:]]
-    if any(not tight[r] >> c & 1 for c, r in enumerate(col_to_row)):
+    pad_tight = sum(1 << c for c, vj in enumerate(v[1:]) if -vj <= eps)
+    col_of = [0] * len(cost)
+    pad_cols = 0  # the columns the missing rows take
+    for c, r in enumerate(p[1:]):
+        if r:
+            col_of[r - 1] = c
+        else:
+            pad_cols |= 1 << c
+    if any(not mask >> c & 1 for mask, c in zip(tight, col_of)) or pad_cols & ~pad_tight:
         raise ValidationError("assignment extraction failed; matrix ill-formed")
     if transposed:
-        tight = [sum((mask >> r & 1) << c for c, mask in enumerate(tight)) for r in range(n)]
-        col_to_row = sorted(range(n), key=col_to_row.__getitem__)  # the inverse
-    assigned = _lexicographic_matching(tight, col_to_row)
-
-    pairs = [
-        (r, assigned[r]) for r in range(n) if r < rows and assigned[r] < cols
-    ]
+        # the solve's rows are the columns here, its missing rows padding columns
+        k = len(cost)
+        assigned = _lexicographic_columns(tight, [r - 1 if r else k for r in p[1:]], pad_tight)
+        pairs = [(r, c) for r, c in enumerate(assigned) if c < k]
+    else:
+        pairs = list(enumerate(_lexicographic_rows(tight, col_of, pad_tight, pad_cols)))
     total = 0.0
     for r, c in pairs:
         total += arr[r][c]

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -852,6 +853,50 @@ class TestEvaluate:
         assert proc.returncode == 0, proc.stderr
         assert "AVeriTeC @ 0.25: 1.0000" in proc.stdout
 
+    def test_report_is_independent_of_hash_seed(self, tmp_path):
+        """Two evaluate processes under different string-hash seeds write
+        the same bytes: no score may hang on a set's iteration order."""
+        words = "the of and a to in is that for it was run runs running cat cats river 1977"
+        words = words.split()
+        rng = random.Random("hash-seed")
+
+        def text():
+            return " ".join(rng.choice(words) for _ in range(rng.randint(4, 16)))
+
+        dataset, predictions = [], []
+        for claim_id in range(12):
+            gold = [(text(), text()) for _ in range(rng.randint(1, 3))]
+            dataset.append({
+                "claim": f"claim {claim_id}", "label": "Supported",
+                "questions": [
+                    {"question": q, "answers": [{"answer": a, "answer_type": "Extractive"}]}
+                    for q, a in gold
+                ],
+            })
+            predictions.append({
+                "claim_id": claim_id, "claim": f"claim {claim_id}", "verdict": "Supported",
+                "evidence": [
+                    {"question": text(), "answer": text()} for _ in range(rng.randint(1, 4))
+                ],
+            })
+        (tmp_path / "dataset.json").write_text(json.dumps(dataset))
+        (tmp_path / "predictions.json").write_text(json.dumps(predictions))
+        reports = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(claimcheck.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "claimcheck.cli", "evaluate",
+                 "--dataset", str(tmp_path / "dataset.json"),
+                 "--predictions", str(tmp_path / "predictions.json"),
+                 "--output-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+        assert reports[0] == reports[1]
+
     def test_multiple_thresholds(self, dataset_path, verified_dir, capsys):
         code = run_cli(
             ["evaluate", "--dataset", str(dataset_path),
@@ -865,6 +910,19 @@ class TestEvaluate:
         assert "AVeriTeC @ 1: 0.0000" in out
         report = json.loads((verified_dir / "report.json").read_text())
         assert set(report["averitec_score"]) == {"0.25", "1"}
+
+    def test_repeated_threshold_exits_2_before_any_report(
+        self, dataset_path, verified_dir, capsys
+    ):
+        code = run_cli(
+            ["evaluate", "--dataset", str(dataset_path),
+             "--output-dir", str(verified_dir),
+             "--thresholds", "0.25,0.25,0.5"]
+        )
+        assert code == 2
+        assert "thresholds repeated: 0.25" in capsys.readouterr().err
+        assert not (verified_dir / "report.json").exists()
+        assert not (verified_dir / "report.csv").exists()
 
     def test_missing_predictions_exits_2(self, dataset_path, tmp_path, capsys):
         code = run_cli(

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from claimcheck.config import DEFAULTS, load_app_config
-from claimcheck.errors import ConfigError
+from claimcheck.errors import ConfigError, ValidationError
 from claimcheck.retriever import RetrievalConfig
 
 
@@ -289,6 +289,15 @@ class TestSectionValidation:
     def test_weight_external_range(self):
         with pytest.raises(ConfigError):
             _load(overrides={"ensemble.weight_external": "1.5"})
+
+    @pytest.mark.parametrize(
+        "thresholds, repeated",
+        [("0.25,0.25,0.5", "0.25"), ("0.5,0.25,0.5,0.25", "0.25, 0.5"), ("1,1.0", "1")],
+    )
+    def test_repeated_threshold_rejected(self, thresholds, repeated):
+        with pytest.raises(ValidationError) as exc:
+            _load(overrides={"scoring.thresholds": thresholds})
+        assert str(exc.value) == f"thresholds repeated: {repeated}"
 
     def test_require_paths(self, tmp_path):
         cfg = _load(overrides={"paths.dataset": str(tmp_path / "absent.json")})

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import logging
@@ -373,6 +374,140 @@ class TestPricedSearch:
             assert price == _crossings(pairs) * m - adjacent, pairs
 
 
+class TestAlignShapes:
+    """Each shape of stem group that align_tokens handles apart, checked
+    against the enumerated minimum and, where it reaches, the oracle."""
+
+    ANCHORS = ["cat", "dog", "form", "bridge", "hope"]
+
+    def _check(self, cand, ref, oracle=True):
+        got = align_tokens(cand, ref)
+        assert got == _enumerated_align(cand, ref), (cand, ref)
+        if oracle:
+            assert got == oracle_align(cand, ref), (cand, ref)
+
+    @pytest.mark.parametrize("copies", range(2, 11))
+    def test_one_position_against_copies_either_side(self, copies):
+        rng = random.Random(f"choice-{copies}")
+        for _ in range(15):
+            one = ["the"] + rng.sample(self.ANCHORS, 3)
+            many = ["the"] * copies + rng.sample(self.ANCHORS, 3)
+            rng.shuffle(one)
+            rng.shuffle(many)
+            self._check(one, many)
+            self._check(many, one)
+
+    @pytest.mark.parametrize("copies", [2, 3, 4])
+    def test_equal_copies_pair_in_order(self, copies):
+        rng = random.Random(f"equal-{copies}")
+        for _ in range(15):
+            cand = ["the"] * copies + rng.sample(self.ANCHORS, 2)
+            ref = ["the"] * copies + rng.sample(self.ANCHORS, 2)
+            rng.shuffle(cand)
+            rng.shuffle(ref)
+            self._check(cand, ref)
+            spots_c = [i for i, w in enumerate(cand) if w == "the"]
+            spots_r = [j for j, w in enumerate(ref) if w == "the"]
+            assert set(zip(spots_c, spots_r)) <= set(align_tokens(cand, ref))
+
+    def test_one_spelling_each_side_pairs_by_stem(self):
+        # "runs" against "running": no exact match, so every position is a
+        # stem match, as one spelling's positions would pair
+        rng = random.Random("one-spelling-each-side")
+        for _ in range(60):
+            cand = ["runs"] * rng.randint(1, 3) + rng.sample(self.ANCHORS, 2)
+            ref = ["running"] * rng.randint(1, 4) + rng.sample(self.ANCHORS, 2)
+            rng.shuffle(cand)
+            rng.shuffle(ref)
+            self._check(cand, ref)
+
+    def test_several_spellings(self):
+        families = [["run", "runs", "running"], ["cat", "cats", "catting"], ["hope", "hoped"]]
+        rng = random.Random("several-spellings")
+        for _ in range(150):
+            words = [w for family in rng.sample(families, 2) for w in family]
+            cand = [rng.choice(words) for _ in range(rng.randint(2, 5))]
+            ref = [rng.choice(words) for _ in range(rng.randint(2, 5))]
+            self._check(cand, ref)
+
+    def _searched_components(self, monkeypatch, cand, ref):
+        sizes = []
+        real = scoring._search
+
+        def counting_search(own, options, links):
+            sizes.append(len(own))
+            return real(own, options, links)
+
+        monkeypatch.setattr(scoring, "_search", counting_search)
+        self._check(cand, ref)
+        return sorted(sizes)
+
+    def test_far_apart_groups_are_searched_apart(self, monkeypatch):
+        cand = ["the", "cat", "dog", "form", "of", "hope", "bridge", "a"]
+        ref = ["the", "the", "cat", "dog", "form", "of", "of", "hope", "bridge", "a", "a"]
+        assert self._searched_components(monkeypatch, cand, ref) == [1, 1, 1]
+        assert self._searched_components(monkeypatch, cand[:6], ref[:8]) == [1, 1]
+
+    def test_interleaved_groups_are_searched_together(self, monkeypatch):
+        # apart, "a" and "b" would each take its first position: (0, 1) and
+        # (1, 0), which cross; together they take (0, 1) and (1, 2). "the"
+        # is far from both, so it is searched apart
+        cand = ["a", "b", "cat", "dog", "the"]
+        ref = ["b", "a", "b", "a", "cat", "dog", "the", "the"]
+        assert self._searched_components(monkeypatch, cand, ref) == [1, 2]
+        assert align_tokens(cand, ref) == [(0, 1), (1, 2), (2, 4), (3, 5), (4, 6)]
+
+    def test_mixed_shapes_random(self):
+        rng = random.Random("mixed-shapes")
+        checked = 0
+        while checked < 400:
+            cand, ref = _stopword_text(rng)[:10], _stopword_text(rng)[:10]
+            counts = [scoring._group_alignment_count(g) for g in scoring._stem_groups(cand, ref)]
+            if math.prod(counts) > 2000:
+                continue
+            self._check(cand, ref, oracle=len(cand) <= 7 and len(ref) <= 7)
+            checked += 1
+
+
+PIN_STOPWORDS = ["the", "of", "and", "a", "to", "in", "is", "that", "for", "it", "was", "on"]
+PIN_CONTENT = INFLECTED + ["halvern", "river", "1977", "completed", "spans", "built"]
+
+
+def _qa_pair(rng):
+    """A stopword-heavy question-answer text and a paraphrase of it, words
+    dropped, inflected, repeated and moved."""
+    gold = [
+        rng.choice(PIN_STOPWORDS) if rng.random() < 0.5 else rng.choice(PIN_CONTENT)
+        for _ in range(rng.randint(6, 22))
+    ]
+    pred = []
+    for word in gold:
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        if roll < 0.25:
+            word = rng.choice(INFLECTED)
+        pred += [word] * (2 if rng.random() < 0.1 else 1)
+    if len(pred) > 1 and rng.random() < 0.5:
+        pred.insert(rng.randrange(len(pred)), pred.pop(rng.randrange(len(pred))))
+    return " ".join(pred), " ".join(gold)
+
+
+# computed with the search that priced every combination of every
+# ambiguous group together
+PINNED_METEOR_SHA256 = "30bbe2bf41cc699461ffbdf61c7bdc95a47b274ff59f55ae5e9e3447270363e4"
+
+
+def test_meteor_scores_pinned():
+    """repr of meteor_lite over 2,000 seeded pairs, hashed, so a change to
+    the search that moves any score, even in its last digit, fails."""
+    rng = random.Random(24_2000)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        digest.update(repr(meteor_lite(*_qa_pair(rng))).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_METEOR_SHA256
+
+
 class TestMeteorLite:
     def test_identical_four_tokens(self):
         score = meteor_lite("aa bb cc dd", "aa bb cc dd")
@@ -521,6 +656,34 @@ class TestHungarian:
             got = hungarian_max(arr)
             assert time.perf_counter() - start < 1.0
             assert got == oracle(arr)
+
+    def test_padding_is_one_class(self):
+        """1,100 rows against one column, and the transpose: the padded
+        square's 1,099 padding lines are one class, not 1,099 bits walked
+        row by row, so each takes well under the 1.4-1.9 s they took then."""
+        rng = np.random.default_rng(1100)
+        column = rng.integers(-20, 20, size=(1100, 1)).astype(np.float64) / 4.0
+        oracles = [
+            (column, lambda a: ([(int(np.argmax(a[:, 0])), 0)], float(a.max()))),
+            (column.T, lambda a: ([(0, int(np.argmax(a[0])))], float(a.max()))),
+        ]
+        for arr, oracle in oracles:
+            start = time.perf_counter()
+            got = hungarian_max(arr)
+            assert time.perf_counter() - start < 0.5
+            assert got == oracle(arr)
+
+    def test_rectangular_ties_match_bruteforce(self):
+        """Wide and tall matrices with many tied cells, where the padding
+        decides which real cells the smallest assignment keeps."""
+        rng = np.random.default_rng(7733)
+        for trial in range(400):
+            rows = int(rng.integers(2, 6))
+            cols = int(rng.integers(rows + 1, 7))
+            arr = rng.integers(-1, 3, size=(rows, cols)).astype(np.float64) / 4.0
+            if trial % 2:
+                arr = arr.T.copy()
+            assert hungarian_max(arr) == _oracle_hungarian(arr), f"trial {trial}"
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
