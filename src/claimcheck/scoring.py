@@ -154,10 +154,10 @@ _STEMS = _Stems()
 
 class _Text(list):
     """A token list with its positions grouped by Porter stem, then by
-    spelling: {stem: {spelling: ascending positions}}.
+    spelling: {stem: {spelling: ascending positions}}; stem_counts[stem].
 
-    hu_meteor prepares each text once and aligns it with every text on
-    the other side, so the grouping is not rebuilt for each pair.
+    hu_meteor prepares each text once and bounds or aligns it with every
+    text on the other side, so neither is rebuilt for each pair.
     """
 
     def __init__(self, tokens: list[str]):
@@ -166,8 +166,11 @@ class _Text(list):
         for i, token in enumerate(tokens):
             by_word.setdefault(token, []).append(i)
         self.by_stem: dict[str, dict[str, list[int]]] = {}
+        self.stem_counts: dict[str, int] = {}
         for word, positions in by_word.items():
-            self.by_stem.setdefault(_STEMS[word], {})[word] = positions
+            s = _STEMS[word]
+            self.by_stem.setdefault(s, {})[word] = positions
+            self.stem_counts[s] = self.stem_counts.get(s, 0) + len(positions)
 
 
 def _text(text: str | list[str]) -> _Text:
@@ -177,26 +180,13 @@ def _text(text: str | list[str]) -> _Text:
     return _Text(tokenize(text) if isinstance(text, str) else text)
 
 
-def _stem_groups(cand: list[str], ref: list[str]) -> list[list[tuple[list[int], list[int]]]]:
-    """The surfaces of each stem group present on both sides, by stem.
-
-    Each surface is (candidate positions, reference positions) of one
-    spelling, ascending; surfaces are ordered by spelling. Either side
-    may be a prepared _Text, whose grouping is then read, not rebuilt.
-    """
-    stems_c, stems_r = _text(cand).by_stem, _text(ref).by_stem
-    groups = []
-    for s in sorted(stems_c.keys() & stems_r.keys()):
-        words_c, words_r = stems_c[s], stems_r[s]
-        groups.append([
-            (words_c.get(w, []), words_r.get(w, []))
-            for w in sorted(words_c.keys() | words_r.keys())
-        ])
-    return groups
-
-
 def _prices(edges, options, m: int) -> list[int]:
-    """The _price of edges paired with each option's edges, per option."""
+    """crossings * m - adjacencies between edges and each option's edges.
+
+    An adjacency is an edge (c, r) whose (c + 1, r + 1) is also an edge,
+    and m edges make m - adjacencies chunks, so summed prices order
+    alignments of m edges by (crossings, chunks).
+    """
     prices = []
     for option in options:
         price = 0
@@ -208,17 +198,6 @@ def _prices(edges, options, m: int) -> list[int]:
                     price -= 1
         prices.append(price)
     return prices
-
-
-def _price(edge_pairs, m: int) -> int:
-    """crossings * m - adjacencies over pairs of position-disjoint edges.
-
-    An alignment of m edges has m - adjacencies chunks, an adjacency
-    being an edge (c, r) whose (c + 1, r + 1) is also an edge. Both
-    counts sum over edge pairs, and adjacencies < m, so ordering
-    alignments by their summed price orders them by (crossings, chunks).
-    """
-    return sum(_prices((e1,), ((e2,),), m)[0] for e1, e2 in edge_pairs)
 
 
 def _search(own, options, later) -> list[tuple[int, int]]:
@@ -389,14 +368,30 @@ def meteor_lite(candidate: str | _Text, reference: str | _Text) -> float:
     if not cand or not ref:
         return 0.0
     pairs = align_tokens(cand, ref)
-    m = len(pairs)
-    if m == 0:
+    if not pairs:
         return 0.0
-    precision = m / len(cand)
-    recall = m / len(ref)
+    return _meteor_score(len(pairs), _chunk_count(pairs), len(cand), len(ref))
+
+
+def _meteor_score(m: int, chunks: int, n_cand: int, n_ref: int) -> float:
+    """meteor_lite's score of m > 0 matches in chunks between the texts."""
+    precision = m / n_cand
+    recall = m / n_ref
     f_mean = precision * recall / (ALPHA * precision + (1.0 - ALPHA) * recall)
-    penalty = GAMMA * (_chunk_count(pairs) / m) ** BETA
+    penalty = GAMMA * (chunks / m) ** BETA
     return f_mean * (1.0 - penalty)
+
+
+def _meteor_bound(candidate: str | _Text, reference: str | _Text) -> tuple[float, bool]:
+    """An upper bound on meteor_lite(candidate, reference), and whether
+    it is the score itself: the match count m is forced by the stem
+    counts (see align_tokens), the budget's fallback included, and the
+    bound takes one chunk, the fewest, which is exact when m <= 1.
+    """
+    cand, ref = _text(candidate), _text(reference)
+    counts_r = ref.stem_counts
+    m = sum(min(n, counts_r.get(s, 0)) for s, n in cand.stem_counts.items())
+    return (_meteor_score(m, 1, len(cand), len(ref)) if m else 0.0), m <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +554,27 @@ def _lexicographic_columns(rows_of, col_of, pad_rows: int) -> list[int]:
     return col_of
 
 
+def _tight_solve(arr: list[list[float]]):
+    """Solve arr's maximum assignment: (transposed, p, tight, pad_tight).
+
+    arr is negated, and transposed if it has more rows than columns, into
+    a k x n cost matrix, k <= n. tight[i] has bit j set when cost cell
+    (i, j) is tight within eps; pad_tight, when the padding rows' cell is.
+    """
+    transposed = len(arr) > len(arr[0])
+    cost = [[-x for x in row] for row in (zip(*arr) if transposed else arr)]
+    p, u, v = _solve_min_assignment(cost)
+    eps = 1e-9 * max(1.0, max(abs(x) for row in cost for x in row))
+    tight = [
+        sum(1 << c for c, (x, vj) in enumerate(zip(row, v[1:])) if (x - ui) - vj <= eps)
+        for row, ui in zip(cost, u[1:])
+    ]
+    # a missing row costs 0 everywhere; potential 0 keeps it feasible, as v
+    # only decreases, and the columns the solve left unmatched (v = 0) are tight
+    pad_tight = sum(1 << c for c, vj in enumerate(v[1:]) if -vj <= eps)
+    return transposed, p, tight, pad_tight
+
+
 def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     """Maximum-total one-to-one assignment of rows to columns.
 
@@ -570,11 +586,12 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     smallest column with which the remaining rows can still be matched
     within the tight subgraph of the optimal potentials.
 
-    The solve runs over the smaller side (the matrix transposed when it
-    has more rows than columns), so it costs O(k^2 n) for k <= n, not
-    O(n^3). The padded square's n - k missing lines are interchangeable:
-    they join only the tight subgraph, as one class, so picking the
-    smallest assignment costs no more than the solve.
+    The solve (_tight_solve) runs over the smaller side (the matrix
+    transposed when it has more rows than columns), so it costs O(k^2 n)
+    for k <= n, not O(n^3). The padded square's n - k missing lines are
+    interchangeable: they join only the tight subgraph, as one class, so
+    picking the smallest assignment costs no more than the solve. Only
+    tight cells are read, so other cells may hold upper bounds (_tighten).
     """
     try:
         arr = [[float(x) for x in row] for row in matrix]
@@ -582,7 +599,7 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
         raise ValidationError(f"matrix must be 2-d and of numbers: {exc}") from exc
     if not arr or not arr[0]:
         raise ValidationError("matrix must be 2-d and nonempty")
-    rows, cols = len(arr), len(arr[0])
+    cols = len(arr[0])
     if any(len(row) != cols for row in arr):
         raise ValidationError("matrix rows differ in length")
     if any(math.isnan(x) for row in arr for x in row):
@@ -590,20 +607,8 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
     if any(math.isinf(x) for row in arr for x in row):
         raise ValidationError("matrix contains infinity")
 
-    transposed = rows > cols
-    # k x n with k <= n, negated
-    cost = [[-x for x in row] for row in (zip(*arr) if transposed else arr)]
-    p, u, v = _solve_min_assignment(cost)
-    eps = 1e-9 * max(1.0, max(abs(x) for row in cost for x in row))
-    tight = [
-        sum(1 << c for c, (x, vj) in enumerate(zip(row, v[1:])) if (x - ui) - vj <= eps)
-        for row, ui in zip(cost, u[1:])
-    ]
-    # a missing row of the padded square costs 0 everywhere; potential 0
-    # keeps it feasible, as v only decreases, and the columns the solve
-    # left unmatched (v = 0) are tight there
-    pad_tight = sum(1 << c for c, vj in enumerate(v[1:]) if -vj <= eps)
-    col_of = [0] * len(cost)
+    transposed, p, tight, pad_tight = _tight_solve(arr)
+    col_of = [0] * len(tight)
     pad_cols = 0  # the columns the missing rows take
     for c, r in enumerate(p[1:]):
         if r:
@@ -614,7 +619,7 @@ def hungarian_max(matrix) -> tuple[list[tuple[int, int]], float]:
         raise ValidationError("assignment extraction failed; matrix ill-formed")
     if transposed:
         # the solve's rows are the columns here, its missing rows padding columns
-        k = len(cost)
+        k = len(tight)
         assigned = _lexicographic_columns(tight, [r - 1 if r else k for r in p[1:]], pad_tight)
         pairs = [(r, c) for r, c in enumerate(assigned) if c < k]
     else:
@@ -635,11 +640,37 @@ def _pair_text(item, mode: str) -> str:
     return f"{item.question} {item.answer}"
 
 
+def _tighten(bounds: list[list[tuple[float, bool]]], exact) -> list[list[float]]:
+    """The matrix of bounds, (upper bound, whether exact) per cell, with
+    exact(i, j) in each cell that hungarian_max's solve finds tight.
+
+    It solves again until no tight cell is loose. The last potentials are
+    feasible for the exact matrix, whose cells are no larger, and leave
+    each loose cell strictly slack: by complementary slackness,
+    hungarian_max returns the exact matrix's least optimal pairs and total.
+    """
+    matrix = [[bound for bound, _exact in row] for row in bounds]
+    loose = [[not is_exact for _bound, is_exact in row] for row in bounds]
+    while True:
+        transposed, _p, tight, _pad_tight = _tight_solve(matrix)
+        cells = [(r, c) for r, mask in enumerate(tight) for c in _bits(mask)]
+        cells = [(i, j) for i, j in (map(reversed, cells) if transposed else cells) if loose[i][j]]
+        if not cells:
+            return matrix
+        for i, j in cells:
+            matrix[i][j] = exact(i, j)
+            loose[i][j] = False
+
+
 def hu_meteor(claim_pred, claim_gold, mode: str) -> float:
     """Best one-to-one METEOR matching of predictions to gold, over |gold|.
 
     Normalizing by the gold count means padding out extra predictions
     can never raise the score.
+
+    The matrix starts as upper bounds (_meteor_bound), and meteor_lite
+    aligns only the pairs the matching may take (_tighten). Scores lie in
+    [0, 1], so the tight rule's eps is that of the fully aligned matrix.
     """
     if not claim_gold:
         raise ValidationError("hu_meteor requires non-empty gold evidence")
@@ -648,10 +679,9 @@ def hu_meteor(claim_pred, claim_gold, mode: str) -> float:
     if not claim_pred:
         return 0.0
     golds = [_text(_pair_text(gold, mode)) for gold in claim_gold]
-    matrix = [
-        [meteor_lite(pred_text, gold_text) for gold_text in golds]
-        for pred_text in (_text(_pair_text(pred, mode)) for pred in claim_pred)
-    ]
+    preds = [_text(_pair_text(pred, mode)) for pred in claim_pred]
+    bounds = [[_meteor_bound(pred, gold) for gold in golds] for pred in preds]
+    matrix = _tighten(bounds, lambda i, j: meteor_lite(preds[i], golds[j]))
     _pairs, total = hungarian_max(matrix)
     return total / len(claim_gold)
 

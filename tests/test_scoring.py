@@ -229,6 +229,24 @@ class TestAlignFastPaths:
         assert len(calls) == stemmed
 
 
+def _stem_groups(cand, ref):
+    """The surfaces of each stem group present on both sides, by stem.
+
+    Each surface is (candidate positions, reference positions) of one
+    spelling, ascending; surfaces are ordered by spelling. Either side
+    may be a prepared _Text, whose grouping is then read, not rebuilt.
+    """
+    stems_c, stems_r = scoring._text(cand).by_stem, scoring._text(ref).by_stem
+    groups = []
+    for s in sorted(stems_c.keys() & stems_r.keys()):
+        words_c, words_r = stems_c[s], stems_r[s]
+        groups.append([
+            (words_c.get(w, []), words_r.get(w, []))
+            for w in sorted(words_c.keys() | words_r.keys())
+        ])
+    return groups
+
+
 def _greedy_group_edges(surfaces):
     """First-occurrence alignment of one stem group: the first k positions
     of each surface pair in order, then the first leftovers pair as stems."""
@@ -251,7 +269,7 @@ def _greedy_group_edges(surfaces):
 
 def _first_occurrence_align(cand, ref):
     return sorted(
-        edge for g in scoring._stem_groups(cand, ref) for edge in _greedy_group_edges(g)
+        edge for g in _stem_groups(cand, ref) for edge in _greedy_group_edges(g)
     )
 
 
@@ -265,7 +283,7 @@ class TestOneEnumerator:
         for _ in range(1000):
             cand = [rng.choice(INFLECTED) for _ in range(rng.randint(0, 9))]
             ref = [rng.choice(INFLECTED) for _ in range(rng.randint(0, 9))]
-            for g in scoring._stem_groups(cand, ref):
+            for g in _stem_groups(cand, ref):
                 enumerated = list(scoring._group_alignments(g))
                 assert scoring._group_alignment_count(g) == len(enumerated), (cand, ref)
                 assert sorted(enumerated[0]) == sorted(_greedy_group_edges(g))
@@ -286,7 +304,7 @@ class TestOneEnumerator:
             if len(cases) % 2:
                 rng.shuffle(cand)
                 rng.shuffle(ref)
-            counts = [scoring._group_alignment_count(g) for g in scoring._stem_groups(cand, ref)]
+            counts = [scoring._group_alignment_count(g) for g in _stem_groups(cand, ref)]
             if math.prod(counts) > scoring._ALIGN_BUDGET:
                 cases.append((cand, ref))
         for cand, ref in cases:
@@ -320,13 +338,19 @@ def _enumerated_align(cand, ref):
     alignments = (
         sorted(edge for edges in combo for edge in edges)
         for combo in itertools.product(
-            *map(scoring._group_alignments, scoring._stem_groups(cand, ref))
+            *map(scoring._group_alignments, _stem_groups(cand, ref))
         )
     )
     return min(
         alignments,
         key=lambda pairs: (_crossings(pairs), scoring._chunk_count(pairs), pairs),
     )
+
+
+def _price(edge_pairs, m):
+    """crossings * m - adjacencies over pairs of position-disjoint edges,
+    summed one pair at a time: the reference for scoring._prices."""
+    return sum(scoring._prices((e1,), ((e2,),), m)[0] for e1, e2 in edge_pairs)
 
 
 STOPWORDS = ["the", "of", "and", "a", "to", "in", "is"]
@@ -348,7 +372,7 @@ class TestPricedSearch:
         while sum(by_ambiguous.values()) < 1500:
             cand = _stopword_text(rng)
             ref = _stopword_text(rng)
-            counts = [scoring._group_alignment_count(g) for g in scoring._stem_groups(cand, ref)]
+            counts = [scoring._group_alignment_count(g) for g in _stem_groups(cand, ref)]
             if math.prod(counts) > 2000:
                 continue
             by_ambiguous[min(sum(1 for n in counts if n > 1), 3)] += 1
@@ -370,7 +394,7 @@ class TestPricedSearch:
             adjacent = sum(1 for c, r in pairs if (c + 1, r + 1) in edges)
             assert scoring._chunk_count(pairs) == m - adjacent, pairs
             rng.shuffle(pairs)
-            price = scoring._price(itertools.combinations(pairs, 2), m)
+            price = _price(itertools.combinations(pairs, 2), m)
             assert price == _crossings(pairs) * m - adjacent, pairs
 
 
@@ -462,7 +486,7 @@ class TestAlignShapes:
         checked = 0
         while checked < 400:
             cand, ref = _stopword_text(rng)[:10], _stopword_text(rng)[:10]
-            counts = [scoring._group_alignment_count(g) for g in scoring._stem_groups(cand, ref)]
+            counts = [scoring._group_alignment_count(g) for g in _stem_groups(cand, ref)]
             if math.prod(counts) > 2000:
                 continue
             self._check(cand, ref, oracle=len(cand) <= 7 and len(ref) <= 7)
@@ -821,6 +845,228 @@ class TestHuMeteorPerPair:
                  _pe("Why?", "")]
         hu_meteor(preds, golds, "QA")
         assert len(calls) == len(golds) + len(preds)
+
+
+def _stopword_claim(rng):
+    """One claim's gold and predicted items, stopword-heavy: most golds
+    have a paraphrased prediction, some predictions match no gold, and a
+    prediction or a gold item may appear twice."""
+    golds, preds = [], []
+    for _ in range(rng.randint(1, 6)):
+        (pq, gq), (pa, ga) = _qa_pair(rng), _qa_pair(rng)
+        golds.append(_qa(gq, ga))
+        if rng.random() < 0.7:
+            preds.append(_pe(pq, pa))
+    for _ in range(rng.randint(0, 4)):
+        preds.append(_pe(_qa_pair(rng)[0], _qa_pair(rng)[0]))
+    rng.shuffle(preds)
+    if preds and rng.random() < 0.3:
+        preds.insert(rng.randrange(len(preds)), rng.choice(preds))
+    if rng.random() < 0.2:
+        golds.insert(rng.randrange(len(golds)), rng.choice(golds))
+    return golds, preds
+
+
+# computed with the full matrix, every pair aligned
+PINNED_HU_METEOR_SHA256 = "044398bc745a10bf1cb3a9875d8692349b38521ac09058cba6589bfac09ff3c3"
+
+
+def test_hu_meteor_pinned():
+    """repr of hu_meteor in both modes over 300 seeded stopword-heavy
+    claims, hashed, so a matching that moves any score, even in its last
+    digit, fails."""
+    rng = random.Random(26_300)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        golds, preds = _stopword_claim(rng)
+        for mode in ("Q_only", "QA"):
+            digest.update(repr(hu_meteor(preds, golds, mode)).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_HU_METEOR_SHA256
+
+
+def _assert_bound(cand, ref):
+    """meteor_lite never exceeds _meteor_bound, which equals it, and says
+    so, exactly when at most one token pair matches."""
+    bound, exact = scoring._meteor_bound(cand, ref)
+    score = meteor_lite(cand, ref)
+    m = len(_first_occurrence_align(cand, ref))  # every alignment has m pairs
+    assert score <= bound, (cand, ref)
+    assert exact == (m <= 1), (cand, ref)
+    if exact:
+        assert bound == score, (cand, ref)
+    return m
+
+
+class TestMeteorBound:
+    def test_holds_on_pinned_pairs(self):
+        rng = random.Random(24_2000)
+        matches = collections.Counter()
+        for _ in range(2000):
+            m = _assert_bound(*_qa_pair(rng))
+            matches[min(m, 2)] += 1
+        assert min(matches.values()) >= 5  # m = 0, m = 1 and m > 1 all occur
+
+    def test_holds_past_the_budget(self, caplog):
+        rng = random.Random(26_100_000)
+        cases = 0
+        while cases < 60:
+            words = [f"w{i}" for i in range(rng.randint(7, 12))]
+            cand = [w + rng.choice(["", "", "s"]) for w in words for _ in range(rng.randint(1, 3))]
+            ref = [w + rng.choice(["", "", "s"]) for w in words for _ in range(rng.randint(2, 4))]
+            rng.shuffle(cand)
+            rng.shuffle(ref)
+            counts = [scoring._group_alignment_count(g) for g in _stem_groups(cand, ref)]
+            if math.prod(counts) <= scoring._ALIGN_BUDGET:
+                continue
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="claimcheck.scoring"):
+                _assert_bound(cand, ref)
+            assert caplog.records  # the first-alignment fallback was scored
+            cases += 1
+
+    def test_exact_with_at_most_one_match(self):
+        for cand, ref in [("", ""), ("a b", ""), ("cats dogs", "the dog"), ("running", "run"),
+                          ("the the", "a the"), ("x-ray", "?"), ("of", "of of of")]:
+            assert _assert_bound(cand, ref) <= 1, (cand, ref)
+
+
+class TestMeteorBoundOnAlignShapes(TestAlignShapes):
+    """TestAlignShapes' inputs, each checked against the bound instead,
+    which aligns them once, as TestAlignShapes' _check does."""
+
+    def _check(self, cand, ref, oracle=True):
+        _assert_bound(cand, ref)
+
+
+def _full_matrix_match(preds, golds, mode):
+    """hungarian_max over the matrix with every pair aligned."""
+    def text(item):
+        return item.question if mode == "Q_only" else f"{item.question} {item.answer}"
+
+    return hungarian_max([[meteor_lite(text(p), text(g)) for g in golds] for p in preds])
+
+
+def _lazy_match(monkeypatch, preds, golds, mode):
+    """hu_meteor's score and what its one hungarian_max call returned."""
+    results = []
+
+    def capturing(matrix):
+        results.append(hungarian_max(matrix))
+        return results[-1]
+
+    monkeypatch.setattr(scoring, "hungarian_max", capturing)
+    score = hu_meteor(preds, golds, mode)
+    monkeypatch.undo()
+    [result] = results
+    return score, result
+
+
+UNMATCHED = ["zebra yacht", "quartz", "", "?!"]  # share no word with the texts below
+
+
+def _tied_claim(rng):
+    """A claim shaped to force ties: texts drawn from a small pool, so
+    predictions repeat and gold items are identical; texts that match
+    nothing, so whole rows or columns are zero; and one row, one column,
+    tall and wide shapes."""
+    n_pred, n_gold = rng.choice([
+        (1, rng.randint(1, 6)), (rng.randint(1, 6), 1),  # 1 x n and n x 1
+        (rng.randint(4, 7), rng.randint(1, 3)), (rng.randint(1, 3), rng.randint(4, 7)),  # tall, wide
+        (rng.randint(2, 5),) * 2,
+    ])
+    pool = [_qa_pair(rng) for _ in range(rng.randint(1, 3))]
+
+    def item(make, side):
+        if rng.random() < 0.15:
+            return make(rng.choice(UNMATCHED), rng.choice(UNMATCHED))
+        pair = rng.choice(pool)
+        return make(pair[side], rng.choice(pool)[side] if rng.random() < 0.5 else "")
+
+    return [item(_qa, 1) for _ in range(n_gold)], [item(_pe, 0) for _ in range(n_pred)]
+
+
+class TestLazyMatrix:
+    """hu_meteor fills its matrix with _meteor_bound's upper bounds and
+    aligns only the pairs the matching may take: its one hungarian_max
+    call must return what the matrix with every pair aligned gives."""
+
+    @pytest.mark.parametrize("mode", ["Q_only", "QA"])
+    def test_equals_full_matrix_with_forced_ties(self, monkeypatch, mode):
+        rng = random.Random(f"tied-{mode}")
+        shapes = collections.Counter()
+        for _ in range(300):
+            golds, preds = _tied_claim(rng)
+            score, (pairs, total) = _lazy_match(monkeypatch, preds, golds, mode)
+            assert (pairs, total) == _full_matrix_match(preds, golds, mode), (preds, golds)
+            assert score == total / len(golds)
+            shapes[(len(preds) > len(golds)) - (len(preds) < len(golds))] += 1
+        assert min(shapes.values()) >= 50  # tall, square and wide
+
+    @pytest.mark.parametrize("mode", ["Q_only", "QA"])
+    def test_equals_full_matrix_per_pair_cases(self, monkeypatch, mode):
+        # TestHuMeteorPerPair's claims, pairs compared as well as totals
+        rng = random.Random(f"hu-meteor-{mode}")
+        for _ in range(150):
+            pool = [(_qa_text(rng), _qa_text(rng)) for _ in range(rng.randint(1, 5))]
+            golds = [_qa(*rng.choice(pool)) for _ in range(rng.randint(1, 5))]
+            preds = [_pe(*rng.choice(pool)) for _ in range(rng.randint(1, 6))]
+            _score, result = _lazy_match(monkeypatch, preds, golds, mode)
+            assert result == _full_matrix_match(preds, golds, mode), (preds, golds)
+
+    @pytest.mark.parametrize("seed, trials, low, wide", [(90125, 300, 0, False), (7733, 400, -1, True)])
+    def test_tighten_on_hungarian_oracle_cases(self, seed, trials, low, wide):
+        # TestHungarian's brute-force matrices as the exact values, behind
+        # random upper bounds, some cells given exact from the start
+        rng = np.random.default_rng(seed)
+        bounds_rng = random.Random(seed)
+        loose_left = 0
+        for trial in range(trials):
+            if wide:
+                rows = int(rng.integers(2, 6))
+                cols = int(rng.integers(rows + 1, 7))
+                arr = rng.integers(low, 3, size=(rows, cols)).astype(np.float64) / 4.0
+                if trial % 2:
+                    arr = arr.T.copy()
+            else:
+                rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+                arr = rng.integers(0, 20, size=(rows, cols)).astype(np.float64) / 4.0
+            bounds = [
+                [(x, True) if bounds_rng.random() < 0.2 else (x + bounds_rng.randint(0, 8) / 4, False)
+                 for x in row]
+                for row in arr.tolist()
+            ]
+            exact = []
+
+            def aligned(i, j):
+                exact.append((i, j))
+                return float(arr[i, j])
+
+            matrix = scoring._tighten(bounds, aligned)
+            assert hungarian_max(matrix) == _oracle_hungarian(arr), f"trial {trial}"
+            assert len(exact) == len(set(exact))
+            loose_left += sum(not e for row in bounds for _b, e in row) - len(exact)
+        assert loose_left > trials  # cells were left as bounds
+
+    def test_meteor_call_count_pinned(self, monkeypatch):
+        """The pairs aligned over 100 seeded claims in both modes: a looser
+        bound aligns more, a loop that stops before every tight pair is
+        exact aligns fewer."""
+        calls = []
+        real = scoring.meteor_lite
+
+        def counting(cand, ref):
+            calls.append((cand, ref))
+            return real(cand, ref)
+
+        monkeypatch.setattr(scoring, "meteor_lite", counting)
+        rng = random.Random(26_100)
+        pairs = 0
+        for _ in range(100):
+            golds, preds = _stopword_claim(rng)
+            for mode in ("Q_only", "QA"):
+                hu_meteor(preds, golds, mode)
+                pairs += len(golds) * len(preds)
+        assert (len(calls), pairs) == (1535, 4076)
 
 
 def _gold_claim(cid, label, qas):
