@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .appendlog import AppendLog
 from .config import AppConfig, load_app_config
 from .corpus import (Claim, claim_id_field, json_record, json_type, load_dataset,
-                     load_knowledge_store, repeated_ids)
+                     load_knowledge_store, repeated_ids, store_file_id)
 from .dense import EmbeddingCache
 from .errors import ClaimCheckError, ConfigError, ValidationError
 from .generator import (
@@ -29,7 +29,7 @@ from .generator import (
     prediction_record,
     run_generation,
 )
-from .retriever import RetrievalResult, retrieve
+from .retriever import PoolFile, RetrievalResult, pool_key, read_pool, retrieve
 from .scoring import averitec_score, load_predictions
 from .verdict import ensemble, final_label, likert_softmax, load_external_probs
 
@@ -70,13 +70,41 @@ def _select_claims(claims: list[Claim], spec: str | None) -> list[Claim]:
 
 
 def _retrieve_claim(cfg: AppConfig, claim: Claim) -> RetrievalResult:
-    """Retrieve from the claim's documents, through its embedding cache if any."""
-    store = load_knowledge_store(cfg.paths.knowledge_store, claim.id, cfg.paths.cache_dir)
-    cache = None
-    if cfg.paths.cache_dir:
-        os.makedirs(cfg.paths.cache_dir, exist_ok=True)
-        cache = EmbeddingCache(os.path.join(cfg.paths.cache_dir, f"emb_{claim.id}.cache"))
-    return retrieve(claim, list(store.documents), cfg.retrieval, cfg.embedding, cache)
+    """Retrieve from the claim's documents, through its embedding cache and
+    kept KNN pool if there is a cache dir.
+
+    When a pool is kept for the claim, its store file and the settings,
+    only the pool's documents are loaded, and the claim is retrieved in
+    full only if the pool does not resolve.
+    """
+    store_path, cache_dir = cfg.paths.knowledge_store, cfg.paths.cache_dir
+    if not cache_dir:
+        store = load_knowledge_store(store_path, claim.id)
+        return retrieve(claim, list(store.documents), cfg.retrieval, cfg.embedding)
+    pool_path = os.path.join(cache_dir, f"pool_{claim.id}.pool")
+    cache_path = os.path.join(cache_dir, f"emb_{claim.id}.cache")
+    file_id = store_file_id(store_path, claim.id)
+    kept = cache = None
+    if file_id is not None:
+        key = pool_key(claim, file_id, cfg.retrieval, cfg.embedding)
+        kept = read_pool(pool_path, key)
+    if kept is not None:
+        store = load_knowledge_store(store_path, claim.id, cache_dir, kept.offsets)
+        cache = EmbeddingCache(cache_path)
+        if store.file_id == file_id:
+            result = retrieve(claim, list(store.documents), cfg.retrieval, cfg.embedding,
+                              cache, PoolFile(pool_path, key, store.offsets, kept))
+            if result is not None:
+                return result
+    store = load_knowledge_store(store_path, claim.id, cache_dir)
+    if cache is None:
+        os.makedirs(cache_dir, exist_ok=True)
+        cache = EmbeddingCache(cache_path)
+    pool = None
+    if store.file_id is not None:
+        key = pool_key(claim, store.file_id, cfg.retrieval, cfg.embedding)
+        pool = PoolFile(pool_path, key, store.offsets)
+    return retrieve(claim, list(store.documents), cfg.retrieval, cfg.embedding, cache, pool)
 
 
 def _run_claims(claims: list[Claim], jobs: int, work):
@@ -283,22 +311,24 @@ def cmd_cache(args, cfg: AppConfig) -> int:
         print(f"{len(files)} cache files, {total} vectors total")
         return 0
     # clear: the cache files, with any older emb_{id}.jsonl and the files
-    # derived from it, the pruned orders, any older token tables, the store
-    # indexes and any temporary file a killed writer of those left
-    # (write_derived names it {path}.{pid}-{tid}.tmp); other files are not
-    # ours to remove
+    # derived from it, the kept pools, the pruned orders and token tables
+    # older versions kept (never read), the store indexes and any temporary
+    # file a killed writer of those left (write_derived names it
+    # {path}.{pid}-{tid}.tmp); other files are not ours to remove
     def matching(*patterns: str) -> list[str]:
         return [p for pattern in patterns
                 for p in glob.glob(os.path.join(cfg.paths.cache_dir, pattern))]
 
     caches = matching("emb_*")
-    orders = matching("pruned_*.order")
-    tables = matching("tokens_*.table")
-    temporary = matching("store_*.index.*.tmp", "pruned_*.order.*.tmp", "tokens_*.table.*.tmp")
-    for path in caches + orders + tables + matching("store_*.index") + temporary:
+    pools = matching("pool_*.pool")
+    older = matching("pruned_*.order", "tokens_*.table")
+    temporary = matching("store_*.index.*.tmp", "pool_*.pool.*.tmp", "pruned_*.order.*.tmp",
+                         "tokens_*.table.*.tmp")
+    for path in caches + pools + older + matching("store_*.index") + temporary:
         os.remove(path)
-    print(f"removed {len(caches)} cache files, {len(orders)} pruned orders, "
-          f"{len(tables)} older token tables and {len(temporary)} temporary files")
+    print(f"removed {len(caches)} cache files, {len(pools)} kept pools, "
+          f"{len(older)} older pruned orders and token tables and "
+          f"{len(temporary)} temporary files")
     return 0
 
 
@@ -324,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--knowledge-store", "paths.knowledge_store", "knowledge store file or directory"),
         ("--train-set", "paths.train_set", "training dataset for few-shot examples"),
         ("--cache-dir", "paths.cache_dir",
-         "directory for embedding caches, and for the store index and pruned orders "
+         "directory for embedding caches, and for the store index and kept KNN pools "
          "that speed up warm reruns"),
         ("--output-dir", "paths.output_dir", "directory for traces, predictions, reports"),
         ("--omega", "retrieval.omega", "BM25 prune size"),

@@ -27,6 +27,7 @@ import sys
 import threading
 from array import array
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -118,8 +119,13 @@ class Chunk:
 
 @dataclass(frozen=True)
 class StoreLoadResult:
+    """A claim's documents; offsets holds the byte offset of each one's
+    line in file_id's file (see store_file_id)."""
+
     documents: tuple[Document, ...]
     dropped_empty: int
+    offsets: tuple[int, ...] = ()
+    file_id: tuple | None = None
 
 
 def load_json(path: str, what: str):
@@ -248,8 +254,13 @@ def read_derived(path: str, fmt: str, parse):
     except FileNotFoundError:
         return None
     except (OSError, ValidationError) as exc:
-        log.info("ignoring derived file %s: %s", path, exc)
+        ignore_derived(path, exc)
         return None
+
+
+def ignore_derived(path: str, reason) -> None:
+    """Log that the derived file at path is ignored, and why."""
+    log.info("ignoring derived file %s: %s", path, reason)
 
 
 def _derived(fmt: str, payload: bytes, parse, header: dict):
@@ -353,8 +364,25 @@ def _store_file_for_claim(path: str, claim_id: int) -> str | None:
     return None
 
 
+def _file_id(path: str, st: os.stat_result) -> tuple:
+    return (os.path.realpath(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def store_file_id(path: str, claim_id: int) -> tuple | None:
+    """The file_id that a load of claim_id's documents from the store at
+    path reports while its file stays as it is: the file's resolved path,
+    device, inode, size and mtime_ns. None when there is no such file."""
+    target = _store_file_for_claim(path, claim_id) if os.path.isdir(path) else path
+    if target is None:
+        return None
+    try:
+        return _file_id(target, os.stat(target))
+    except OSError:
+        return None
+
+
 def load_knowledge_store(
-    path: str, claim_id: int, index_dir: str | None = None
+    path: str, claim_id: int, index_dir: str | None = None, offsets: Iterable[int] | None = None
 ) -> StoreLoadResult:
     """Load the documents for one claim from a knowledge store.
 
@@ -372,26 +400,40 @@ def load_knowledge_store(
     the line (by number in a per-claim file, by byte offset in a
     combined one) and the claim; in a combined file, a line with an
     ill-typed claim_id fails every claim's load.
-    """
-    if os.path.isdir(path):
-        target = _store_file_for_claim(path, claim_id)
-        if target is None:
-            log.warning("no knowledge store file for claim %d under %s", claim_id, path)
-            return StoreLoadResult(documents=(), dropped_empty=0)
-        lines = _store_lines(target)
-    else:
-        target = path
-        lines = _combined_store_lines(path, claim_id, index_dir)
 
+    With offsets given, byte offsets of lines of the claim's file (as an
+    earlier load's StoreLoadResult.offsets held them), only the lines at
+    those offsets are read, and no offset index. An offset that does not
+    start a line, or whose line fails to decode or check, is another
+    claim's or has no sentence, gives no document and no error: such
+    offsets come from a derived file, which the caller checks against the
+    documents returned.
+    """
+    combined = not os.path.isdir(path)
+    target = path if combined else _store_file_for_claim(path, claim_id)
+    if target is None:
+        log.warning("no knowledge store file for claim %d under %s", claim_id, path)
+        return StoreLoadResult(documents=(), dropped_empty=0)
     parse = partial(_store_document, claim_id)
-    parsed = [json_record(target, f"{where}: claim {claim_id}", obj, parse)
-              for where, obj in lines]
-    found = [doc for doc in parsed if doc is not None]
-    documents = [Document(url=url, sentences=sentences) for url, sentences in found if sentences]
-    dropped = len(found) - len(documents)
+    with open(target, "rb") as fh:
+        file_id = _file_id(target, os.fstat(fh.fileno()))
+        if offsets is not None:
+            found = list(_documents_at(target, fh, offsets, parse))
+        else:
+            if combined:
+                lines = _combined_store_lines(path, fh, file_id, claim_id, index_dir)
+            else:
+                lines = _store_lines(target, fh)
+            found = [(offset, json_record(target, f"{where}: claim {claim_id}", obj, parse))
+                     for where, offset, obj in lines]
+    found = [(offset, doc) for offset, doc in found if doc is not None]
+    kept = [(offset, Document(url=url, sentences=sentences))
+            for offset, (url, sentences) in found if sentences]
+    dropped = len(found) - len(kept)
     if dropped:
         log.info("claim %d: dropped %d empty documents", claim_id, dropped)
-    return StoreLoadResult(documents=tuple(documents), dropped_empty=dropped)
+    return StoreLoadResult(documents=tuple(doc for _offset, doc in kept), dropped_empty=dropped,
+                           offsets=tuple(offset for offset, _doc in kept), file_id=file_id)
 
 
 def _store_document(claim_id: int, obj: dict) -> tuple[str, tuple[str, ...]] | None:
@@ -426,11 +468,26 @@ def _parsed_lines(path: str, fh):
         offset += len(raw)
 
 
-def _store_lines(path: str):
-    """("line N", object) for every non-blank line of a store file, in order."""
-    with open(path, "rb") as fh:
-        for lineno, _offset, obj in _parsed_lines(path, fh):
-            yield f"line {lineno}", obj
+def _store_lines(path: str, fh):
+    """("line N", byte offset, object) for every non-blank line of a store file, in order."""
+    for lineno, offset, obj in _parsed_lines(path, fh):
+        yield f"line {lineno}", offset, obj
+
+
+def _documents_at(path: str, fh, offsets: Iterable[int], parse):
+    """(offset, parse(object)) for each of offsets that starts a line of
+    fh whose object parse takes; any other offset is skipped."""
+    for offset in offsets:
+        fh.seek(max(offset - 1, 0))
+        if offset and fh.read(1) != b"\n":
+            continue
+        where = f"byte {offset}"
+        try:
+            obj = json_line(path, where, fh.readline())
+            if obj is not None:
+                yield offset, json_record(path, where, obj, parse)
+        except ValidationError:
+            continue
 
 
 @dataclass(frozen=True)
@@ -526,8 +583,10 @@ def _load_store_index(path: str, resolved: str, file_key) -> _StoreIndex | None:
     return read_derived(path, STORE_INDEX_FORMAT, parse)
 
 
-def _combined_store_lines(path: str, claim_id: int, index_dir: str | None = None):
-    """("byte N", object) for claim_id's and the shared lines of a combined store.
+def _combined_store_lines(path: str, fh, file_id: tuple, claim_id: int,
+                          index_dir: str | None = None):
+    """("byte N", byte offset, object) for claim_id's and the shared lines
+    of the combined store open as fh, whose file_id is given.
 
     The first load of a file state in the process reads its offset index
     from index_dir, if kept there for this state, or else parses the
@@ -535,26 +594,23 @@ def _combined_store_lines(path: str, claim_id: int, index_dir: str | None = None
     concurrent loads build it once. Each load then seeks to its claim's
     lines and parses only those.
     """
-    resolved = os.path.realpath(path)
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        file_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-        with _store_index_lock:
-            index = _store_indexes.get(resolved)
-            if index is None or index.file_key != file_key:
-                kept = None if index_dir is None else store_index_path(index_dir, resolved)
-                index = None if kept is None else _load_store_index(kept, resolved, file_key)
-                if index is None:
-                    index = _index_store(path, fh, file_key)
-                    if kept is not None:
-                        _save_store_index(kept, resolved, index)
-                _store_indexes[resolved] = index
-        for offset in heapq.merge(index.by_claim.get(claim_id, ()), index.shared):
-            fh.seek(offset)
-            where = f"byte {offset}"
-            obj = json_line(path, where, fh.readline())
-            if obj is not None:
-                yield where, obj
+    resolved, file_key = file_id[0], file_id[1:]
+    with _store_index_lock:
+        index = _store_indexes.get(resolved)
+        if index is None or index.file_key != file_key:
+            kept = None if index_dir is None else store_index_path(index_dir, resolved)
+            index = None if kept is None else _load_store_index(kept, resolved, file_key)
+            if index is None:
+                index = _index_store(path, fh, file_key)
+                if kept is not None:
+                    _save_store_index(kept, resolved, index)
+            _store_indexes[resolved] = index
+    for offset in heapq.merge(index.by_claim.get(claim_id, ()), index.shared):
+        fh.seek(offset)
+        where = f"byte {offset}"
+        obj = json_line(path, where, fh.readline())
+        if obj is not None:
+            yield where, offset, obj
 
 
 def chunk_document(doc: Document, max_chars: int) -> list[Chunk]:

@@ -11,23 +11,19 @@ BM25 and the mock embedder count tokens with numpy instead of looking up
 each one in a dict. numpy is imported when a table is first built: the
 tokenizer alone, which scoring uses, loads none.
 
-BM25's pruned order, a claim's top-omega chunk ordinals, also has a byte
-form (pruned_order_record, parse_pruned), which a warm retrieval keeps in
-a derived file (corpus.read_derived) so that a rerun over the same claim,
-omega and chunk texts ranks nothing again. It is keyed by prune_key.
+A warm rerun does not rank again: it re-selects from the KNN pool that
+retrieval kept (retriever.PoolFile), whose key names POOL_VERSION, bumped
+when tokenize's or bm25_top's output changes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import string
-import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .corpus import count_field, str_field
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -46,14 +42,6 @@ def tokenize(text: str) -> list[str]:
     table turns every byte outside [a-z0-9] into a separator.
     """
     return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
-
-
-# Bump whenever tokenize's or bm25_top's output changes: the two decide
-# BM25's pruned order, so orders ranked by older code are then ignored
-# (tests/test_lexical.py pins the output of both).
-PRUNE_VERSION = 1
-
-PRUNED_ORDER_FORMAT = "claimcheck-pruned-order/1"
 
 
 class _Vocabulary(dict):
@@ -237,46 +225,3 @@ def bm25_top(
 
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return [(ordinal, score) for ordinal, score in ranked if score > 0.0][:omega]
-
-
-def prune_key(claim_text: str, omega: int, texts: Sequence[str]) -> str:
-    """sha256 of what BM25's pruned order depends on: PRUNE_VERSION,
-    omega, the claim text and each chunk text.
-
-    Each part is hashed as its UTF-8 byte length, then its bytes, so
-    texts that concatenate alike but split differently differ. Lone
-    surrogates, which a JSON store's escapes can hold, hash as their own
-    bytes.
-    """
-    digest = hashlib.sha256()
-    for part in (str(PRUNE_VERSION), str(omega), claim_text, *texts):
-        data = part.encode("utf-8", "surrogatepass")
-        digest.update(len(data).to_bytes(8, "little"))
-        digest.update(data)
-    return digest.hexdigest()
-
-
-def pruned_order_record(key: str, ordinals: Sequence[int]) -> tuple[dict, bytes]:
-    """The header and payload of a pruned order (see parse_pruned)."""
-    return {"key": key, "count": len(ordinals)}, struct.pack(f"<{len(ordinals)}i", *ordinals)
-
-
-def parse_pruned(key: str, chunk_count: int, header: dict, payload: bytes) -> list[int]:
-    """The ordinals of a pruned order, checked to be keyed by key (see
-    prune_key) and to index chunk_count chunks.
-
-    The payload is the ordinals in rank order as little-endian int32; an
-    empty order, when no chunk matched the claim, is valid. Anything that
-    does not check out is a ValidationError.
-    """
-    if str_field(header, "key") != key:
-        raise ValidationError("the order of another claim text, omega, chunk texts or version")
-    count = count_field(header, "count")
-    if len(payload) != 4 * count:
-        raise ValidationError(f"payload of {len(payload)} bytes, not {count} ordinals")
-    ordinals = list(struct.unpack(f"<{count}i", payload))
-    if len(set(ordinals)) != count:
-        raise ValidationError("an ordinal is repeated")
-    if ordinals and not 0 <= min(ordinals) <= max(ordinals) < chunk_count:
-        raise ValidationError(f"an ordinal lies outside the {chunk_count} chunks")
-    return ordinals

@@ -42,6 +42,11 @@ def cache_batches(path) -> list[tuple[dict, bytes]]:
         data = data[size:]
     return batches
 
+def file_state(directory):
+    """Each file's bytes and st_mtime_ns, by name."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in Path(directory).iterdir()}
+
+
 _real_connect = socket.socket.connect
 _LOCAL_HOSTS = {"127.0.0.1", "::1", "localhost"}
 

@@ -20,7 +20,7 @@ from claimcheck.config import DEFAULTS, load_app_config
 from claimcheck.corpus import VeracityLabel
 from claimcheck.errors import ValidationError
 
-from conftest import build_echo_script, cache_batches, echo_response_text, run_cli
+from conftest import build_echo_script, cache_batches, echo_response_text, file_state, run_cli
 
 
 @pytest.fixture(autouse=True)
@@ -1067,11 +1067,6 @@ class TestInputFiles:
         assert not (out_dir / "report.json").exists()
 
 
-def _file_state(directory):
-    """Each file's bytes and st_mtime_ns, by name."""
-    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in directory.iterdir()}
-
-
 class TestCache:
     def test_inspect_and_clear(
         self, dataset_path, knowledge_store_path, tmp_path, capsys,
@@ -1121,28 +1116,28 @@ class TestCache:
         tmp_path, monkeypatch,
     ):
         """The first warm run reads the caches and the store index and adds
-        only the pruned orders; the next reads them all and writes nothing
-        in the cache dir."""
+        only the KNN pools; the next reads them all and writes nothing in
+        the cache dir."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         cold = self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
         assert len(list(cache_dir.glob("emb_*.cache"))) == 10
         assert len(list(cache_dir.glob("store_*.index"))) == 1
-        assert not list(cache_dir.glob("pruned_*"))
-        state = _file_state(cache_dir)
+        assert not list(cache_dir.glob("pool_*"))
+        state = file_state(cache_dir)
 
         def no_index(*args):
             raise AssertionError("the store was parsed to index it")
 
         monkeypatch.setattr(corpus, "_index_store", no_index)
         warm = self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        orders = {f"pruned_{i}.order" for i in range(10)}
-        written = _file_state(cache_dir)
-        assert set(written) == set(state) | orders
+        pools = {f"pool_{i}.pool" for i in range(10)}
+        written = file_state(cache_dir)
+        assert set(written) == set(state) | pools
         assert {name: written[name] for name in state} == state
         state = written
         again = self._verify(paths, cache_dir, tmp_path / "again", monkeypatch)
-        assert _file_state(cache_dir) == state
+        assert file_state(cache_dir) == state
         assert cold == warm == again
         assert (tmp_path / "warm" / "verify_progress.jsonl").read_bytes() == (
             tmp_path / "again" / "verify_progress.jsonl").read_bytes()
@@ -1152,35 +1147,38 @@ class TestCache:
         tmp_path, monkeypatch, capsys,
     ):
         """inspect writes nothing and counts only the caches' vectors; clear
-        removes the caches, the files of the older JSON-lines form and the
-        older token tables (never read), the pruned orders, the store index
-        and the temporary files their writers left, and no other file."""
+        removes the caches, the files of the older JSON-lines form, the
+        older pruned orders and token tables (never read), the KNN pools,
+        the store index and the temporary files their writers left, and no
+        other file."""
         paths = (dataset_path, knowledge_store_path, train_set_path, echo_script_path)
         cache_dir = tmp_path / "cache"
         self._verify(paths, cache_dir, tmp_path / "cold", monkeypatch)
         assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
         vectors = capsys.readouterr().out.splitlines()[-1]
         self._verify(paths, cache_dir, tmp_path / "warm", monkeypatch)
-        assert len(list(cache_dir.glob("pruned_*.order"))) == 10
+        assert len(list(cache_dir.glob("pool_*.pool"))) == 10
         (cache_dir / "emb_0.jsonl").write_text(
             json.dumps({"key": "k", "dim": 1, "f64": "AAAAAAAA8D8="}) + "\n")
         (cache_dir / "emb_0.jsonl.snapshot").write_bytes(b"derived from emb_0.jsonl")
         (cache_dir / "store_0.index.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "pool_0.pool.123-456.tmp").write_bytes(b"left by a killed writer")
+        (cache_dir / "pruned_0.order").write_bytes(b"kept by an older version")
         (cache_dir / "pruned_0.order.123-456.tmp").write_bytes(b"left by a killed writer")
         (cache_dir / "tokens_0.table").write_bytes(b"kept by an older version")
         (cache_dir / "tokens_0.table.123-456.tmp").write_bytes(b"left by a killed writer")
         (cache_dir / "other.tmp").write_bytes(b"another program's")
-        state = _file_state(cache_dir)
+        state = file_state(cache_dir)
         capsys.readouterr()
         assert run_cli(["cache", "inspect", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "10 cache files" in out
         assert out.splitlines()[-1] == vectors
-        assert _file_state(cache_dir) == state
+        assert file_state(cache_dir) == state
         assert run_cli(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert capsys.readouterr().out == (
-            "removed 12 cache files, 10 pruned orders, 1 older token tables "
-            "and 3 temporary files\n")
+            "removed 12 cache files, 10 kept pools, 2 older pruned orders and token tables "
+            "and 4 temporary files\n")
         assert [p.name for p in cache_dir.iterdir()] == ["other.tmp"]
 
     def test_inspect_rejects_values_line(self, tmp_path, capsys):

@@ -509,6 +509,57 @@ class TestCombinedStoreIndex:
         assert builds == []
 
 
+class TestLoadAtOffsets:
+    """A load given line offsets reads only the lines at those offsets, in
+    either layout, and reports each document's offset and the file's
+    identity; an offset that names no document of the claim gives none."""
+
+    @pytest.mark.parametrize("layout", ["combined", "directory"])
+    def test_offsets_round_trip(self, tmp_path, monkeypatch, layout):
+        rng = random.Random(11)
+        lines = _random_store_lines(rng, [1, 2], 60)
+        if layout == "combined":
+            path = tmp_path / "store.jsonl"
+            path.write_bytes(b"".join(json.dumps(o).encode() + b"\r\n" for o in lines))
+            target = path
+        else:
+            path = tmp_path / "store"
+            path.mkdir()
+            target = path / "1.jsonl"
+            _write_store(target, lines)
+        full = load_knowledge_store(path, 1)
+        assert full.file_id == corpus.store_file_id(str(path), 1)
+        assert full.file_id[0] == os.path.realpath(target)
+        data = target.read_bytes()
+        for offset in full.offsets:
+            assert offset == 0 or data[offset - 1 : offset] == b"\n"
+        picked = list(full.offsets[::3])
+        parses = _count_calls(monkeypatch, "json_line")
+        builds = _count_calls(monkeypatch, "_index_store")
+        monkeypatch.setattr(corpus, "_store_indexes", {})
+        some = load_knowledge_store(path, 1, offsets=picked)
+        assert some.offsets == tuple(picked) and some.file_id == full.file_id
+        assert some.documents == tuple(full.documents[full.offsets.index(o)] for o in picked)
+        assert len(parses) == len(picked) and builds == []
+
+    def test_an_offset_of_no_document_of_the_claim_gives_none(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        lines = [{"claim_id": 1, "url": "a", "url2text": ["One."]},
+                 {"claim_id": 2, "url": "b", "url2text": ["Two."]},
+                 {"claim_id": "2", "url": "c", "url2text": ["Ill-typed."]},
+                 {"claim_id": 1, "url": "d", "url2text": []}]
+        raw = [json.dumps(o).encode() for o in lines]
+        # a line with leading blanks decodes from a mid-line offset too
+        raw.append(b"   " + json.dumps({"url": "shared", "url2text": ["Three."]}).encode())
+        path.write_bytes(b"".join(r + b"\n" for r in raw))
+        starts = [sum(len(r) + 1 for r in raw[:i]) for i in range(len(raw))]
+        result = load_knowledge_store(path, 1, offsets=starts + [starts[0] + 1, starts[4] + 1,
+                                                           starts[4] + 2, 10**6])
+        assert result.offsets == (starts[0], starts[4])
+        assert [d.url for d in result.documents] == ["a", "shared"]
+        assert result.dropped_empty == 1
+
+
 def _doc(url, sentences):
     return Document(url=url, sentences=list(sentences))
 

@@ -690,6 +690,17 @@ class TestVectorIndexKnn:
         with pytest.raises(ValidationError, match=re.escape(message)):
             VectorIndex.build(vectors, ids)
 
+    @pytest.mark.parametrize("dim", [64, 384, 768, 1536, 3072])
+    def test_subset_rows_equal_the_full_build_rows(self, dim):
+        """A kept pool's index is built over its rows alone: normalization
+        is per row, so each row equals the full index's bit for bit."""
+        rng = np.random.default_rng(dim)
+        vectors = list(rng.normal(size=(300, dim)) * rng.uniform(0.01, 100, size=(300, 1)))
+        full = VectorIndex.build(vectors, list(range(300)))
+        rows = rng.permutation(300)[:40].tolist()
+        subset = VectorIndex.build([vectors[r] for r in rows], rows)
+        assert np.array_equal(subset.matrix, full.matrix[rows])
+
     def test_build_leaves_input_unmodified(self):
         rows = np.array([[3.0, 4.0], [0.0, 2.0]])
         before = rows.copy()

@@ -10,7 +10,6 @@ import pytest
 
 from claimcheck.errors import ValidationError
 from claimcheck.lexical import (
-    PRUNE_VERSION,
     bm25_top,
     build_index,
     encode,
@@ -18,6 +17,7 @@ from claimcheck.lexical import (
     tf_weight,
     tokenize,
 )
+from claimcheck.retriever import POOL_VERSION
 
 
 def _regex_tokens(text):
@@ -46,9 +46,9 @@ _PINNED_SAMPLE = (
 
 
 def test_tokenizer_output_is_pinned():
-    """Pruned orders ranked by one tokenizer and bm25_top are read by later
-    runs: a change to the output of either must bump PRUNE_VERSION, and
-    then these digests, so that older orders are ignored."""
+    """KNN pools found through one tokenizer and bm25_top are read by later
+    runs: a change to the output of either must bump POOL_VERSION, and
+    then these digests, so that older pools are ignored."""
     tokens = tokenize(_PINNED_SAMPLE)
     assert tokens[:8] == ["the", "u", "s", "grew", "3", "5", "in", "q2"]
     digest = hashlib.sha256(" ".join(tokens).encode("ascii")).hexdigest()
@@ -56,7 +56,7 @@ def test_tokenizer_output_is_pinned():
     docs = [tokens[i % 7 :: 1 + i % 5] + tokens[: i % 3] for i in range(40)]
     ranked = bm25_top(build_index(docs, terms=tokens[:6]), tokens[:6], omega=25)
     ranked_digest = hashlib.sha256(repr(ranked).encode("ascii")).hexdigest()
-    assert (PRUNE_VERSION, digest, ranked_digest) == (
+    assert (POOL_VERSION, digest, ranked_digest) == (
         1, "7e83e0a6af71d9b72c19f8ffbd8a8b2fd0e4f10c75cc6b926650e9bac249bea6",
         "d365c475f4c8571697d6b0cb397d16fd079661188912d98d86cda38e64747708")
 

@@ -12,22 +12,22 @@ readers.
 import builtins
 import hashlib
 import json
+import math
 import os
-from functools import partial
+import struct
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import claimcheck.corpus as corpus
-import claimcheck.lexical as lexical
+import claimcheck.retriever as retriever
 from claimcheck.appendlog import AppendLog
 from claimcheck.cli import _load_progress
-from claimcheck.corpus import chunk_document, load_dataset, load_knowledge_store
-from claimcheck.dense import EmbeddingCache
+from claimcheck.corpus import Claim, load_dataset, load_knowledge_store
+from claimcheck.dense import EmbeddingCache, EmbeddingProviderConfig
 from claimcheck.errors import ValidationError
-from claimcheck.lexical import PRUNED_ORDER_FORMAT, parse_pruned, prune_key
-from claimcheck.retriever import RetrievalConfig
+from claimcheck.retriever import RetrievalConfig, pool_key, read_pool
 
 from conftest import F64_ONE, FIXTURES, cache_batch, run_cli
 
@@ -193,8 +193,8 @@ def test_progress_line_with_boolean_claim_id_writes_no_predictions(tmp_path, cap
 
 
 # Derived files (corpus.read_derived): a cache dir's combined-store index
-# and pruned orders only save time. A fault in one is ignored: the reader
-# parses the JSON lines or tokenizes and ranks the chunks instead and
+# and kept KNN pools only save time. A fault in one is ignored: the reader
+# parses the JSON lines, or retrieves the claim in full, instead and
 # writes the file again. It must never fail a command.
 
 
@@ -241,31 +241,48 @@ def _edit_derived(payload=lambda header, payload: payload, **fields):
     return fault
 
 
-def _order_inputs():
-    """What claim 1's pruned order is keyed by: its text, the default
-    omega and its chunk texts."""
+STORE = FIXTURES / "knowledge_store.jsonl"
+
+
+def _pool_key(claim_text=None, omega=None, file_id=None, version=None):
+    """The key of claim 1's pool under the default settings, or under the
+    inputs given instead."""
     claim = load_dataset(str(FIXTURES / "dataset.json"))[1]
-    docs = load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1).documents
-    cfg = RetrievalConfig()
-    return claim.text, cfg.omega, [c.text for d in docs for c in chunk_document(d, cfg.max_chars)]
+    claim = Claim(id=claim.id, text=claim_text or claim.text)
+    cfg = RetrievalConfig(omega=omega or RetrievalConfig().omega)
+    with mock.patch.object(retriever, "POOL_VERSION", version or retriever.POOL_VERSION):
+        return pool_key(claim, file_id or corpus.store_file_id(str(STORE), 1), cfg,
+                        EmbeddingProviderConfig())
 
 
-def _other_key(claim_text=None, omega=None, texts=None, version=lexical.PRUNE_VERSION):
-    """A fault giving claim 1's pruned order the key of other inputs."""
-    def key(_):
-        text, default_omega, chunk_texts = _order_inputs()
-        with mock.patch.object(lexical, "PRUNE_VERSION", version):
-            return prune_key(claim_text or text, omega or default_omega, texts or chunk_texts)
-    return _edit_derived(key=key)
+def _other_key(**inputs):
+    """A fault giving claim 1's pool the key of other inputs."""
+    return _edit_derived(key=lambda _: _pool_key(**inputs))
 
 
-def _set_first_ordinal(ordinal):
-    """A pruned order's payload (little-endian int32 ordinals) whose first
-    ordinal is ordinal(chunk count)."""
-    def payload(header, data):
-        first = ordinal(len(_order_inputs()[2]))
-        return first.to_bytes(4, "little", signed=True) + data[4:]
-    return payload
+def _other_store_state(file_id):
+    resolved, dev, ino, size, mtime_ns = file_id
+    return (resolved, dev, ino, size + 1, mtime_ns + 1)
+
+
+def _line_offset(claim_id: int) -> int:
+    """The byte offset of claim_id's first line in the fixture store."""
+    offset = 0
+    for raw in STORE.read_bytes().splitlines(keepends=True):
+        if json.loads(raw).get("claim_id") == claim_id:
+            return offset
+        offset += len(raw)
+    raise AssertionError(f"no line of claim {claim_id}")
+
+
+def _set_first_entry(entry):
+    """A pool whose first entry is entry(that entry)."""
+    return _edit_derived(entries=lambda entries: [entry(entries[0])] + entries[1:])
+
+
+def _first_sim(sim: float):
+    """A pool's payload (little-endian float64 sims) whose first sim is sim."""
+    return lambda header, data: struct.pack("<d", sim) + data[8:]
 
 
 HEADER_FAULTS = {
@@ -276,18 +293,27 @@ HEADER_FAULTS = {
     "payload_length": _short_payload,
 }
 DERIVED_CASES = [
-    *((kind, name, fault) for kind in ("index", "order") for name, fault in HEADER_FAULTS.items()),
+    *((kind, name, fault) for kind in ("index", "pool") for name, fault in HEADER_FAULTS.items()),
     ("index", "stale_file_key", _edit_derived(file_key=lambda key: key[:3] + [key[3] + 1])),
     ("index", "of_another_store", _edit_derived(store=lambda path: path + ".old")),
-    ("order", "of_another_claim_text", _other_key(claim_text="another claim")),
-    ("order", "of_another_omega", _other_key(omega=RetrievalConfig().omega - 1)),
-    ("order", "of_other_texts", _other_key(texts=["other chunk"])),
-    ("order", "of_another_version", _other_key(version=lexical.PRUNE_VERSION + 1)),
-    ("order", "count_disagrees", _edit_derived(count=lambda n: n + 1)),
-    ("order", "payload_not_whole_ordinals", _edit_derived(lambda header, data: data[:-1])),
-    ("order", "ordinal_past_chunks", _edit_derived(_set_first_ordinal(lambda n: n))),
-    ("order", "ordinal_negative", _edit_derived(_set_first_ordinal(lambda n: -1))),
-    ("order", "ordinal_repeated", _edit_derived(lambda header, data: data[:4] * 2 + data[8:])),
+    ("pool", "of_another_claim_text", _other_key(claim_text="another claim")),
+    ("pool", "of_another_omega", _other_key(omega=RetrievalConfig().omega - 1)),
+    ("pool", "of_another_store_state", _other_key(
+        file_id=_other_store_state(corpus.store_file_id(str(STORE), 1)))),
+    ("pool", "of_another_version", _other_key(version=retriever.POOL_VERSION + 1)),
+    ("pool", "count_disagrees", _edit_derived(pruned_count=lambda n: n - 1)),
+    ("pool", "payload_not_whole_sims", _edit_derived(lambda header, data: data[:-1])),
+    ("pool", "offset_past_store", _set_first_entry(lambda e: [STORE.stat().st_size + 100, e[1]])),
+    ("pool", "offset_negative", _set_first_entry(lambda e: [-1, e[1]])),
+    ("pool", "entry_repeated", _edit_derived(entries=lambda entries: [entries[0]] * len(entries))),
+    ("pool", "offset_mid_line", _set_first_entry(lambda e: [e[0] + 1, e[1]])),
+    ("pool", "offset_of_another_claim", _set_first_entry(lambda e: [_line_offset(0), e[1]])),
+    ("pool", "chunk_past_document", _set_first_entry(lambda e: [e[0], e[1] + 1])),
+    ("pool", "entry_repeated_at_end", _edit_derived(
+        lambda header, data: data + data[:8], entries=lambda entries: entries + entries[:1])),
+    ("pool", "sim_not_a_number", _edit_derived(_first_sim(math.nan))),
+    ("pool", "sim_infinite", _edit_derived(_first_sim(math.inf))),
+    ("pool", "payload_extra_sim", _edit_derived(lambda header, data: data + data[:8])),
 ]
 
 
@@ -298,7 +324,7 @@ def _verify_cached(monkeypatch, tmp_path, cache_dir, out_name, echo_script_path)
     out_dir = tmp_path / out_name
     code = run_cli([
         "verify", "--dataset", str(FIXTURES / "dataset.json"),
-        "--knowledge-store", str(FIXTURES / "knowledge_store.jsonl"),
+        "--knowledge-store", str(STORE),
         "--train-set", str(FIXTURES / "train_set.json"),
         "--mock-script", str(echo_script_path), "--cache-dir", str(cache_dir),
         "--output-dir", str(out_dir),
@@ -325,8 +351,7 @@ def warm_cache(monkeypatch, tmp_path, echo_script_path):
 
 
 def _store_index_file(cache_dir):
-    store = os.path.realpath(FIXTURES / "knowledge_store.jsonl")
-    return Path(corpus.store_index_path(str(cache_dir), store))
+    return Path(corpus.store_index_path(str(cache_dir), os.path.realpath(STORE)))
 
 
 def _index_serves(monkeypatch, cache_dir) -> bool:
@@ -336,33 +361,30 @@ def _index_serves(monkeypatch, cache_dir) -> bool:
     monkeypatch.setattr(corpus, "_index_store", lambda *a: builds.append(a) or real_build(*a))
     monkeypatch.setattr(corpus, "_store_indexes", {})
     try:
-        load_knowledge_store(str(FIXTURES / "knowledge_store.jsonl"), 1, str(cache_dir))
+        load_knowledge_store(str(STORE), 1, str(cache_dir))
     finally:
         monkeypatch.setattr(corpus, "_index_store", real_build)
     return not builds
 
 
-def _order_serves(cache_dir) -> bool:
-    """Whether claim 1's pruned order is read for its text, omega and chunks."""
-    text, omega, texts = _order_inputs()
-    parse = partial(parse_pruned, prune_key(text, omega, texts), len(texts))
-    return corpus.read_derived(str(cache_dir / "pruned_1.order"), PRUNED_ORDER_FORMAT,
-                               parse) is not None
+def _pool_serves(cache_dir) -> bool:
+    """Whether claim 1's pool is read for its text, store state and settings."""
+    return read_pool(str(cache_dir / "pool_1.pool"), _pool_key()) is not None
 
 
 def _derived_file(kind, cache_dir):
-    return _store_index_file(cache_dir) if kind == "index" else cache_dir / "pruned_1.order"
+    return _store_index_file(cache_dir) if kind == "index" else cache_dir / "pool_1.pool"
 
 
 def _serves(kind, monkeypatch, cache_dir) -> bool:
-    return _index_serves(monkeypatch, cache_dir) if kind == "index" else _order_serves(cache_dir)
+    return _index_serves(monkeypatch, cache_dir) if kind == "index" else _pool_serves(cache_dir)
 
 
-def _keep_pruned_orders(monkeypatch, tmp_path, cache_dir, echo_script_path):
-    """A second verify, whose caches are warm, keeps the pruned orders."""
+def _keep_pools(monkeypatch, tmp_path, cache_dir, echo_script_path):
+    """A second verify, whose caches are warm, keeps the KNN pools."""
     code, _ = _verify_cached(monkeypatch, tmp_path, cache_dir, "warm", echo_script_path)
     assert code == 0
-    assert len(list(cache_dir.glob("pruned_*.order"))) == 10
+    assert len(list(cache_dir.glob("pool_*.pool"))) == 10
 
 
 @pytest.mark.parametrize("kind,fault,damage", DERIVED_CASES,
@@ -371,11 +393,13 @@ def test_bad_derived_file_is_ignored_and_rebuilt(
     monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache, kind, fault, damage
 ):
     cache_dir = warm_cache
-    if kind == "order":
-        _keep_pruned_orders(monkeypatch, tmp_path, cache_dir, echo_script_path)
+    if kind == "pool":
+        _keep_pools(monkeypatch, tmp_path, cache_dir, echo_script_path)
     assert _serves(kind, monkeypatch, cache_dir)
     path = _derived_file(kind, cache_dir)
+    intact = path.read_bytes()
     damage(path)
+    assert path.read_bytes() != intact
     # what a run over the same caches without derived files writes
     plain = _caches_only(cache_dir, tmp_path / "plain_cache")
     code, expected = _verify_cached(monkeypatch, tmp_path, plain, "plain", echo_script_path)
@@ -391,6 +415,7 @@ def test_bad_derived_file_is_ignored_and_rebuilt(
     assert predictions == expected
     assert f"ignoring derived file {path}: " in caplog.text
     assert _serves(kind, monkeypatch, cache_dir)
+    assert path.read_bytes() == intact
     for cache in plain.iterdir():
         assert (cache_dir / cache.name).read_bytes() == cache.read_bytes()
 
@@ -399,12 +424,12 @@ def test_read_only_cache_dir_writes_no_derived_file(
     monkeypatch, tmp_path, capsys, caplog, echo_script_path, warm_cache
 ):
     """Where a cache dir cannot be written, warm runs read the caches,
-    parse the store and rank the chunks as if no derived file had ever
-    been kept."""
+    parse the store and retrieve each claim in full as if no derived file
+    had ever been kept."""
     cache_dir = warm_cache
-    _keep_pruned_orders(monkeypatch, tmp_path, cache_dir, echo_script_path)
-    for order in cache_dir.glob("pruned_*.order"):
-        order.unlink()
+    _keep_pools(monkeypatch, tmp_path, cache_dir, echo_script_path)
+    for pool in cache_dir.glob("pool_*.pool"):
+        pool.unlink()
     _store_index_file(cache_dir).unlink()
     expected = (tmp_path / "cold" / "predictions.json").read_bytes()
 
@@ -427,5 +452,5 @@ def test_read_only_cache_dir_writes_no_derived_file(
     assert "Traceback" not in err
     assert predictions == expected
     assert sorted(p.name for p in cache_dir.iterdir()) == [f"emb_{i}.cache" for i in range(10)]
-    for kind in ("index", "order"):
+    for kind in ("index", "pool"):
         assert f"not writing derived file {_derived_file(kind, cache_dir)}: " in caplog.text

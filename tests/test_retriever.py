@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import os
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from claimcheck.dense import (
 )
 from claimcheck.errors import ConfigError, ProviderError
 from claimcheck.lexical import bm25_top, build_index, tokenize
-from claimcheck.retriever import retrieve, RetrievalConfig
+from claimcheck.retriever import PoolFile, RetrievalConfig, pool_key, read_pool, retrieve
 
 MOCK = EmbeddingProviderConfig(kind="mock")
 
@@ -329,129 +332,155 @@ class TestTokensOnce:
         assert calls["dense"] == []
 
 
-class TestPrunedOrder:
-    """A warm run keeps BM25's pruned order in pruned_{id}.order next to
-    the embedding cache; the next warm run with the same claim text,
-    omega and chunk texts reads it instead of tokenizing and ranking."""
+class TestKeptPool:
+    """A warm run keeps its KNN pool in pool_{id}.pool next to the
+    embedding cache; a rerun under the same key re-selects from it: it
+    chunks only the pool's documents and neither tokenizes, ranks, embeds
+    nor searches. Here the documents' line offsets are their positions."""
 
     CFG = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=4)
 
+    @staticmethod
+    def _pool_file(tmp_path, claim, docs, cfg=CFG, model=MOCK):
+        key = pool_key(claim, ("docs",), cfg, model)
+        return PoolFile(str(tmp_path / f"pool_{claim.id}.pool"), key, tuple(range(len(docs))))
+
+    @staticmethod
+    def _reselect(claim, docs, pool, cache, cfg=CFG, model=MOCK):
+        """retrieve from the pool kept at pool.path, given only its documents."""
+        kept = read_pool(pool.path, pool.key)
+        assert kept is not None
+        return retrieve(claim, [docs[o] for o in kept.offsets], cfg, model, cache,
+                        PoolFile(pool.path, pool.key, kept.offsets, kept))
+
     def _runs(self, tmp_path, claim, docs, n=3):
         """n retrievals through one cache: the first cold, the second
-        writing the pruned order, the rest reading it."""
+        keeping the pool, the rest re-selecting from it."""
         cache = EmbeddingCache(str(tmp_path / f"emb_{claim.id}.cache"))
-        return cache, [retrieve(claim, docs, self.CFG, MOCK, cache) for _ in range(n)]
+        pool = self._pool_file(tmp_path, claim, docs)
+        runs = [retrieve(claim, docs, self.CFG, MOCK, cache, pool) for _ in range(min(n, 2))]
+        runs += [self._reselect(claim, docs, pool, cache) for _ in range(n - 2)]
+        return cache, pool, runs
 
     @staticmethod
     def _count(monkeypatch) -> dict[str, list]:
-        """_count_tokenize's texts, and the arguments of each bm25_top call
-        through retriever's name."""
+        """_count_tokenize's texts, and the arguments of each bm25_top,
+        embed_cached and knn call and the document of each chunk_document
+        call through retriever's names."""
         calls = _count_tokenize(monkeypatch)
-        ranked = calls["bm25_top"] = []
-        real = retriever.bm25_top
-        monkeypatch.setattr(retriever, "bm25_top", lambda *a: ranked.append(a) or real(*a))
+        for name in ("bm25_top", "embed_cached", "knn", "chunk_document"):
+            made = calls[name] = []
+            real = getattr(retriever, name)
+            monkeypatch.setattr(retriever, name,
+                                lambda *a, _real=real, _made=made: _made.append(a) or _real(*a))
         return calls
 
-    def test_second_warm_run_neither_tokenizes_nor_ranks(
+    def test_reselection_neither_tokenizes_ranks_embeds_nor_searches(
         self, knowledge_store_path, claims, tmp_path, monkeypatch
     ):
         for claim in claims:
             docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
-            cache, _ = self._runs(tmp_path, claim, docs, 2)
-            assert (tmp_path / f"pruned_{claim.id}.order").exists()
+            cache, pool, _ = self._runs(tmp_path, claim, docs, 2)
+            kept = read_pool(pool.path, pool.key)
             calls = self._count(monkeypatch)
-            retrieve(claim, docs, self.CFG, MOCK, cache)
-            assert calls == {"retriever": [], "dense": [], "bm25_top": []}
+            self._reselect(claim, docs, pool, cache)
+            chunked = [a[0] for a in calls.pop("chunk_document")]
+            assert chunked == [docs[o] for o in kept.offsets]
+            assert calls == {"retriever": [], "dense": [], "bm25_top": [], "embed_cached": [],
+                             "knn": []}
             monkeypatch.undo()
 
-    def test_warm_runs_equal_the_cold_path(self, knowledge_store_path, claims, tmp_path):
-        """Sources and traces alike."""
+    def test_reselection_equals_the_cold_path(self, knowledge_store_path, claims, tmp_path):
+        """Sources and traces alike, for every k and lambda the pool allows."""
         for claim in claims:
             docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
-            plain = retrieve(claim, docs, self.CFG, MOCK)
-            _, runs = self._runs(tmp_path, claim, docs)
-            assert runs == [plain] * 3
+            cache, pool, runs = self._runs(tmp_path, claim, docs)
+            assert runs == [retrieve(claim, docs, self.CFG, MOCK)] * 3
+            for k in (1, 3, 8):
+                for lambda_ in (0.0, 0.6, 1.0):
+                    cfg = RetrievalConfig(max_chars=200, omega=50, pool_size=8, k=k,
+                                          lambda_=lambda_)
+                    assert self._reselect(claim, docs, pool, cache, cfg) == retrieve(
+                        claim, docs, cfg, MOCK)
 
-    def test_changed_claim_text_or_omega_is_ranked_again(
-        self, knowledge_store_path, claims, tmp_path, monkeypatch
-    ):
+    def test_cold_cache_keeps_no_pool(self, knowledge_store_path, claims, tmp_path):
         claim = claims[0]
         docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
-        texts = [c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)]
-        cache, _ = self._runs(tmp_path, claim, docs, 2)
-        changed = _claim(claim.text + " zyxxyq bridge", claim.id)
-        narrow = RetrievalConfig(max_chars=200, omega=8, pool_size=8, k=4)
-        for rerun, cfg in ((changed, self.CFG), (claim, narrow), (claim, self.CFG)):
-            cold = retrieve(rerun, docs, cfg, MOCK)
-            calls = self._count(monkeypatch)
-            assert retrieve(rerun, docs, cfg, MOCK, cache) == cold
-            assert calls["retriever"] == [rerun.text] + texts
-            assert len(calls["bm25_top"]) == 1
-            monkeypatch.undo()
+        _, pool, _ = self._runs(tmp_path, claim, docs, 1)
+        assert not os.path.exists(pool.path)
 
-    def test_lone_surrogate_on_the_warm_path(self, tmp_path, monkeypatch):
+    def test_lone_surrogate_on_reselection(self, tmp_path):
         docs = [
             Document(url="u", sentences=("The bridge \ud800 spans the river.",)),
             Document(url="v", sentences=("A river without a bridge.",)),
         ]
-        claim = _claim("bridge over the river")
+        claim = _claim("bridge over the river \udfff")
         plain = retrieve(claim, docs, self.CFG, MOCK)
         assert any("\ud800" in s.chunk.text for s in plain.sources)
-        cache, runs = self._runs(tmp_path, claim, docs, 2)
-        calls = self._count(monkeypatch)
-        assert retrieve(claim, docs, self.CFG, MOCK, cache) == plain
-        assert calls["retriever"] == [] and calls["bm25_top"] == []
-        assert runs == [plain, plain]
+        _, _, runs = self._runs(tmp_path, claim, docs)
+        assert runs == [plain] * 3
 
-    def test_texts_that_concatenate_alike_do_not_share_an_order(self, tmp_path, monkeypatch):
-        """Chunks "bridge ri" + "ver span" and "bridge rive" + "r span"."""
-        split_a = [Document(url="a", sentences=("bridge ri",)),
-                   Document(url="b", sentences=("ver span",))]
-        split_b = [Document(url="a", sentences=("bridge rive",)),
-                   Document(url="b", sentences=("r span",))]
-        claim = _claim("bridge ri ver span rive r")
-        cache, _ = self._runs(tmp_path, claim, split_a, 2)
-        for docs in (split_b, split_a):
-            texts = [c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)]
-            calls = self._count(monkeypatch)
-            result = retrieve(claim, docs, self.CFG, MOCK, cache)
-            assert calls["retriever"] == [claim.text] + texts
-            monkeypatch.undo()
-            assert result == retrieve(claim, docs, self.CFG, MOCK)
+    def test_parts_that_concatenate_alike_do_not_share_a_key(self):
+        """Claim 1 "2 bridge" and claim 12 " bridge"; models "ab" and "a"
+        after a store path ending in "b"."""
+        a = pool_key(_claim("2 bridge", 1), ("docs",), self.CFG, MOCK)
+        b = pool_key(_claim(" bridge", 12), ("docs",), self.CFG, MOCK)
+        assert a != b
+        claim = _claim("bridge")
+        ab = EmbeddingProviderConfig(kind="mock", model_name="ab")
+        assert pool_key(claim, ("docs",), self.CFG, ab) != pool_key(
+            claim, ("docsb",), self.CFG, EmbeddingProviderConfig(kind="mock", model_name="a"))
 
-    def test_empty_order_round_trips(self, tmp_path, monkeypatch):
-        """A warm claim that matches no chunk keeps an order of no ordinals,
-        and the next run reads it."""
+    def test_empty_pool_round_trips(self, tmp_path, monkeypatch):
+        """A warm claim that matches no chunk keeps a pool of no members,
+        and the next run re-selects from it."""
         claim = _claim("bridge over the river")
         unmatched = [Document(url="v", sentences=("Nothing here is alike.",))]
         plain = retrieve(claim, unmatched, self.CFG, MOCK)
         assert plain.sources == () and plain.trace["pruned_count"] == 0
         # one cold run over a matching chunk caches its vectors
         matching = [Document(url="u", sentences=("The bridge spans the river.",))]
-        cache, _ = self._runs(tmp_path, claim, matching, 1)
-        path = tmp_path / f"pruned_{claim.id}.order"
-        assert not path.exists()
-        assert retrieve(claim, unmatched, self.CFG, MOCK, cache) == plain
-        header, _, payload = path.read_bytes().partition(b"\n")
-        assert json.loads(header)["count"] == 0 and payload == b""
+        cache, pool, _ = self._runs(tmp_path, claim, matching, 1)
+        pool = self._pool_file(tmp_path, claim, unmatched)
+        assert not os.path.exists(pool.path)
+        assert retrieve(claim, unmatched, self.CFG, MOCK, cache, pool) == plain
+        header, _, payload = Path(pool.path).read_bytes().partition(b"\n")
+        header = json.loads(header)
+        assert (header["pruned_count"], header["entries"], payload) == (0, [], b"")
         calls = self._count(monkeypatch)
-        assert retrieve(claim, unmatched, self.CFG, MOCK, cache) == plain
-        assert calls == {"retriever": [], "dense": [], "bm25_top": []}
+        assert self._reselect(claim, unmatched, pool, cache) == plain
+        assert calls == {"retriever": [], "dense": [], "bm25_top": [], "embed_cached": [],
+                         "knn": [], "chunk_document": []}
 
-    def test_warm_order_with_a_cold_embedding_model(
-        self, knowledge_store_path, claims, tmp_path, monkeypatch
+    def test_another_embedding_model_has_another_key(
+        self, knowledge_store_path, claims, tmp_path, caplog
     ):
-        """The order is read, and the embedder, lent no token ids, tokenizes
-        the texts the cache holds no vectors of this model for."""
+        """The pool kept for one model is not read for another; given to
+        retrieve all the same, it does not resolve, as the cache holds no
+        vector of that model, and the file is logged as ignored."""
         claim = claims[0]
         docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
-        texts = {c.text for d in docs for c in chunk_document(d, self.CFG.max_chars)}
-        cache, _ = self._runs(tmp_path, claim, docs, 2)
+        cache, pool, _ = self._runs(tmp_path, claim, docs, 2)
         other = EmbeddingProviderConfig(kind="mock", model_name="mock-other")
-        cold = retrieve(claim, docs, self.CFG, other)
-        calls = self._count(monkeypatch)
-        assert retrieve(claim, docs, self.CFG, other, cache) == cold
-        assert calls["retriever"] == [] and calls["bm25_top"] == []
-        embedded = calls["dense"]
-        assert embedded[0] == claim.text and set(embedded[1:]) <= texts
-        assert len(embedded) == len(set(embedded)) > len(cold.sources)
+        assert read_pool(pool.path, pool_key(claim, ("docs",), self.CFG, other)) is None
+        kept = read_pool(pool.path, pool.key)
+        with caplog.at_level("INFO", logger="claimcheck.corpus"):
+            assert retrieve(claim, [docs[o] for o in kept.offsets], self.CFG, other, cache,
+                            PoolFile(pool.path, pool.key, kept.offsets, kept)) is None
+        assert f"ignoring derived file {pool.path}: " in caplog.text
+
+    def test_entry_naming_no_document_or_chunk_does_not_resolve(
+        self, knowledge_store_path, claims, tmp_path, caplog
+    ):
+        claim = claims[0]
+        docs = list(load_knowledge_store(knowledge_store_path, claim.id).documents)
+        cache, pool, _ = self._runs(tmp_path, claim, docs, 2)
+        kept = read_pool(pool.path, pool.key)
+        (offset, index), *rest = kept.members
+        for members in ([(offset, index + 99), *rest], [(len(docs), index), *rest]):
+            bad = dataclasses.replace(kept, members=tuple(members))
+            with caplog.at_level("INFO", logger="claimcheck.corpus"):
+                assert retrieve(claim, docs, self.CFG, MOCK, cache,
+                                PoolFile(pool.path, pool.key, pool.offsets, bad)) is None
+            assert f"ignoring derived file {pool.path}: entry 0: " in caplog.text
+            caplog.clear()
